@@ -260,8 +260,8 @@ def cmd_simulate(args) -> int:
             off = day * slots_per_day
             for i, s in enumerate(rel):
                 for t in range(s.t_arrival, s.t_depart):
-                    f.write(f"{s.id},{off + t},{res.power[i, t]!r},"
-                            f"{res.soc[i, t + 1]!r}\n")
+                    f.write(f"{s.id},{off + t},{float(res.power[i, t])!r},"
+                            f"{float(res.soc[i, t + 1])!r}\n")
 
     with open(out_dir / "shift.csv", "w", newline="") as f:
         f.write("slot,timestamp,policy_kg,baseline_edf_kg\n")
@@ -276,7 +276,7 @@ def cmd_simulate(args) -> int:
             ref = cvals * base.station_power * grid.slot_hours
             for t in range(horizon):
                 f.write(f"{off + t},{timestamps[off + t].isoformat()},"
-                        f"{pol[t]!r},{ref[t]!r}\n")
+                        f"{float(pol[t])!r},{float(ref[t])!r}\n")
     return 0
 
 

@@ -54,12 +54,6 @@ class ZeroTotalGeneration(CarbonSchedError):
         super().__init__(f"total generation is zero at slot {slot}")
 
 
-class EmptySeason(CarbonSchedError):
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"no data falls in season {name!r}")
-
-
 # --- forecasting ---
 
 class GridMismatch(CarbonSchedError):

@@ -151,33 +151,51 @@ def rollout(model: ForecastModel, observed: np.ndarray, start: int, horizon: int
             slot_minutes: int) -> np.ndarray:
     """Recursive day-ahead rollout.
 
-    Forecast slots start..start+horizon-1 given `observed[:start]` true
-    intensity; moving averages past the observed prefix are fed from prior
+    Forecast slots start..start+horizon-1 given the true intensity of the
+    trailing 24 h, `observed[start-w24:start]`; nothing earlier is read.
+    Moving averages past the observed prefix are fed from prior
     predictions. `timestamps`/`load_mw` index the same grid; slots past
     their end reuse the final day cyclically.
+
+    Costs O(horizon) per call: the calendar and load terms of every slot
+    come from one matrix product, and the three moving averages are
+    running sums slid forward as predictions are appended.
     """
-    w24, _, _ = _ma_slots(slot_minutes)
+    w24, w12, w1 = _ma_slots(slot_minutes)
     if start < w24:
         raise InsufficientHistory(f"rollout needs {w24} observed slots, got {start}")
     slots_per_day = 1440 // slot_minutes
     n_known = len(timestamps)
     step = timedelta(minutes=slot_minutes)
 
-    buf = list(observed[:start])
-    out = np.empty(horizon)
-    w = _ma_slots(slot_minutes)
-    for j, s in enumerate(range(start, start + horizon)):
-        if s < n_known:
-            ts, ld = timestamps[s], float(load_mw[s])
-        else:  # cyclic extension past the data end
-            ts = timestamps[0] + s * step
-            ld = float(load_mw[n_known - slots_per_day + (s - n_known) % slots_per_day])
-        mas = tuple(float(np.mean(buf[-wi:])) for wi in w)
-        row = _make_row(ts, ld, mas)
-        pred = max(float(model.beta[0] + row.vector() @ model.beta[1:]), 0.0)
-        out[j] = pred
-        buf.append(pred)
-    return out
+    end = start + horizon
+    stamps = list(timestamps[start:min(end, n_known)]) + [
+        timestamps[0] + s * step for s in range(max(start, n_known), end)]
+    slots = np.arange(start, end)
+    # Past the data end, load repeats the final day cyclically.
+    load_idx = np.where(slots < n_known, slots,
+                        n_known - slots_per_day + (slots - n_known) % slots_per_day)
+    cal = np.empty((horizon, 5))
+    cal[:, :4] = np.array([(ts.minute, ts.hour, ts.weekday(), ts.month) for ts in stamps],
+                          dtype=float).reshape(horizon, 4)
+    cal[:, 4] = np.asarray(load_mw, dtype=float)[load_idx]
+    beta = model.beta
+    base = (beta[0] + cal @ beta[1:6]).tolist()
+    k24, k12, k1 = (float(b) for b in beta[6:9])
+
+    # seq[w24 + j] is the prediction for slot start + j.
+    seq = np.asarray(observed[:start][-w24:], dtype=float).tolist()
+    if len(seq) < w24:
+        raise InsufficientHistory(f"rollout needs {w24} observed slots, got {len(seq)}")
+    s24, s12, s1 = sum(seq), sum(seq[-w12:]), sum(seq[-w1:])
+    for j in range(horizon):
+        pred = max(base[j] + k24 * (s24 / w24) + k12 * (s12 / w12) + k1 * (s1 / w1), 0.0)
+        pos = w24 + j
+        s24 += pred - seq[pos - w24]
+        s12 += pred - seq[pos - w12]
+        s1 += pred - seq[pos - w1]
+        seq.append(pred)
+    return np.asarray(seq[w24:], dtype=float)
 
 
 def save_model(model: ForecastModel, out: IO[str]) -> None:

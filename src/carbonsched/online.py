@@ -10,7 +10,7 @@ against the true intensity; forecasts drive decisions only.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import IO, Protocol, Sequence
 
 import numpy as np
@@ -80,11 +80,9 @@ class SimulationState:
 
     k: int
     soc: np.ndarray
-    applied_power: list[np.ndarray] = field(default_factory=list)
 
 
-def lookahead_window(k: int, total_slots: int, horizon: int,
-                     forecaster: Forecaster) -> np.ndarray:
+def lookahead_window(k: int, horizon: int, forecaster: Forecaster) -> np.ndarray:
     """Fetch the length-`horizon` forecast window starting at slot k."""
     w = np.asarray(forecaster.window(k, horizon), dtype=float)
     if w.shape != (horizon,):
@@ -120,7 +118,7 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
         pending = [i for i in active
                    if state.soc[i] < sessions[i].soc_target - 1e-9]
         if pending:
-            window = lookahead_window(k, total_slots, T, forecaster)
+            window = lookahead_window(k, T, forecaster)
             rel = []
             for i in active:
                 s = sessions[i]
@@ -144,7 +142,6 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
                     log.writerow([k, sessions[i].id, repr(float(step.power[j, 0])),
                                   repr(float(window[0])),
                                   repr(float(true_carbon[k]))])
-        state.applied_power.append(power[:, k].copy())
 
     final_config = StationConfig(config.power_cap_kw, config.slot_hours,
                                  config.lam, total_slots)

@@ -104,7 +104,6 @@ class LpInstance:
     upper: np.ndarray  # per-variable upper bound, inf for slacks
     window_slots: tuple[np.ndarray, ...]
     var_offsets: tuple[int, ...]
-    slack_index: tuple[int, ...]
 
 
 def _window(session: ChargingSession, horizon: int) -> np.ndarray:
@@ -171,14 +170,15 @@ def build_lp(sessions: Sequence[ChargingSession], price: np.ndarray,
         row += 1
 
     # Station cap, one row per slot (kept even when no session is active).
-    for t in range(T):
-        active = [offsets[i] + int(np.searchsorted(w, t))
-                  for i, w in enumerate(windows) if w.size and w[0] <= t <= w[-1]]
-        rows.append(np.full(len(active), row))
-        cols.append(np.asarray(active, dtype=int))
-        data.append(np.ones(len(active)))
-        b.append(config.power_cap_kw)
-        row += 1
+    # u column k charges in slot[k]; a stable sort by slot lists each row's
+    # columns in ascending (session) order.
+    slot = np.concatenate(windows) if windows else np.zeros(0, dtype=int)
+    order = np.argsort(slot, kind="stable")
+    rows.append(row + slot[order])
+    cols.append(order)
+    data.append(np.ones(n_u))
+    b.extend([config.power_cap_kw] * T)
+    row += T
 
     a_ub = sp.csr_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
@@ -188,7 +188,6 @@ def build_lp(sessions: Sequence[ChargingSession], price: np.ndarray,
         c=c, a_ub=a_ub, b_ub=np.asarray(b, dtype=float), upper=upper,
         window_slots=tuple(windows),
         var_offsets=tuple(int(o) for o in offsets[:-1]),
-        slack_index=tuple(range(n_u, n_vars)),
     )
 
 

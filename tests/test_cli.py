@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -52,6 +54,22 @@ class TestSimulate:
         log = (out / "decisions.csv").read_text().splitlines()
         assert log[0] == "slot,session_id,power_kw,forecast_c,true_c"
         assert len(log) > 1
+
+    def test_csv_cells_are_plain_numbers(self, tmp_path):
+        out = tmp_path / "out"
+        code = run_cli("simulate", "--policy", "carbon-offline", "--lambda", "0.4",
+                       "--synth-days", "2", "--synth-sessions-per-day", "6",
+                       "--synth-capacity-kwh", "5", "--out-dir", str(out))
+        assert code == 0
+        numeric = {"schedule.csv": ("slot", "power_kw", "soc"),
+                   "shift.csv": ("slot", "policy_kg", "baseline_edf_kg")}
+        for name, columns in numeric.items():
+            with open(out / name, newline="") as f:
+                rows = list(csv.DictReader(f))
+            assert rows, name
+            for row in rows:
+                for col in columns:
+                    assert math.isfinite(float(row[col])), (name, col, row[col])
 
     def test_determinism_byte_identical(self, tmp_path):
         args = ("simulate", "--policy", "carbon-offline", "--lambda", "0.4",

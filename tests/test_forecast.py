@@ -1,5 +1,5 @@
 import io
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -208,23 +208,63 @@ class TestPredict:
         np.testing.assert_array_equal(again.feature_means, model.feature_means)
 
 
+def _hand_rollout(beta, ci, load, start, horizon):
+    """Independent step-by-step rollout over the whole observed prefix;
+    past the data end the calendar runs on and load repeats the final day."""
+    n = len(ci.values)
+    buf = list(ci.values[:start])
+    out = []
+    for s in range(start, start + horizon):
+        if s < n:
+            ts, ld = ci.timestamps[s], float(load.load_mw[s])
+        else:
+            ts = ci.timestamps[0] + timedelta(minutes=5 * s)
+            ld = float(load.load_mw[n - W24 + (s - n) % W24])
+        x = _features_at(ts, ld, buf)
+        v = max(beta[0] + float(x @ beta[1:]), 0.0)
+        out.append(v)
+        buf.append(v)
+    return np.array(out)
+
+
+# A model whose recursion drifts away from the planted series.
+DRIFTING = np.array([0.02, 1e-5, -5e-4, 2e-4, 1e-6, 0.0, 0.40, 0.20, 0.30])
+
+
 class TestRollout:
     def test_matches_hand_recursion(self, two_month):
-        grid, load, ci = two_month
+        _, load, ci = two_month
         model = forecast.ForecastModel(PLANTED.copy(), np.zeros(8), np.ones(8))
         start, horizon = 600, 3
         got = forecast.rollout(model, ci.values, start, horizon,
                                ci.timestamps, load.load_mw, 5)
-        # independent step-by-step evaluation
-        buf = list(ci.values[:start])
-        ts = grid.timestamps()
-        expected = []
-        for s in range(start, start + horizon):
-            x = _features_at(ts[s], float(load.load_mw[s]), buf)
-            v = max(PLANTED[0] + float(x @ PLANTED[1:]), 0.0)
-            expected.append(v)
-            buf.append(v)
+        expected = _hand_rollout(PLANTED, ci, load, start, horizon)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("beta", [PLANTED, DRIFTING], ids=["planted", "drifting"])
+    @pytest.mark.parametrize("start", [600, W24, 60 * 288 - 100],
+                             ids=["mid", "start-eq-w24", "past-data-end"])
+    def test_full_horizon_matches_hand_recursion(self, two_month, beta, start):
+        _, load, ci = two_month
+        model = forecast.ForecastModel(beta.copy(), np.zeros(8), np.ones(8))
+        got = forecast.rollout(model, ci.values, start, 288,
+                               ci.timestamps, load.load_mw, 5)
+        expected = _hand_rollout(beta, ci, load, start, 288)
+        assert got.shape == (288,)
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+    def test_reads_only_trailing_day(self, two_month):
+        _, load, ci = two_month
+        model = forecast.ForecastModel(DRIFTING.copy(), np.zeros(8), np.ones(8))
+        start = 3 * 288 + 40
+        stale = ci.values.copy()
+        stale[:start - W24] = np.nan
+        clean = forecast.rollout(model, ci.values, start, 288,
+                                 ci.timestamps, load.load_mw, 5)
+        got = forecast.rollout(model, stale, start, 288,
+                               ci.timestamps, load.load_mw, 5)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_array_equal(got, clean)
 
     def test_self_consistent_on_planted_series(self, two_month):
         # the planted series is generated by the same recursion, so the

@@ -27,18 +27,18 @@ class TestLookaheadWindow:
     def test_singleton(self, day):
         _, ci = day
         fc = PerfectForecaster(ci.values)
-        w = lookahead_window(5, 288, 1, fc)
+        w = lookahead_window(5, 1, fc)
         assert w.shape == (1,)
         assert w[0] == ci.values[5]
 
     def test_constant_forecaster(self):
         fc = PerfectForecaster(np.full(288, 0.3))
-        np.testing.assert_allclose(lookahead_window(0, 288, 50, fc), 0.3)
+        np.testing.assert_allclose(lookahead_window(0, 50, fc), 0.3)
 
     def test_padding_past_series_end(self, day):
         _, ci = day
         fc = PerfectForecaster(ci.values, slots_per_day=288)
-        w = lookahead_window(280, 288, 288, fc)
+        w = lookahead_window(280, 288, fc)
         assert w.shape == (288,)
         np.testing.assert_array_equal(w[:8], ci.values[280:])
         # padding repeats the final day from its start
@@ -47,7 +47,7 @@ class TestLookaheadWindow:
     def test_unavailable(self, day):
         _, ci = day
         with pytest.raises(ForecastUnavailable):
-            lookahead_window(len(ci.values), 288, 4, PerfectForecaster(ci.values))
+            lookahead_window(len(ci.values), 4, PerfectForecaster(ci.values))
 
 
 class TestRunOnline:

@@ -2,8 +2,11 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from carbonsched import errors, scheduler
+from carbonsched.ingest import ChargingSession
 from carbonsched.scheduler import (StationConfig, build_lp, carbon_schedule,
                                    max_constraint_violation, select_lambda,
                                    solve, tou_schedule)
@@ -16,6 +19,29 @@ from oracles import (brute_force_objective, naive_dense_lp, random_instance,
 def _config(T=6, cap=100.0, lam=10.0, slot_hours=1.0):
     return StationConfig(power_cap_kw=cap, slot_hours=slot_hours, lam=lam,
                          horizon_slots=T)
+
+
+@st.composite
+def lp_instances(draw):
+    """Sessions whose windows may overlap, leave slots idle, span a single
+    slot or reach past either end of the horizon; possibly no sessions."""
+    T = draw(st.integers(1, 24))
+    sessions = []
+    for i in range(draw(st.integers(0, 6))):
+        a = draw(st.integers(-2, T - 1))
+        d = draw(st.integers(max(a, 0) + 1, T + 2))
+        soc_arr, soc_tgt, soc_max = sorted(
+            draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)))
+        sessions.append(ChargingSession(
+            id=f"h{i}", t_arrival=a, t_depart=d, soc_arrival=soc_arr,
+            soc_target=soc_tgt, soc_max=soc_max,
+            capacity_kwh=draw(st.floats(1.0, 60.0)),
+            power_max_kw=draw(st.floats(1.0, 10.0)),
+            delta=draw(st.floats(0.01, 1.0))))
+    price = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=T, max_size=T)))
+    config = _config(T=T, cap=draw(st.floats(1.0, 50.0)),
+                     lam=draw(st.floats(0.0, 2.0)), slot_hours=5 / 60)
+    return sessions, price, config
 
 
 class TestBuildLp:
@@ -45,6 +71,19 @@ class TestBuildLp:
         np.testing.assert_allclose(lp.a_ub.toarray(), a)
         np.testing.assert_allclose(lp.b_ub, b)
         np.testing.assert_allclose(lp.upper, upper)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lp_instances())
+    @example(([], np.full(4, 0.2), _config(T=4)))
+    @example(([make_session("a", 0, 1), make_session("b", 0, 3),
+               make_session("c", 2, 3), make_session("d", 5, 6)],
+              np.linspace(0.1, 0.6, 8), _config(T=8)))
+    def test_matches_naive_dense_builder_on_random_instances(self, instance):
+        sessions, price, config = instance
+        lp = build_lp(sessions, price, config)
+        _, a, b, _ = naive_dense_lp(sessions, price, config)
+        np.testing.assert_array_equal(lp.a_ub.toarray(), a)
+        np.testing.assert_array_equal(lp.b_ub, b)
 
     def test_price_length_mismatch(self):
         s = make_session(t_arrival=0, t_depart=4)
