@@ -13,6 +13,8 @@ the built-in generators is used so every subcommand runs standalone.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import json
 import os
 import sys
@@ -76,19 +78,19 @@ def _load_sessions(args, grid: TimeGrid) -> list[ingest.ChargingSession]:
                                  capacity_kwh=args.synth_capacity_kwh)
 
 
-def _load_load(args, grid: TimeGrid) -> ingest.LoadForecastSeries:
+def _load_load(args, timestamps) -> ingest.LoadForecastSeries:
     if args.load:
         with open(args.load, "rb") as f:
             return ingest.parse_load(f)
-    hours = np.array([ts.hour + ts.minute / 60.0 for ts in grid.timestamps()])
+    hours = np.array([ts.hour + ts.minute / 60.0 for ts in timestamps])
     rng = np.random.default_rng(args.seed + 1)
     load = 24000.0 + 4000.0 * np.sin(2 * np.pi * (hours - 17.0) / 24.0) \
-        + rng.normal(0, 150.0, size=grid.n_slots)
-    return ingest.LoadForecastSeries(tuple(grid.timestamps()), np.maximum(load, 1.0))
+        + rng.normal(0, 150.0, size=len(timestamps))
+    return ingest.LoadForecastSeries(tuple(timestamps), np.maximum(load, 1.0))
 
 
-def _tou_prices(grid: TimeGrid, offset: int, n: int) -> np.ndarray:
-    ts = grid.timestamps()[offset:offset + n]
+def _tou_prices(timestamps, offset: int, n: int) -> np.ndarray:
+    ts = timestamps[offset:offset + n]
     return np.array([TOU_PEAK if t.hour >= 16 else TOU_OFFPEAK for t in ts])
 
 
@@ -112,7 +114,7 @@ def _day_plan(day: int, day_sessions, slots_per_day: int, n_slots: int):
 
 
 def _run_policy_day(policy, rel, values, off, horizon, lam, args, grid,
-                    intensity, model_forecaster, log_path):
+                    timestamps, intensity, model_forecaster, log):
     cvals = values[off:off + horizon]
     config = scheduler.StationConfig(args.power_cap_kw, grid.slot_hours, lam, horizon)
     if policy == "es":
@@ -120,7 +122,7 @@ def _run_policy_day(policy, rel, values, off, horizon, lam, args, grid,
     if policy == "edf":
         return baselines.earliest_deadline_first(rel, config, cvals)
     if policy == "tou":
-        return scheduler.tou_schedule(rel, _tou_prices(grid, off, horizon),
+        return scheduler.tou_schedule(rel, _tou_prices(timestamps, off, horizon),
                                       config, carbon=cvals)
     if policy in ("carbon-offline", "carbon-adaptive"):
         return scheduler.carbon_schedule(rel, cvals, config)
@@ -133,13 +135,7 @@ def _run_policy_day(policy, rel, values, off, horizon, lam, args, grid,
         else:
             fc = online.PerfectForecaster(values[off:],
                                           1440 // grid.slot_minutes)
-        log = open(log_path, "a", newline="") if log_path else None
-        try:
-            return online.run_online(rel, fc, cvals, lookahead, horizon,
-                                     log_out=log)
-        finally:
-            if log:
-                log.close()
+        return online.run_online(rel, fc, cvals, lookahead, horizon, log_out=log)
     raise CarbonSchedError(f"unknown policy {policy!r}")
 
 
@@ -197,29 +193,26 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     intensity = _load_intensity(args)
     grid = _grid_of(intensity)
+    timestamps = grid.timestamps()
     sessions = _load_sessions(args, grid)
     slots_per_day = 1440 // grid.slot_minutes
     days = _split_days(sessions, slots_per_day)
 
     model_forecaster = None
     if args.policy == "carbon-online" and args.online_forecast == "model":
-        load = _load_load(args, grid)
+        load = _load_load(args, timestamps)
         rows = forecast.build_features(intensity, load)
         model, _, _ = forecast.fit(rows, seed=args.seed)
         model_forecaster = (model, load)
 
-    log_path = out_dir / "decisions.csv" if args.policy == "carbon-online" else None
-    if log_path and log_path.exists():
-        log_path.unlink()
-
-    def run_day(day):
+    def run_day(day, log=None):
         sess = sorted(days[day], key=lambda s: (s.t_arrival, s.id))
         off, horizon, rel = _day_plan(day, sess, slots_per_day, grid.n_slots)
         lam = (scheduler.select_lambda(len(rel))
                if args.policy == "carbon-adaptive" else args.lam)
         res = _run_policy_day(args.policy, rel, intensity.values, off, horizon,
-                              lam, args, grid, intensity, model_forecaster,
-                              log_path)
+                              lam, args, grid, timestamps, intensity,
+                              model_forecaster, log)
         base = baselines.earliest_deadline_first(
             rel, scheduler.StationConfig(args.power_cap_kw, grid.slot_hours,
                                          lam, horizon),
@@ -228,18 +221,24 @@ def cmd_simulate(args) -> int:
 
     results, edf_results = {}, {}
     workers = _thread_count()
-    # The online policy writes a shared decision log; keep it sequential.
     if workers > 1 and args.policy != "carbon-online":
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for day, pair, base in pool.map(run_day, sorted(days)):
                 results[day], edf_results[day] = pair, base
     else:
-        for day in sorted(days):
-            day, pair, base = run_day(day)
-            results[day], edf_results[day] = pair, base
+        # The online policy appends every day to one decision log, so it
+        # stays sequential.
+        with (open(out_dir / "decisions.csv", "w", newline="")
+              if args.policy == "carbon-online"
+              else contextlib.nullcontext()) as log:
+            if log:
+                csv.writer(log).writerow(online.DECISION_LOG_HEADER)
+            for day in sorted(days):
+                day, pair, base = run_day(day, log)
+                results[day], edf_results[day] = pair, base
 
     def season_of_day(day: int) -> str:
-        ts = grid.timestamps()[day * slots_per_day]
+        ts = timestamps[day * slots_per_day]
         for name, months in carbon.MET_SEASONS.items():
             if ts.month in months:
                 return name
@@ -265,7 +264,6 @@ def cmd_simulate(args) -> int:
 
     with open(out_dir / "shift.csv", "w", newline="") as f:
         f.write("slot,timestamp,policy_kg,baseline_edf_kg\n")
-        timestamps = grid.timestamps()
         for day in sorted(results):
             _, res = results[day]
             base = edf_results[day]
@@ -321,7 +319,7 @@ def cmd_forecast(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     intensity = _load_intensity(args)
     grid = _grid_of(intensity)
-    load = _load_load(args, grid)
+    load = _load_load(args, grid.timestamps())
     rows = forecast.build_features(intensity, load)
     model, mae, mse = forecast.fit(rows, seed=args.seed)
     with open(out_dir / "model.json", "w") as f:

@@ -11,7 +11,7 @@ session (epigraph trick), so the problem is a plain sparse LP.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, Sequence
 
 import numpy as np
@@ -90,9 +90,9 @@ class LpInstance:
     """Assembled LP in standard form min c.x s.t. A_ub x <= b_ub, bounds.
 
     Variable order: u vars session by session (window slots ascending),
-    then one terminal slack per session. Row order: per-session cumulative
-    SoC caps (window slots ascending), then the two slack rows per session
-    (+gap then -gap), then one station row per slot.
+    then one terminal slack per session. Row order: one SoC cap row per
+    session, then the two slack rows per session (+gap then -gap), then
+    one station row per slot.
     """
 
     sessions: tuple[ChargingSession, ...]
@@ -103,7 +103,6 @@ class LpInstance:
     b_ub: np.ndarray
     upper: np.ndarray  # per-variable upper bound, inf for slacks
     window_slots: tuple[np.ndarray, ...]
-    var_offsets: tuple[int, ...]
 
 
 def _window(session: ChargingSession, horizon: int) -> np.ndarray:
@@ -122,72 +121,44 @@ def build_lp(sessions: Sequence[ChargingSession], price: np.ndarray,
         raise EmptyHorizon(f"price length {price.shape} != horizon {T}")
 
     windows = [_window(s, T) for s in sessions]
-    offsets = np.concatenate([[0], np.cumsum([len(w) for w in windows])]).astype(int)
-    n_u = int(offsets[-1])
+    lengths = np.array([len(w) for w in windows], dtype=int)
+    n_u = int(lengths.sum())
     n = len(sessions)
     n_vars = n_u + n
-
-    c = np.empty(n_vars)
-    upper = np.empty(n_vars)
-    for i, (s, w) in enumerate(zip(sessions, windows)):
-        c[offsets[i]:offsets[i + 1]] = price[w] * config.slot_hours
-        upper[offsets[i]:offsets[i + 1]] = s.power_max_kw
-    c[n_u:] = config.lam
-    upper[n_u:] = np.inf
-
-    rows, cols, data = [], [], []
-    b = []
-    row = 0
-
-    # Cumulative SoC upper bounds: g * sum_{tau<=t} u <= soc_max - soc_arrival.
-    for i, (s, w) in enumerate(zip(sessions, windows)):
-        g = s.delta / s.capacity_kwh
-        L = len(w)
-        tri_r, tri_c = np.tril_indices(L)
-        rows.append(row + tri_r)
-        cols.append(offsets[i] + tri_c)
-        data.append(np.full(len(tri_r), g))
-        b.extend([s.soc_max - s.soc_arrival] * L)
-        row += L
-
-    # Terminal-gap slack rows.
-    for i, (s, w) in enumerate(zip(sessions, windows)):
-        g = s.delta / s.capacity_kwh
-        L = len(w)
-        u_cols = np.arange(offsets[i], offsets[i] + L)
-        gap = s.soc_target - s.soc_arrival
-        # +g sum(u) - s <= gap
-        rows.append(np.full(L + 1, row))
-        cols.append(np.concatenate([u_cols, [n_u + i]]))
-        data.append(np.concatenate([np.full(L, g), [-1.0]]))
-        b.append(gap)
-        row += 1
-        # -g sum(u) - s <= -gap
-        rows.append(np.full(L + 1, row))
-        cols.append(np.concatenate([u_cols, [n_u + i]]))
-        data.append(np.concatenate([np.full(L, -g), [-1.0]]))
-        b.append(-gap)
-        row += 1
-
-    # Station cap, one row per slot (kept even when no session is active).
-    # u column k charges in slot[k]; a stable sort by slot lists each row's
-    # columns in ascending (session) order.
+    # u column k charges session owner[k] in slot[k].
+    owner = np.repeat(np.arange(n), lengths)
     slot = np.concatenate(windows) if windows else np.zeros(0, dtype=int)
-    order = np.argsort(slot, kind="stable")
-    rows.append(row + slot[order])
-    cols.append(order)
-    data.append(np.ones(n_u))
-    b.extend([config.power_cap_kw] * T)
-    row += T
+    g = np.array([s.delta / s.capacity_kwh for s in sessions], dtype=float)
+    soc_arrival = np.array([s.soc_arrival for s in sessions], dtype=float)
+    soc_max = np.array([s.soc_max for s in sessions], dtype=float)
+    gap = np.array([s.soc_target for s in sessions], dtype=float) - soc_arrival
+    power_max = np.array([s.power_max_kw for s in sessions], dtype=float)
 
-    a_ub = sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(row, n_vars))
+    c = np.concatenate([price[slot] * config.slot_hours, np.full(n, config.lam)])
+    upper = np.concatenate([power_max[owner], np.full(n, np.inf)])
+
+    # Rows: the SoC cap g * sum(u) <= soc_max - soc_arrival, one per session
+    # (u >= 0, so it bounds every partial sum too); the terminal-gap slack
+    # rows +g sum(u) - s <= gap and -g sum(u) - s <= -gap; the station cap,
+    # one row per slot (kept even when no session is active), whose columns
+    # a stable sort by slot lists in ascending order.
+    u_cols = np.arange(n_u)
+    slack_cols = n_u + np.arange(n)
+    plus = n + 2 * np.arange(n)  # each session's +gap row; -gap is next
+    order = np.argsort(slot, kind="stable")
+    rows = np.concatenate([owner, plus[owner], plus[owner] + 1, plus, plus + 1,
+                           3 * n + slot[order]])
+    cols = np.concatenate([u_cols, u_cols, u_cols, slack_cols, slack_cols, order])
+    gu = g[owner]
+    data = np.concatenate([gu, gu, -gu, np.full(2 * n, -1.0), np.ones(n_u)])
+    b = np.concatenate([soc_max - soc_arrival, np.column_stack([gap, -gap]).ravel(),
+                        np.full(T, float(config.power_cap_kw))])
+
+    a_ub = sp.csr_matrix((data, (rows, cols)), shape=(3 * n + T, n_vars))
     return LpInstance(
         sessions=tuple(sessions), config=config, price=price,
-        c=c, a_ub=a_ub, b_ub=np.asarray(b, dtype=float), upper=upper,
+        c=c, a_ub=a_ub, b_ub=b, upper=upper,
         window_slots=tuple(windows),
-        var_offsets=tuple(int(o) for o in offsets[:-1]),
     )
 
 
@@ -197,39 +168,23 @@ def solve(lp: LpInstance, carbon: np.ndarray | None = None) -> ScheduleResult:
     `carbon` overrides the emission-accounting signal (used when the LP
     prices in dollars, as in the TOU variant); defaults to lp.price.
     """
-    T = lp.config.horizon_slots
-    if not lp.sessions:
-        return ScheduleResult(session_ids=(), power=np.zeros((0, T)),
-                              soc=np.zeros((0, T + 1)), objective=0.0,
-                              emissions_kg=0.0, terminal_gaps=np.zeros(0))
-
-    res = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub,
-                  bounds=list(zip(np.zeros(len(lp.c)), lp.upper)),
-                  method="highs", options=_SOLVER_OPTIONS)
-    if res.status != 0:
-        raise NumericalFailure(res.message, getattr(res, "nit", None))
-
     n = len(lp.sessions)
-    power = np.zeros((n, T))
-    soc = np.zeros((n, T + 1))
-    gaps = np.zeros(n)
-    for i, s in enumerate(lp.sessions):
-        w = lp.window_slots[i]
-        u = np.maximum(res.x[lp.var_offsets[i]:lp.var_offsets[i] + len(w)], 0.0)
-        power[i, w] = u
-        soc[i, 0] = s.soc_arrival
-        soc[i, 1:] = s.soc_arrival + np.cumsum(power[i]) * s.delta / s.capacity_kwh
-        gaps[i] = abs(soc[i, -1] - s.soc_target)
+    power = np.zeros((n, lp.config.horizon_slots))
+    objective = 0.0
+    if n:
+        res = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub,
+                      bounds=list(zip(np.zeros(len(lp.c)), lp.upper)),
+                      method="highs", options=_SOLVER_OPTIONS)
+        if res.status != 0:
+            raise NumericalFailure(res.message, getattr(res, "nit", None))
+        owner = np.repeat(np.arange(n), [len(w) for w in lp.window_slots])
+        power[owner, np.concatenate(lp.window_slots)] = \
+            np.maximum(res.x[:len(owner)], 0.0)
+        objective = float(res.fun)
 
     signal = lp.price if carbon is None else np.asarray(carbon, dtype=float)
-    emissions = float(np.sum(signal * power.sum(axis=0)) * lp.config.slot_hours)
-    return ScheduleResult(
-        session_ids=tuple(s.id for s in lp.sessions),
-        power=power, soc=soc,
-        objective=float(res.fun),
-        emissions_kg=emissions,
-        terminal_gaps=gaps,
-    )
+    return replace(result_from_power(lp.sessions, power, lp.config, signal),
+                   objective=objective)
 
 
 def carbon_schedule(sessions: Sequence[ChargingSession], carbon: np.ndarray,

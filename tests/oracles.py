@@ -1,17 +1,21 @@
 """Independent reference implementations used only by the tests.
 
-These deliberately avoid the library's own code paths: the LP checker
-enumerates discretized schedules, and the matrix builder assembles the
-constraint matrix densely, row by row, straight from the constraint
-definitions.
+The LP checker enumerates discretized schedules, and the matrix builder
+assembles the constraint matrix densely, row by row, straight from the
+constraint definitions; both avoid the library's own code paths. The
+online reference reuses the library's LP but re-solves at every pending
+slot, so it checks when the online controller may skip a solve.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
 from carbonsched.ingest import ChargingSession
-from carbonsched.scheduler import StationConfig
+from carbonsched.online import lookahead_window
+from carbonsched.scheduler import (StationConfig, build_lp, result_from_power,
+                                   solve)
 
 FEAS_EPS = 1e-9
 
@@ -97,15 +101,16 @@ def naive_dense_lp(sessions, price, config):
 
     rows = []
     b = []
+    # SoC cap: x_i(t) <= soc_max for every t. With u >= 0 the partial sums
+    # are nondecreasing, so the cap at the last window slot implies the
+    # others: one row g * sum_t u_i(t) <= soc_max - soc_arrival.
     for i, s in enumerate(sessions):
         g = s.delta / s.capacity_kwh
+        row = np.zeros(n_vars)
         for t in windows[i]:
-            row = np.zeros(n_vars)
-            for tau in windows[i]:
-                if tau <= t:
-                    row[u_col(i, tau)] = g
-            rows.append(row)
-            b.append(s.soc_max - s.soc_arrival)
+            row[u_col(i, t)] = g
+        rows.append(row)
+        b.append(s.soc_max - s.soc_arrival)
     for i, s in enumerate(sessions):
         g = s.delta / s.capacity_kwh
         gap = s.soc_target - s.soc_arrival
@@ -158,3 +163,40 @@ def random_instance(rng: np.random.Generator, max_sessions: int, horizon: int,
     )
     price = rng.uniform(0.02, 0.5, size=horizon)
     return sessions, price, config
+
+
+def always_resolve_online(sessions, forecaster, true_carbon, config,
+                          total_slots):
+    """Rolling-horizon control that rebuilds and re-solves the LP at every
+    slot with a pending session and applies the first slot of the plan.
+
+    Returns (schedule over total_slots, number of solves).
+    """
+    T = config.horizon_slots
+    soc = np.array([s.soc_arrival for s in sessions])
+    power = np.zeros((len(sessions), total_slots))
+    solves = 0
+    for k in range(total_slots):
+        active = [i for i, s in enumerate(sessions)
+                  if s.t_arrival <= k and s.t_depart > k]
+        pending = [i for i in active if soc[i] < sessions[i].soc_target - 1e-9]
+        if not pending:
+            continue
+        window = lookahead_window(k, T, forecaster)
+        rel = []
+        for i in active:
+            s = sessions[i]
+            x = min(float(soc[i]), s.soc_max)
+            rel.append(replace(s, t_arrival=0, t_depart=min(s.t_depart - k, T),
+                               soc_arrival=x,
+                               soc_target=min(max(s.soc_target, x), s.soc_max)))
+        step = solve(build_lp(rel, window, config))
+        solves += 1
+        for j, i in enumerate(active):
+            u = float(step.power[j, 0])
+            power[i, k] = u
+            soc[i] += u * sessions[i].delta / sessions[i].capacity_kwh
+    final = StationConfig(config.power_cap_kw, config.slot_hours, config.lam,
+                          total_slots)
+    return result_from_power(sessions, power, final,
+                             np.asarray(true_carbon, dtype=float)[:total_slots]), solves

@@ -55,6 +55,18 @@ class TestSimulate:
         assert log[0] == "slot,session_id,power_kw,forecast_c,true_c"
         assert len(log) > 1
 
+    def test_multi_day_decision_log_has_one_header(self, tmp_path):
+        out = tmp_path / "out"
+        code = run_cli("simulate", "--policy", "carbon-online",
+                       "--synth-days", "2", "--synth-sessions-per-day", "4",
+                       "--synth-capacity-kwh", "5", "--out-dir", str(out))
+        assert code == 0
+        lines = (out / "decisions.csv").read_text().splitlines()
+        assert lines[0] == "slot,session_id,power_kw,forecast_c,true_c"
+        rows = [line.split(",") for line in lines[1:]]
+        assert all(int(row[0]) >= 0 for row in rows)
+        assert len({row[1] for row in rows}) > 4   # sessions of both days
+
     def test_csv_cells_are_plain_numbers(self, tmp_path):
         out = tmp_path / "out"
         code = run_cli("simulate", "--policy", "carbon-offline", "--lambda", "0.4",

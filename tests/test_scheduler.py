@@ -49,7 +49,10 @@ class TestBuildLp:
         s = make_session(t_arrival=1, t_depart=5, capacity_kwh=20.0, delta=1.0)
         lp = build_lp([s], np.full(6, 0.2), _config())
         assert lp.c.shape == (5,)                 # 4 power vars + 1 slack
-        assert lp.a_ub.shape == (4 + 2 + 6, 5)    # cumulative + slack + station
+        assert lp.a_ub.shape == (1 + 2 + 6, 5)    # SoC cap + slack + station
+        # the SoC cap row weights every power var of the session by g
+        np.testing.assert_array_equal(lp.a_ub.toarray()[0], [0.05] * 4 + [0.0])
+        assert lp.b_ub[0] == pytest.approx(1.0 - 0.2)
         # station rows are the last six and each touches at most the u vars
         station = lp.a_ub.toarray()[-6:]
         assert station[0].sum() == 0              # slot 0: session not active
