@@ -16,11 +16,8 @@ import argparse
 import contextlib
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -41,13 +38,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise SystemExit(f"error: {message}")
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("CARBON_SCHED_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_intensity(args) -> carbon.CarbonIntensitySeries:
@@ -94,23 +84,25 @@ def _tou_prices(timestamps, offset: int, n: int) -> np.ndarray:
     return np.array([TOU_PEAK if t.hour >= 16 else TOU_OFFPEAK for t in ts])
 
 
-def _split_days(sessions, slots_per_day: int) -> dict[int, list]:
+def _day_plans(sessions, grid: TimeGrid) -> dict[int, tuple[int, int, list]]:
+    """Per day with arrivals: its first absolute slot, its horizon and its
+    sessions relative to that slot, ordered by arrival then id. Sessions
+    may run past midnight; the horizon extends to cover them."""
+    slots_per_day = 1440 // grid.slot_minutes
     days: dict[int, list] = {}
     for s in sessions:
         days.setdefault(s.t_arrival // slots_per_day, []).append(s)
-    return days
-
-
-def _day_plan(day: int, day_sessions, slots_per_day: int, n_slots: int):
-    """Day-relative sessions plus the day's horizon (sessions may run past
-    midnight; the horizon extends to cover them)."""
-    off = day * slots_per_day
-    horizon = max(slots_per_day, max(s.t_depart for s in day_sessions) - off)
-    horizon = min(horizon, n_slots - off)
-    rel = [replace(s, t_arrival=s.t_arrival - off,
-                   t_depart=min(s.t_depart - off, horizon))
-           for s in day_sessions]
-    return off, horizon, rel
+    plans = {}
+    for day in sorted(days):
+        sess = sorted(days[day], key=lambda s: (s.t_arrival, s.id))
+        off = day * slots_per_day
+        horizon = max(slots_per_day, max(s.t_depart for s in sess) - off)
+        horizon = min(horizon, grid.n_slots - off)
+        plans[day] = off, horizon, [
+            replace(s, t_arrival=s.t_arrival - off,
+                    t_depart=min(s.t_depart - off, horizon))
+            for s in sess]
+    return plans
 
 
 def _run_policy_day(policy, rel, values, off, horizon, lam, args, grid,
@@ -135,57 +127,9 @@ def _run_policy_day(policy, rel, values, off, horizon, lam, args, grid,
         else:
             fc = online.PerfectForecaster(values[off:],
                                           1440 // grid.slot_minutes)
-        return online.run_online(rel, fc, cvals, lookahead, horizon, log_out=log)
+        return online.run_online(rel, fc, cvals, lookahead, horizon,
+                                 log_out=log, slot_offset=off)
     raise CarbonSchedError(f"unknown policy {policy!r}")
-
-
-def _aggregate(day_results, season_of_day):
-    """Merge per-day (sessions, result) pairs into report-level numbers."""
-    totals = {"emissions_kg": 0.0, "energy_kwh": 0.0,
-              "delivered_soc": 0.0, "requested_soc": 0.0}
-    ratios = []
-    per_day = []
-    per_season: dict[str, dict] = {}
-    for day in sorted(day_results):
-        sess, res = day_results[day]
-        delivered = [abs(res.soc[i, -1] - s.soc_arrival) for i, s in enumerate(sess)]
-        requested = [abs(s.soc_target - s.soc_arrival) for s in sess]
-        totals["emissions_kg"] += res.emissions_kg
-        totals["energy_kwh"] += res.delivered_kwh(sess)
-        totals["delivered_soc"] += sum(delivered)
-        totals["requested_soc"] += sum(requested)
-        ratios.extend(d / r if r > 1e-12 else 1.0
-                      for d, r in zip(delivered, requested))
-        day_edq = (sum(delivered) / sum(requested)
-                   if sum(requested) > 1e-12 else 1.0)
-        per_day.append({"day": day, "n_sessions": len(sess),
-                        "emissions_kg": res.emissions_kg,
-                        "edq_station": day_edq})
-        season = season_of_day(day)
-        bucket = per_season.setdefault(
-            season, {"emissions_kg": 0.0, "delivered_soc": 0.0,
-                     "requested_soc": 0.0, "days": 0})
-        bucket["emissions_kg"] += res.emissions_kg
-        bucket["delivered_soc"] += sum(delivered)
-        bucket["requested_soc"] += sum(requested)
-        bucket["days"] += 1
-    n = len(ratios)
-    season_out = {
-        name: {"emissions_kg": b["emissions_kg"], "days": b["days"],
-               "edq_station": (b["delivered_soc"] / b["requested_soc"]
-                               if b["requested_soc"] > 1e-12 else 1.0)}
-        for name, b in sorted(per_season.items())}
-    report = {
-        "total_emissions_kg": totals["emissions_kg"],
-        "emissions_per_session_kg": totals["emissions_kg"] / n if n else 0.0,
-        "edq_station": (totals["delivered_soc"] / totals["requested_soc"]
-                        if totals["requested_soc"] > 1e-12 else 1.0),
-        "edq_session": float(np.mean(ratios)) if ratios else 1.0,
-        "energy_delivered_kwh": totals["energy_kwh"],
-        "n_sessions": n,
-        "per_season": season_out,
-    }
-    return report, per_day
 
 
 def cmd_simulate(args) -> int:
@@ -194,9 +138,7 @@ def cmd_simulate(args) -> int:
     intensity = _load_intensity(args)
     grid = _grid_of(intensity)
     timestamps = grid.timestamps()
-    sessions = _load_sessions(args, grid)
-    slots_per_day = 1440 // grid.slot_minutes
-    days = _split_days(sessions, slots_per_day)
+    plans = _day_plans(_load_sessions(args, grid), grid)
 
     model_forecaster = None
     if args.policy == "carbon-online" and args.online_forecast == "model":
@@ -205,48 +147,32 @@ def cmd_simulate(args) -> int:
         model, _, _ = forecast.fit(rows, seed=args.seed)
         model_forecaster = (model, load)
 
-    def run_day(day, log=None):
-        sess = sorted(days[day], key=lambda s: (s.t_arrival, s.id))
-        off, horizon, rel = _day_plan(day, sess, slots_per_day, grid.n_slots)
-        lam = (scheduler.select_lambda(len(rel))
-               if args.policy == "carbon-adaptive" else args.lam)
-        res = _run_policy_day(args.policy, rel, intensity.values, off, horizon,
-                              lam, args, grid, timestamps, intensity,
-                              model_forecaster, log)
-        base = baselines.earliest_deadline_first(
-            rel, scheduler.StationConfig(args.power_cap_kw, grid.slot_hours,
-                                         lam, horizon),
-            intensity.values[off:off + horizon])
-        return day, (rel, res), base
-
     results, edf_results = {}, {}
-    workers = _thread_count()
-    if workers > 1 and args.policy != "carbon-online":
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for day, pair, base in pool.map(run_day, sorted(days)):
-                results[day], edf_results[day] = pair, base
-    else:
-        # The online policy appends every day to one decision log, so it
-        # stays sequential.
-        with (open(out_dir / "decisions.csv", "w", newline="")
-              if args.policy == "carbon-online"
-              else contextlib.nullcontext()) as log:
-            if log:
-                csv.writer(log).writerow(online.DECISION_LOG_HEADER)
-            for day in sorted(days):
-                day, pair, base = run_day(day, log)
-                results[day], edf_results[day] = pair, base
+    with (open(out_dir / "decisions.csv", "w", newline="")
+          if args.policy == "carbon-online"
+          else contextlib.nullcontext()) as log:
+        if log:
+            csv.writer(log).writerow(online.DECISION_LOG_HEADER)
+        for day, (off, horizon, rel) in plans.items():
+            lam = (scheduler.select_lambda(len(rel))
+                   if args.policy == "carbon-adaptive" else args.lam)
+            results[day] = rel, _run_policy_day(
+                args.policy, rel, intensity.values, off, horizon, lam, args,
+                grid, timestamps, intensity, model_forecaster, log)
+            edf_results[day] = baselines.earliest_deadline_first(
+                rel, scheduler.StationConfig(args.power_cap_kw, grid.slot_hours,
+                                             lam, horizon),
+                intensity.values[off:off + horizon])
 
     def season_of_day(day: int) -> str:
-        ts = timestamps[day * slots_per_day]
+        ts = timestamps[plans[day][0]]
         for name, months in carbon.MET_SEASONS.items():
             if ts.month in months:
                 return name
         return "unknown"
 
-    report, per_day = _aggregate(results, season_of_day)
-    report.update({"policy": args.policy, "lambda": args.lam, "seed": args.seed,
-                   "per_day": per_day})
+    report = metrics.make_report(args.policy, results, season_of_day).to_dict()
+    report.update({"lambda": args.lam, "seed": args.seed})
 
     with open(out_dir / "report.json", "w") as f:
         json.dump(report, f, sort_keys=True, indent=2)
@@ -254,9 +180,8 @@ def cmd_simulate(args) -> int:
 
     with open(out_dir / "schedule.csv", "w", newline="") as f:
         f.write("session_id,slot,power_kw,soc\n")
-        for day in sorted(results):
-            rel, res = results[day]
-            off = day * slots_per_day
+        for day, (rel, res) in results.items():
+            off = plans[day][0]
             for i, s in enumerate(rel):
                 for t in range(s.t_arrival, s.t_depart):
                     f.write(f"{s.id},{off + t},{float(res.power[i, t])!r},"
@@ -264,14 +189,10 @@ def cmd_simulate(args) -> int:
 
     with open(out_dir / "shift.csv", "w", newline="") as f:
         f.write("slot,timestamp,policy_kg,baseline_edf_kg\n")
-        for day in sorted(results):
-            _, res = results[day]
-            base = edf_results[day]
-            off = day * slots_per_day
-            horizon = res.power.shape[1]
+        for day, (off, horizon, _) in plans.items():
             cvals = intensity.values[off:off + horizon]
-            pol = cvals * res.station_power * grid.slot_hours
-            ref = cvals * base.station_power * grid.slot_hours
+            pol = cvals * results[day][1].station_power * grid.slot_hours
+            ref = cvals * edf_results[day].station_power * grid.slot_hours
             for t in range(horizon):
                 f.write(f"{off + t},{timestamps[off + t].isoformat()},"
                         f"{float(pol[t])!r},{float(ref[t])!r}\n")
@@ -285,27 +206,19 @@ def cmd_lambda_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     intensity = _load_intensity(args)
     grid = _grid_of(intensity)
-    sessions = _load_sessions(args, grid)
-    slots_per_day = 1440 // grid.slot_minutes
-    days = _split_days(sessions, slots_per_day)
+    plans = _day_plans(_load_sessions(args, grid), grid)
 
     rows = []
     for lam in args.lambdas:
-        emissions = 0.0
-        delivered = requested = 0.0
-        for day in sorted(days):
-            sess = sorted(days[day], key=lambda s: (s.t_arrival, s.id))
-            off, horizon, rel = _day_plan(day, sess, slots_per_day, grid.n_slots)
-            config = scheduler.StationConfig(args.power_cap_kw, grid.slot_hours,
-                                             lam, horizon)
-            res = scheduler.carbon_schedule(rel, intensity.values[off:off + horizon],
-                                            config)
-            emissions += res.emissions_kg
-            delivered += sum(abs(res.soc[i, -1] - s.soc_arrival)
-                             for i, s in enumerate(rel))
-            requested += sum(abs(s.soc_target - s.soc_arrival) for s in rel)
-        loss_pct = 100.0 * (1.0 - delivered / requested) if requested > 0 else 0.0
-        rows.append((lam, emissions, loss_pct))
+        results = {
+            day: (rel, scheduler.carbon_schedule(
+                rel, intensity.values[off:off + horizon],
+                scheduler.StationConfig(args.power_cap_kw, grid.slot_hours,
+                                        lam, horizon)))
+            for day, (off, horizon, rel) in plans.items()}
+        report = metrics.make_report("carbon-offline", results)
+        rows.append((lam, report.total_emissions_kg,
+                     100.0 * (1.0 - report.edq_station)))
 
     with open(out_dir / "tradeoff.csv", "w", newline="") as f:
         f.write("lambda,emissions_kg,energy_loss_pct\n")

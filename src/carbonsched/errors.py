@@ -91,10 +91,6 @@ class NumericalFailure(CarbonSchedError):
 
 # --- metrics ---
 
-class ZeroDemand(CarbonSchedError):
-    pass
-
-
 class UnknownBaseline(CarbonSchedError):
     def __init__(self, name: str):
         self.name = name

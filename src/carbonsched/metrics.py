@@ -1,14 +1,19 @@
-"""Energy-delivery-quality and emission metrics, plus policy comparison."""
+"""Energy-delivery-quality and emission metrics, plus policy comparison.
+
+`make_report` builds every figure of a run's report; a session's delivery
+quality is its delivered SoC over its requested SoC, and 1.0 when it
+requests nothing.
+"""
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import IO, Sequence
+from dataclasses import dataclass
+from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import UnknownBaseline, ZeroDemand
+from .errors import UnknownBaseline
 from .ingest import ChargingSession
 from .scheduler import ScheduleResult
 
@@ -26,6 +31,7 @@ class RunReport:
     edq_session: float
     energy_delivered_kwh: float
     n_sessions: int
+    per_day: tuple[dict, ...] = ()
     per_season: dict[str, dict] | None = None
 
     def to_dict(self) -> dict:
@@ -37,62 +43,96 @@ class RunReport:
             "edq_session": self.edq_session,
             "energy_delivered_kwh": self.energy_delivered_kwh,
             "n_sessions": self.n_sessions,
+            "per_day": list(self.per_day),
         }
         if self.per_season is not None:
             d["per_season"] = self.per_season
         return d
 
 
+def _delivered_requested(result: ScheduleResult,
+                         sessions: Sequence[ChargingSession]
+                         ) -> tuple[list[float], list[float]]:
+    """Per-session SoC delivered (final minus arrival) and requested
+    (target minus arrival)."""
+    delivered = [abs(result.soc[i, -1] - s.soc_arrival) for i, s in enumerate(sessions)]
+    requested = [abs(s.soc_target - s.soc_arrival) for s in sessions]
+    return delivered, requested
+
+
+def _ratio(delivered: float, requested: float) -> float:
+    return delivered / requested if requested > _EPS else 1.0
+
+
 def edq_station(result: ScheduleResult, sessions: Sequence[ChargingSession]) -> float:
     """Station-level delivery quality: total delivered SoC over total
     requested SoC (weights sessions by their SoC delta)."""
-    delivered = sum(abs(result.soc[i, -1] - s.soc_arrival)
-                    for i, s in enumerate(sessions))
-    requested = sum(abs(s.soc_target - s.soc_arrival) for s in sessions)
-    if requested <= _EPS:
-        raise ZeroDemand("no session requests any energy")
-    return float(delivered / requested)
+    delivered, requested = _delivered_requested(result, sessions)
+    return float(_ratio(sum(delivered), sum(requested)))
 
 
 def edq_session(result: ScheduleResult, sessions: Sequence[ChargingSession]) -> float:
-    """Mean per-session delivery quality; zero-demand sessions count as 1."""
-    if not sessions:
-        return 1.0
-    ratios = []
-    for i, s in enumerate(sessions):
-        req = abs(s.soc_target - s.soc_arrival)
-        if req <= _EPS:
-            ratios.append(1.0)
-        else:
-            ratios.append(abs(result.soc[i, -1] - s.soc_arrival) / req)
-    return float(np.mean(ratios))
+    """Mean per-session delivery quality."""
+    ratios = list(map(_ratio, *_delivered_requested(result, sessions)))
+    return float(np.mean(ratios)) if ratios else 1.0
 
 
 def edq_station_energy(result: ScheduleResult,
                        sessions: Sequence[ChargingSession]) -> float:
     """Energy-weighted station EDQ (kWh delivered / kWh requested). Not one
     of the standard two metrics; weights sessions by energy instead of SoC."""
-    delivered = sum(abs(result.soc[i, -1] - s.soc_arrival) * s.capacity_kwh
-                    for i, s in enumerate(sessions))
-    requested = sum(s.demand_kwh for s in sessions)
-    if requested <= _EPS:
-        raise ZeroDemand("no session requests any energy")
-    return float(delivered / requested)
+    delivered, requested = _delivered_requested(result, sessions)
+    return float(_ratio(sum(d * s.capacity_kwh for d, s in zip(delivered, sessions)),
+                        sum(r * s.capacity_kwh for r, s in zip(requested, sessions))))
 
 
-def make_report(policy: str, result: ScheduleResult,
-                sessions: Sequence[ChargingSession],
-                per_season: dict[str, dict] | None = None) -> RunReport:
-    n = len(sessions)
+def make_report(policy: str,
+                days: Mapping[int, tuple[Sequence[ChargingSession], ScheduleResult]],
+                season_of_day: Callable[[int], str] | None = None) -> RunReport:
+    """Report of a run from its per-day (sessions, result) pairs, keyed by
+    day index.
+
+    Every total is summed day by day in day order, each day's own sum
+    first. `per_day` has one row per day; `per_season`, grouped by
+    `season_of_day`, is left out when that is None.
+    """
+    emissions = energy = delivered = requested = 0.0
+    ratios: list[float] = []
+    per_day = []
+    seasons: dict[str, dict] = {}
+    for day in sorted(days):
+        sessions, result = days[day]
+        d, r = _delivered_requested(result, sessions)
+        day_delivered, day_requested = sum(d), sum(r)
+        emissions += result.emissions_kg
+        energy += result.delivered_kwh(sessions)
+        delivered += day_delivered
+        requested += day_requested
+        ratios.extend(map(_ratio, d, r))
+        per_day.append({"day": day, "n_sessions": len(sessions),
+                        "emissions_kg": result.emissions_kg,
+                        "edq_station": _ratio(day_delivered, day_requested)})
+        if season_of_day is not None:
+            bucket = seasons.setdefault(season_of_day(day), {
+                "emissions_kg": 0.0, "delivered": 0.0, "requested": 0.0, "days": 0})
+            bucket["emissions_kg"] += result.emissions_kg
+            bucket["delivered"] += day_delivered
+            bucket["requested"] += day_requested
+            bucket["days"] += 1
+    n = len(ratios)
     return RunReport(
         policy=policy,
-        total_emissions_kg=result.emissions_kg,
-        emissions_per_session_kg=result.emissions_kg / n if n else 0.0,
-        edq_station=edq_station(result, sessions) if n else 1.0,
-        edq_session=edq_session(result, sessions),
-        energy_delivered_kwh=result.delivered_kwh(sessions),
+        total_emissions_kg=emissions,
+        emissions_per_session_kg=emissions / n if n else 0.0,
+        edq_station=_ratio(delivered, requested),
+        edq_session=float(np.mean(ratios)) if ratios else 1.0,
+        energy_delivered_kwh=energy,
         n_sessions=n,
-        per_season=per_season,
+        per_day=tuple(per_day),
+        per_season=None if season_of_day is None else {
+            name: {"emissions_kg": b["emissions_kg"], "days": b["days"],
+                   "edq_station": _ratio(b["delivered"], b["requested"])}
+            for name, b in sorted(seasons.items())},
     )
 
 

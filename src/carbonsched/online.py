@@ -116,13 +116,15 @@ class _Plan:
 
 def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
                true_carbon: np.ndarray, config: StationConfig, total_slots: int,
-               log_out: IO[str] | None = None) -> ScheduleResult:
+               log_out: IO[str] | None = None,
+               slot_offset: int = 0) -> ScheduleResult:
     """Simulate the online loop over slots 0..total_slots-1.
 
     config.horizon_slots is the lookahead length of each re-solve; the
     returned schedule spans the full simulation and its emissions use
     `true_carbon`. Decisions go to `log_out` as CSV rows under
-    DECISION_LOG_HEADER, which the caller writes.
+    DECISION_LOG_HEADER, which the caller writes; their `slot` is the
+    simulation slot plus `slot_offset`, the absolute slot of slot 0.
     """
     true_carbon = np.asarray(true_carbon, dtype=float)
     if total_slots < 1 or len(true_carbon) < total_slots:
@@ -167,8 +169,8 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
             soc[i] += u * sessions[i].delta / sessions[i].capacity_kwh
         if log:
             for j, i in enumerate(active):
-                log.writerow([k, sessions[i].id, repr(float(step[j])),
-                              repr(float(window[0])),
+                log.writerow([slot_offset + k, sessions[i].id,
+                              repr(float(step[j])), repr(float(window[0])),
                               repr(float(true_carbon[k]))])
 
     final_config = StationConfig(config.power_cap_kw, config.slot_hours,

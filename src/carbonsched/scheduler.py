@@ -173,7 +173,7 @@ def solve(lp: LpInstance, carbon: np.ndarray | None = None) -> ScheduleResult:
     objective = 0.0
     if n:
         res = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub,
-                      bounds=list(zip(np.zeros(len(lp.c)), lp.upper)),
+                      bounds=np.column_stack([np.zeros(len(lp.c)), lp.upper]),
                       method="highs", options=_SOLVER_OPTIONS)
         if res.status != 0:
             raise NumericalFailure(res.message, getattr(res, "nit", None))

@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+from carbonsched import ingest
 from carbonsched.cli import main
+
+from conftest import DAY_SLOTS, make_grid, make_session
 
 
 def run_cli(*argv):
@@ -66,6 +69,84 @@ class TestSimulate:
         rows = [line.split(",") for line in lines[1:]]
         assert all(int(row[0]) >= 0 for row in rows)
         assert len({row[1] for row in rows}) > 4   # sessions of both days
+
+    def test_decision_rows_join_schedule(self, tmp_path):
+        out = tmp_path / "out"
+        code = run_cli("simulate", "--policy", "carbon-online",
+                       "--synth-days", "2", "--synth-sessions-per-day", "4",
+                       "--synth-capacity-kwh", "5", "--out-dir", str(out))
+        assert code == 0
+        with open(out / "schedule.csv", newline="") as f:
+            schedule = {(r["session_id"], int(r["slot"])): float(r["power_kw"])
+                        for r in csv.DictReader(f)}
+        with open(out / "decisions.csv", newline="") as f:
+            decisions = list(csv.DictReader(f))
+        assert any(int(r["slot"]) >= DAY_SLOTS for r in decisions)
+        for r in decisions:
+            assert schedule[(r["session_id"], int(r["slot"]))] \
+                == float(r["power_kw"]), r
+
+    def test_zero_demand_reports_full_delivery(self, tmp_path):
+        grid = make_grid(1)
+        path = tmp_path / "sessions.csv"
+        with open(path, "w", newline="") as f:
+            ingest.write_sessions(
+                [make_session("a", 96, 144, soc_arrival=0.4, soc_target=0.4),
+                 make_session("b", 108, 180, soc_arrival=0.6, soc_target=0.6)],
+                grid, f)
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--policy", "edf", "--synth-days", "1",
+                       "--sessions", str(path), "--out-dir", str(out)) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["edq_station"] == 1.0
+        assert report["edq_session"] == 1.0
+        assert report["per_day"][0]["edq_station"] == 1.0
+
+    def test_multi_day_report_matches_schedule(self, tmp_path):
+        # totals recomputed from schedule.csv, shift.csv and the sessions
+        grid = make_grid(3)
+        sessions = ingest.synth_sessions(18, grid, seed=4, capacity_kwh=5.0)
+        days = {s.t_arrival // DAY_SLOTS for s in sessions}
+        assert days == {0, 1, 2}
+        path = tmp_path / "sessions.csv"
+        with open(path, "w", newline="") as f:
+            ingest.write_sessions(sessions, grid, f)
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--policy", "carbon-offline",
+                       "--lambda", "1", "--power-cap-kw", "10",
+                       "--synth-days", "3", "--sessions", str(path),
+                       "--out-dir", str(out)) == 0
+        report = json.loads((out / "report.json").read_text())
+
+        final_soc = {}
+        with open(out / "schedule.csv", newline="") as f:
+            for r in csv.DictReader(f):    # slots ascend within a session
+                final_soc[r["session_id"]] = float(r["soc"])
+        with open(out / "shift.csv", newline="") as f:
+            shift_kg = sum(float(r["policy_kg"]) for r in csv.DictReader(f))
+        delivered = {s.id: final_soc[s.id] - s.soc_arrival for s in sessions}
+        requested = {s.id: s.soc_target - s.soc_arrival for s in sessions}
+        ratios = [delivered[k] / requested[k] if requested[k] > 1e-12 else 1.0
+                  for k in delivered]
+
+        per_day = report["per_day"]
+        assert [row["day"] for row in per_day] == [0, 1, 2]
+        assert report["n_sessions"] == len(sessions)
+        assert report["total_emissions_kg"] == pytest.approx(
+            sum(row["emissions_kg"] for row in per_day), rel=1e-12)
+        assert report["total_emissions_kg"] == pytest.approx(shift_kg, rel=1e-9)
+        assert report["edq_station"] == pytest.approx(
+            sum(delivered.values()) / sum(requested.values()), rel=1e-9)
+        assert report["edq_session"] == pytest.approx(
+            sum(ratios) / len(ratios), rel=1e-9)
+        assert report["edq_station"] != pytest.approx(report["edq_session"])
+        for row in per_day:
+            ids = [s.id for s in sessions if s.t_arrival // DAY_SLOTS == row["day"]]
+            assert row["n_sessions"] == len(ids)
+            assert row["edq_station"] == pytest.approx(
+                sum(delivered[k] for k in ids) / sum(requested[k] for k in ids),
+                rel=1e-9)
+        assert sum(b["days"] for b in report["per_season"].values()) == 3
 
     def test_csv_cells_are_plain_numbers(self, tmp_path):
         out = tmp_path / "out"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carbonsched import metrics
-from carbonsched.errors import UnknownBaseline, ZeroDemand
+from carbonsched.errors import UnknownBaseline
 from carbonsched.metrics import (RunReport, compare, comparison_csv,
                                  edq_session, edq_station, edq_station_energy,
                                  format_table, make_report)
@@ -59,8 +59,8 @@ class TestEdq:
                                  capacity_kwh=10.0, delta=1.0)]
         res, _ = _result(sessions, [0.0])
         assert edq_session(res, sessions) == 1.0
-        with pytest.raises(ZeroDemand):
-            edq_station(res, sessions)
+        assert edq_station(res, sessions) == 1.0
+        assert edq_station_energy(res, sessions) == 1.0
 
     def test_single_session_identity(self):
         s = make_session("a", 0, 12, soc_arrival=0.2, soc_target=0.6,
@@ -152,11 +152,14 @@ class TestMakeReport:
     def test_fields(self):
         sessions = _two_sessions()
         res, _ = _result(sessions, [0.2, 0.2])
-        rep = make_report("test", res, sessions)
+        rep = make_report("test", {0: (sessions, res)})
         assert rep.n_sessions == 2
         assert rep.edq_station == pytest.approx(2.0 / 3.0)
         assert rep.energy_delivered_kwh == pytest.approx(4.0)
         assert rep.total_emissions_kg == res.emissions_kg
         d = rep.to_dict()
         assert d["policy"] == "test"
+        assert d["per_day"] == [{"day": 0, "n_sessions": 2,
+                                 "emissions_kg": res.emissions_kg,
+                                 "edq_station": rep.edq_station}]
         assert "per_season" not in d
