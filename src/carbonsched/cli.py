@@ -143,8 +143,8 @@ def cmd_simulate(args) -> int:
     model_forecaster = None
     if args.policy == "carbon-online" and args.online_forecast == "model":
         load = _load_load(args, timestamps)
-        rows = forecast.build_features(intensity, load)
-        model, _, _ = forecast.fit(rows, seed=args.seed)
+        model, _, _ = forecast.fit(forecast.build_features(intensity, load),
+                                   seed=args.seed)
         model_forecaster = (model, load)
 
     results, edf_results = {}, {}
@@ -233,16 +233,16 @@ def cmd_forecast(args) -> int:
     intensity = _load_intensity(args)
     grid = _grid_of(intensity)
     load = _load_load(args, grid.timestamps())
-    rows = forecast.build_features(intensity, load)
-    model, mae, mse = forecast.fit(rows, seed=args.seed)
+    X, y = forecast.build_features(intensity, load)
+    model, mae, mse = forecast.fit((X, y), seed=args.seed)
     with open(out_dir / "model.json", "w") as f:
         forecast.save_model(model, f)
         f.write("\n")
     with open(out_dir / "forecast_metrics.json", "w") as f:
-        json.dump({"mae": mae, "mse": mse, "n_rows": len(rows)}, f,
+        json.dump({"mae": mae, "mse": mse, "n_rows": len(y)}, f,
                   sort_keys=True, indent=2)
         f.write("\n")
-    print(f"held-out MAE={mae:.6f} MSE={mse:.8f} over {len(rows)} rows")
+    print(f"held-out MAE={mae:.6f} MSE={mse:.8f} over {len(y)} rows")
     return 0
 
 

@@ -4,6 +4,11 @@ Linear regression of C(t) on calendar fields, the system load forecast,
 and trailing moving averages of C over the past 24 h, 12 h and 1 h. At
 forecast time the moving-average features beyond the last observed slot
 are fed recursively from the model's own predictions.
+
+Features are one matrix, one row per slot: the calendar and load
+columns of `_base_columns`, then the three moving averages in
+`MA_WINDOWS_H` order. `build_features` and `rollout` both take the
+non-lagged columns from that one helper, so the column order lives there.
 """
 
 from __future__ import annotations
@@ -20,32 +25,10 @@ from .carbon import CarbonIntensitySeries
 from .errors import GridMismatch, InsufficientHistory, RankDeficient
 from .ingest import LoadForecastSeries
 
-FEATURE_NAMES = ("minute", "hour", "day", "month", "load_mw", "ma24", "ma12", "ma1")
-
 # Moving-average windows, in hours of trailing history.
 MA_WINDOWS_H = (24.0, 12.0, 1.0)
 
 _PIVOT_EPS = 1e-10
-
-
-@dataclass(frozen=True)
-class FeatureRow:
-    """Regressors for one slot. `day` is day-of-week (0=Monday); the moving
-    averages use only data strictly before the slot."""
-
-    timestamp: datetime
-    minute: int
-    hour: int
-    day: int
-    month: int
-    load_mw: float
-    ma24: float
-    ma12: float
-    ma1: float
-
-    def vector(self) -> np.ndarray:
-        return np.array([self.minute, self.hour, self.day, self.month,
-                         self.load_mw, self.ma24, self.ma12, self.ma1], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -71,50 +54,66 @@ def _ma_slots(slot_minutes: int) -> tuple[int, ...]:
     return windows
 
 
-def _make_row(ts: datetime, load: float, mas: tuple[float, float, float]) -> FeatureRow:
-    return FeatureRow(timestamp=ts, minute=ts.minute, hour=ts.hour,
-                      day=ts.weekday(), month=ts.month, load_mw=load,
-                      ma24=mas[0], ma12=mas[1], ma1=mas[2])
+def check_same_grid(carbon: CarbonIntensitySeries, load: LoadForecastSeries) -> None:
+    """Raise GridMismatch unless intensity and load share one time grid."""
+    if tuple(carbon.timestamps) != tuple(load.timestamps):
+        raise GridMismatch("carbon and load series are on different grids")
+
+
+def _base_columns(timestamps: Sequence[datetime], load_mw: np.ndarray,
+                  start: int, stop: int, slot_minutes: int) -> np.ndarray:
+    """Non-lagged feature columns of slots start..stop-1: minute, hour,
+    weekday (0=Monday), month and load. Slots past the end of `timestamps`
+    continue the calendar, and their load repeats the final day cyclically."""
+    n_known = len(timestamps)
+    slots_per_day = 1440 // slot_minutes
+    step = timedelta(minutes=slot_minutes)
+    stamps = list(timestamps[start:min(stop, n_known)]) + [
+        timestamps[0] + s * step for s in range(max(start, n_known), stop)]
+    slots = np.arange(start, stop)
+    load_idx = np.where(slots < n_known, slots,
+                        n_known - slots_per_day + (slots - n_known) % slots_per_day)
+    cols = np.empty((stop - start, 5))
+    cols[:, :4] = np.array([(ts.minute, ts.hour, ts.weekday(), ts.month) for ts in stamps],
+                           dtype=float).reshape(stop - start, 4)
+    cols[:, 4] = np.asarray(load_mw, dtype=float)[load_idx]
+    return cols
 
 
 def build_features(carbon: CarbonIntensitySeries, load: LoadForecastSeries,
-                   ) -> list[tuple[FeatureRow, float]]:
-    """One (features, target) pair per slot after the 24 h warm-up."""
-    if tuple(carbon.timestamps) != tuple(load.timestamps):
-        raise GridMismatch("carbon and load series are on different grids")
-    w24, w12, w1 = _ma_slots(carbon.slot_minutes)
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Feature matrix X and targets y, one row per slot after the 24 h
+    warm-up; the moving averages use only data strictly before the slot."""
+    check_same_grid(carbon, load)
+    windows = _ma_slots(carbon.slot_minutes)
+    w24 = windows[0]
     n = len(carbon.values)
     if n <= w24:
         raise InsufficientHistory(f"need more than {w24} slots, got {n}")
 
     csum = np.concatenate([[0.0], np.cumsum(carbon.values)])
-
-    def trailing(t: int, w: int) -> float:
-        return (csum[t] - csum[t - w]) / w
-
-    out = []
-    for t in range(w24, n):
-        row = _make_row(carbon.timestamps[t], float(load.load_mw[t]),
-                        (trailing(t, w24), trailing(t, w12), trailing(t, w1)))
-        out.append((row, float(carbon.values[t])))
-    return out
+    t = np.arange(w24, n)
+    X = np.column_stack([
+        _base_columns(carbon.timestamps, load.load_mw, w24, n, carbon.slot_minutes),
+        *((csum[t] - csum[t - w]) / w for w in windows)])
+    return X, np.array(carbon.values[w24:], dtype=float)
 
 
-def fit(rows: Sequence[tuple[FeatureRow, float]], seed: int = 0,
+def fit(data: tuple[np.ndarray, np.ndarray], seed: int = 0,
         ) -> tuple[ForecastModel, float, float]:
-    """OLS on a random 80% split; returns (model, held-out MAE, held-out MSE).
+    """OLS of `build_features`' (X, y) on a random 80% split; returns
+    (model, held-out MAE, held-out MSE).
 
     Features are z-scored before solving the normal equations (Cholesky on
     the Gram matrix) and the coefficients are mapped back to raw space.
     """
-    if len(rows) < 10:
+    X, y = data
+    if len(y) < 10:
         raise InsufficientHistory("need at least 10 feature rows")
-    X = np.stack([r.vector() for r, _ in rows])
-    y = np.array([t for _, t in rows])
 
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(rows))
-    n_train = int(round(0.8 * len(rows)))
+    perm = rng.permutation(len(y))
+    n_train = int(round(0.8 * len(y)))
     train, test = perm[:n_train], perm[n_train:]
 
     means = X[train].mean(axis=0)
@@ -134,16 +133,13 @@ def fit(rows: Sequence[tuple[FeatureRow, float]], seed: int = 0,
     beta[0] = bz[0] - float(np.sum(bz[1:] * means / stds))
     model = ForecastModel(beta=beta, feature_means=means, feature_stds=stds)
 
-    pred = np.maximum(beta[0] + X[test] @ beta[1:], 0.0)
-    err = pred - y[test]
+    err = predict(model, X[test]) - y[test]
     return model, float(np.mean(np.abs(err))), float(np.mean(err ** 2))
 
 
-def predict(model: ForecastModel, rows: Sequence[FeatureRow]) -> CarbonIntensitySeries:
-    """Evaluate the fitted model; intensities are clamped below at zero."""
-    X = np.stack([r.vector() for r in rows])
-    values = np.maximum(model.beta[0] + X @ model.beta[1:], 0.0)
-    return CarbonIntensitySeries(tuple(r.timestamp for r in rows), values)
+def predict(model: ForecastModel, X: np.ndarray) -> np.ndarray:
+    """Evaluate the fitted model on feature rows; clamped below at zero."""
+    return np.maximum(model.beta[0] + X @ model.beta[1:], 0.0)
 
 
 def rollout(model: ForecastModel, observed: np.ndarray, start: int, horizon: int,
@@ -157,31 +153,18 @@ def rollout(model: ForecastModel, observed: np.ndarray, start: int, horizon: int
     predictions. `timestamps`/`load_mw` index the same grid; slots past
     their end reuse the final day cyclically.
 
-    Costs O(horizon) per call: the calendar and load terms of every slot
-    come from one matrix product, and the three moving averages are
-    running sums slid forward as predictions are appended.
+    Costs O(horizon) per call: the non-lagged terms of every slot come
+    from one matrix product, and the three moving averages are running
+    sums slid forward as predictions are appended.
     """
     w24, w12, w1 = _ma_slots(slot_minutes)
     if start < w24:
         raise InsufficientHistory(f"rollout needs {w24} observed slots, got {start}")
-    slots_per_day = 1440 // slot_minutes
-    n_known = len(timestamps)
-    step = timedelta(minutes=slot_minutes)
-
-    end = start + horizon
-    stamps = list(timestamps[start:min(end, n_known)]) + [
-        timestamps[0] + s * step for s in range(max(start, n_known), end)]
-    slots = np.arange(start, end)
-    # Past the data end, load repeats the final day cyclically.
-    load_idx = np.where(slots < n_known, slots,
-                        n_known - slots_per_day + (slots - n_known) % slots_per_day)
-    cal = np.empty((horizon, 5))
-    cal[:, :4] = np.array([(ts.minute, ts.hour, ts.weekday(), ts.month) for ts in stamps],
-                          dtype=float).reshape(horizon, 4)
-    cal[:, 4] = np.asarray(load_mw, dtype=float)[load_idx]
+    cols = _base_columns(timestamps, load_mw, start, start + horizon, slot_minutes)
     beta = model.beta
-    base = (beta[0] + cal @ beta[1:6]).tolist()
-    k24, k12, k1 = (float(b) for b in beta[6:9])
+    n_base = cols.shape[1]
+    base = (beta[0] + cols @ beta[1:1 + n_base]).tolist()
+    k24, k12, k1 = (float(b) for b in beta[1 + n_base:])
 
     # seq[w24 + j] is the prediction for slot start + j.
     seq = np.asarray(observed[:start][-w24:], dtype=float).tolist()

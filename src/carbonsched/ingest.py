@@ -26,7 +26,7 @@ from .errors import (
 from .timegrid import TimeGrid
 
 # Sources allowed to carry negative power (exports / storage charging).
-DEFAULT_SIGNED_SOURCES = frozenset({"imports", "batteries", "exports"})
+SIGNED_SOURCES = frozenset({"imports", "batteries", "exports"})
 
 # Station-wide battery defaults used when the sessions file omits the
 # optional columns.
@@ -48,7 +48,6 @@ class GridMixSeries:
     sources: tuple[str, ...]
     power: np.ndarray
     factors: np.ndarray
-    signed_sources: frozenset[str] = DEFAULT_SIGNED_SOURCES
 
     def __post_init__(self):
         t, s = len(self.timestamps), len(self.sources)
@@ -60,7 +59,7 @@ class GridMixSeries:
             raise ValueError("emission factors must be >= 0")
         _check_uniform(self.timestamps)
         for j, name in enumerate(self.sources):
-            if name not in self.signed_sources and np.any(self.power[:, j] < 0):
+            if name not in SIGNED_SOURCES and np.any(self.power[:, j] < 0):
                 raise ValueError(f"negative power for non-signed source {name!r}")
 
     @property
@@ -117,15 +116,6 @@ class ChargingSession:
         if self.capacity_kwh <= 0 or self.power_max_kw <= 0 or self.delta <= 0:
             raise InvalidSoC(self.id, "capacity, power_max and delta must be positive")
 
-    @property
-    def demand_soc(self) -> float:
-        return self.soc_target - self.soc_arrival
-
-    @property
-    def demand_kwh(self) -> float:
-        """Requested energy: (soc_target - soc_arrival) * capacity."""
-        return self.demand_soc * self.capacity_kwh
-
 
 def _check_uniform(timestamps) -> None:
     if len(timestamps) < 1:
@@ -160,8 +150,7 @@ def _parse_float(raw: str, row: int, col: str) -> float:
         raise MalformedNumber(row, col) from None
 
 
-def parse_grid_mix(mix_file: IO, factors_file: IO,
-                   signed_sources: frozenset[str] = DEFAULT_SIGNED_SOURCES) -> GridMixSeries:
+def parse_grid_mix(mix_file: IO, factors_file: IO) -> GridMixSeries:
     """Parse a fuel-mix CSV (`timestamp,<source>,...` in MW) plus a
     per-source emission-factor CSV (`source,kgco2_per_kwh`)."""
     factors: dict[str, float] = {}
@@ -189,7 +178,6 @@ def parse_grid_mix(mix_file: IO, factors_file: IO,
         sources=tuple(sources),
         power=np.asarray(rows, dtype=float).reshape(len(timestamps), len(sources)),
         factors=np.asarray([factors[s] for s in sources], dtype=float),
-        signed_sources=signed_sources,
     )
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .carbon import CarbonIntensitySeries
 from .errors import ForecastUnavailable, NumericalFailure
-from .forecast import ForecastModel, rollout
+from .forecast import ForecastModel, check_same_grid, rollout
 from .ingest import ChargingSession, LoadForecastSeries
 from .scheduler import (ScheduleResult, StationConfig, build_lp,
                         result_from_power, solve)
@@ -63,8 +63,7 @@ class ModelForecaster:
 
     def __init__(self, model: ForecastModel, carbon: CarbonIntensitySeries,
                  load: LoadForecastSeries, sim_start: int):
-        if tuple(carbon.timestamps) != tuple(load.timestamps):
-            raise ForecastUnavailable(sim_start)
+        check_same_grid(carbon, load)
         self.model = model
         self.carbon = carbon
         self.load = load

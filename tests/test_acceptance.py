@@ -193,8 +193,8 @@ def test_criterion_7_forecaster_soundness():
     grid = make_grid(60)
     load = _load_series(grid)
     clean = planted_series(grid, load)
-    rows = build_features(clean, load)
-    model, _, mse = fit(rows, seed=7)
+    X, y = build_features(clean, load)
+    model, _, mse = fit((X, y), seed=7)
     np.testing.assert_allclose(model.beta, PLANTED, atol=1e-8)
     assert mse <= 1e-10
 
@@ -204,11 +204,10 @@ def test_criterion_7_forecaster_soundness():
     from carbonsched.ingest import LoadForecastSeries
     cut = 5 * 288 + 11
     trunc_ts = clean.timestamps[:cut + 1]
-    trunc = build_features(
+    X_trunc, _ = build_features(
         CarbonIntensitySeries(trunc_ts, clean.values[:cut + 1]),
         LoadForecastSeries(trunc_ts, load.load_mw[:cut + 1]))
-    np.testing.assert_array_equal(trunc[-1][0].vector(),
-                                  rows[cut - 288][0].vector())
+    np.testing.assert_array_equal(X_trunc[-1], X[cut - 288])
 
     sigma = 0.02
     noisy = planted_series(grid, load, sigma=sigma)

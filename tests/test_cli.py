@@ -1,8 +1,10 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +202,18 @@ class TestSimulate:
         created = {p.name for p in tmp_path.iterdir()}
         assert created == {"only"}
 
+    def test_model_forecast_without_warmup_exits_1(self, tmp_path, capsys):
+        # day 0 has no 24 h of observed intensity before its first session,
+        # so the model forecast cannot start there (an open defect)
+        code = run_cli("simulate", "--policy", "carbon-online",
+                       "--online-forecast", "model", "--synth-days", "60",
+                       "--synth-sessions-per-day", "1",
+                       "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "rollout needs 288 observed slots, got " in err
+        assert "Traceback" not in err
+
 
 class TestLambdaSweep:
     def test_single_lambda_single_row(self, tmp_path):
@@ -249,7 +263,12 @@ class TestForecastCommand:
 
 
 def test_console_entry_point():
+    # the new interpreter finds the package in src/ even without an install
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "carbonsched.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "simulate" in proc.stdout

@@ -12,6 +12,8 @@ from conftest import make_grid
 
 UTC = timezone.utc
 W24, W12, W1 = 288, 144, 12
+# Moving-average columns of the feature matrix.
+MA24, MA12, MA1 = 5, 6, 7
 
 PLANTED = np.array([0.05, 1e-5, 5e-4, 1e-4, 2e-3, 1e-6, 0.20, 0.10, 0.30])
 
@@ -59,11 +61,10 @@ class TestBuildFeatures:
         load = _load_series(grid)
         ci = CarbonIntensitySeries(tuple(grid.timestamps()),
                                    np.full(grid.n_slots, 0.3))
-        rows = forecast.build_features(ci, load)
-        assert len(rows) == grid.n_slots - W24
-        for row, _ in rows[:20]:
-            for ma in (row.ma24, row.ma12, row.ma1):
-                assert ma == pytest.approx(0.3, abs=1e-12)
+        X, y = forecast.build_features(ci, load)
+        assert X.shape == (grid.n_slots - W24, 8)
+        assert y.shape == (grid.n_slots - W24,)
+        np.testing.assert_allclose(X[:20, MA24:MA1 + 1], 0.3, rtol=0, atol=1e-12)
 
     def test_warmup_consumes_first_day(self):
         grid = make_grid(1)
@@ -78,11 +79,11 @@ class TestBuildFeatures:
         load = _load_series(grid)
         ramp = np.linspace(0.1, 0.5, grid.n_slots)
         ci = CarbonIntensitySeries(tuple(grid.timestamps()), ramp)
-        rows = forecast.build_features(ci, load)
+        X, _ = forecast.build_features(ci, load)
         for k in (0, 17, 100):
             t = W24 + k
             expected = sum(ramp[t - W1:t]) / W1
-            assert rows[k][0].ma1 == pytest.approx(expected, abs=1e-12)
+            assert X[k, MA1] == pytest.approx(expected, abs=1e-12)
 
     def test_grid_mismatch(self):
         g1, g2 = make_grid(2), make_grid(2, start=datetime(2022, 1, 1, tzinfo=UTC))
@@ -93,15 +94,23 @@ class TestBuildFeatures:
 
     def test_no_leakage(self, two_month):
         grid, load, ci = two_month
-        rows_full = forecast.build_features(ci, load)
+        X, _ = forecast.build_features(ci, load)
         cut = 3 * 288 + 7
         trunc_ts = ci.timestamps[:cut + 1]
         ci_trunc = CarbonIntensitySeries(trunc_ts, ci.values[:cut + 1])
         load_trunc = LoadForecastSeries(trunc_ts, load.load_mw[:cut + 1])
-        rows_trunc = forecast.build_features(ci_trunc, load_trunc)
+        X_trunc, _ = forecast.build_features(ci_trunc, load_trunc)
         # the last truncated row is the row for slot `cut`
-        np.testing.assert_array_equal(rows_trunc[-1][0].vector(),
-                                      rows_full[cut - W24][0].vector())
+        np.testing.assert_array_equal(X_trunc[-1], X[cut - W24])
+
+    def test_rows_match_hand_features(self, two_month):
+        _, load, ci = two_month
+        X, y = forecast.build_features(ci, load)
+        for t in (W24, 1000, 40 * 288 + 3):
+            np.testing.assert_allclose(
+                X[t - W24], _features_at(ci.timestamps[t], float(load.load_mw[t]),
+                                         ci.values[:t]), rtol=1e-12)
+            assert y[t - W24] == ci.values[t]
 
 
 class TestFit:
@@ -117,8 +126,8 @@ class TestFit:
         load = _load_series(grid)
         # vary targets' features but make the target constant
         ci = planted_series(grid, load)
-        rows = [(r, 0.25) for r, _ in forecast.build_features(ci, load)]
-        model, _, _ = forecast.fit(rows, seed=2)
+        X, y = forecast.build_features(ci, load)
+        model, _, _ = forecast.fit((X, np.full_like(y, 0.25)), seed=2)
         assert model.beta[0] == pytest.approx(0.25, abs=1e-8)
         np.testing.assert_allclose(model.beta[1:], 0.0, atol=1e-8)
 
@@ -142,9 +151,9 @@ class TestFit:
 
     def test_too_few_rows(self, two_month):
         _, load, ci = two_month
-        rows = forecast.build_features(ci, load)[:5]
+        X, y = forecast.build_features(ci, load)
         with pytest.raises(errors.InsufficientHistory):
-            forecast.fit(rows)
+            forecast.fit((X[:5], y[:5]))
 
     def test_deterministic_split(self, two_month):
         _, load, ci = two_month
@@ -158,14 +167,13 @@ class TestFit:
         _, load, ci = two_month
         noisy = planted_series(make_grid(60), _load_series(make_grid(60)),
                                sigma=0.01)
-        rows = forecast.build_features(noisy, _load_series(make_grid(60)))
-        model, _, _ = forecast.fit(rows, seed=4)
+        X, y = forecast.build_features(noisy, _load_series(make_grid(60)))
+        model, _, _ = forecast.fit((X, y), seed=4)
         # replicate the deterministic split
         rng = np.random.default_rng(4)
-        perm = rng.permutation(len(rows))
-        train = perm[:int(round(0.8 * len(rows)))]
-        X = np.stack([r.vector() for r, _ in rows])[train]
-        y = np.array([t for _, t in rows])[train]
+        perm = rng.permutation(len(y))
+        train = perm[:int(round(0.8 * len(y)))]
+        X, y = X[train], y[train]
         Z = np.column_stack([np.ones(len(train)),
                              (X - model.feature_means) / model.feature_stds])
         resid = y - (model.beta[0] + X @ model.beta[1:])
@@ -175,27 +183,27 @@ class TestFit:
 class TestPredict:
     def test_zero_coefficients(self, two_month):
         _, load, ci = two_month
-        rows = [r for r, _ in forecast.build_features(ci, load)]
+        X, _ = forecast.build_features(ci, load)
         model = forecast.ForecastModel(np.zeros(9), np.zeros(8), np.ones(8))
-        out = forecast.predict(model, rows)
-        np.testing.assert_array_equal(out.values, 0.0)
+        out = forecast.predict(model, X)
+        assert out.shape == (len(X),)
+        np.testing.assert_array_equal(out, 0.0)
 
     def test_noiseless_reproduction(self, two_month):
         _, load, ci = two_month
-        rows = forecast.build_features(ci, load)
-        model, _, _ = forecast.fit(rows, seed=5)
-        pred = forecast.predict(model, [r for r, _ in rows])
-        np.testing.assert_allclose(pred.values, [t for _, t in rows], atol=1e-8)
+        X, y = forecast.build_features(ci, load)
+        model, _, _ = forecast.fit((X, y), seed=5)
+        np.testing.assert_allclose(forecast.predict(model, X), y, atol=1e-8)
 
     def test_affine_before_clamp(self, two_month):
         _, load, ci = two_month
-        rows = [r for r, _ in forecast.build_features(ci, load)][:100]
-        model, _, _ = forecast.fit(forecast.build_features(ci, load), seed=6)
+        X, y = forecast.build_features(ci, load)
+        model, _, _ = forecast.fit((X, y), seed=6)
         doubled = forecast.ForecastModel(2.0 * model.beta, model.feature_means,
                                          model.feature_stds)
-        base = forecast.predict(model, rows).values
+        base = forecast.predict(model, X[:100])
         assert np.all(base > 0)  # no clamping in play
-        np.testing.assert_allclose(forecast.predict(doubled, rows).values,
+        np.testing.assert_allclose(forecast.predict(doubled, X[:100]),
                                    2.0 * base, rtol=1e-12)
 
     def test_model_json_roundtrip(self, two_month):
@@ -275,6 +283,19 @@ class TestRollout:
         got = forecast.rollout(model, ci.values, start, 288,
                                ci.timestamps, load.load_mw, 5)
         np.testing.assert_allclose(got, ci.values[start:start + 288], atol=1e-10)
+
+    @pytest.mark.parametrize("start", [W24, 600, 20 * 288 + 7, 60 * 288 - 1])
+    def test_one_step_matches_predict(self, two_month, start):
+        # rollout's first step sees only observed history, so it is the
+        # model evaluated on build_features' row for that slot
+        _, load, ci = two_month
+        model = forecast.ForecastModel(DRIFTING.copy(), np.zeros(8), np.ones(8))
+        X, _ = forecast.build_features(ci, load)
+        got = forecast.rollout(model, ci.values, start, 1,
+                               ci.timestamps, load.load_mw, 5)
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(forecast.predict(model, X)[start - W24],
+                                       rel=1e-12, abs=1e-12)
 
     def test_requires_warmup(self, two_month):
         _, load, ci = two_month

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carbonsched import forecast, online
-from carbonsched.errors import ForecastUnavailable
+from carbonsched.errors import ForecastUnavailable, GridMismatch
 from carbonsched.online import (DECISION_LOG_HEADER, ModelForecaster,
                                 PerfectForecaster, lookahead_window,
                                 run_online)
@@ -278,3 +278,15 @@ class TestModelForecaster:
         sessions = flexible_sessions(make_grid(1), 4, seed=12)
         res = run_online(sessions, fc, ci.values[sim_start:], _config(), 288)
         assert np.all(res.station_power <= 180.0 + 1e-8)
+
+    def test_mismatched_grids(self):
+        from datetime import datetime, timezone
+
+        from carbonsched.ingest import LoadForecastSeries
+        grid = make_grid(2)
+        other = make_grid(2, start=datetime(2022, 1, 1, tzinfo=timezone.utc))
+        load = LoadForecastSeries(tuple(other.timestamps()),
+                                  np.full(other.n_slots, 20000.0))
+        model = forecast.ForecastModel(np.zeros(9), np.zeros(8), np.ones(8))
+        with pytest.raises(GridMismatch):
+            ModelForecaster(model, duck_curve(grid), load, sim_start=288)
