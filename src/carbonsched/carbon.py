@@ -3,10 +3,8 @@ emission factors, plus seasonal aggregation and synthetic curves."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import datetime
-from typing import IO
 
 import numpy as np
 
@@ -38,12 +36,6 @@ class CarbonIntensitySeries:
     def slot_minutes(self) -> int:
         step = self.timestamps[1] - self.timestamps[0]
         return int(round(step.total_seconds() / 60.0))
-
-    def to_csv(self, out: IO[str]) -> None:
-        w = csv.writer(out)
-        w.writerow(["timestamp", "kgco2_per_kwh"])
-        for ts, v in zip(self.timestamps, self.values):
-            w.writerow([ts.isoformat(), repr(float(v))])
 
 
 def compute_intensity(mix: GridMixSeries) -> CarbonIntensitySeries:

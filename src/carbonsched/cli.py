@@ -44,7 +44,7 @@ def _load_intensity(args) -> carbon.CarbonIntensitySeries:
     if args.mix and args.factors:
         with open(args.mix, "rb") as mf, open(args.factors, "rb") as ff:
             mix = ingest.parse_grid_mix(mf, ff)
-        if getattr(args, "exclude_negative", False):
+        if args.exclude_negative:
             mix = mix.drop_negative_sources()
         return carbon.compute_intensity(mix)
     if args.mix or args.factors:
@@ -137,7 +137,7 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     intensity = _load_intensity(args)
     grid = _grid_of(intensity)
-    timestamps = grid.timestamps()
+    timestamps = intensity.timestamps
     plans = _day_plans(_load_sessions(args, grid), grid)
 
     model_forecaster = None
@@ -231,8 +231,7 @@ def cmd_forecast(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     intensity = _load_intensity(args)
-    grid = _grid_of(intensity)
-    load = _load_load(args, grid.timestamps())
+    load = _load_load(args, intensity.timestamps)
     X, y = forecast.build_features(intensity, load)
     model, mae, mse = forecast.fit((X, y), seed=args.seed)
     with open(out_dir / "model.json", "w") as f:

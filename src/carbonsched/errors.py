@@ -87,11 +87,3 @@ class NumericalFailure(CarbonSchedError):
         if iterations is not None:
             msg += f" (after {iterations} iterations)"
         super().__init__(msg)
-
-
-# --- metrics ---
-
-class UnknownBaseline(CarbonSchedError):
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"baseline policy {name!r} not among reports")

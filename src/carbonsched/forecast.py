@@ -185,10 +185,3 @@ def save_model(model: ForecastModel, out: IO[str]) -> None:
     json.dump({"beta": model.beta.tolist(),
                "feature_means": model.feature_means.tolist(),
                "feature_stds": model.feature_stds.tolist()}, out, sort_keys=True)
-
-
-def load_model(fp: IO[str]) -> ForecastModel:
-    d = json.load(fp)
-    return ForecastModel(beta=np.asarray(d["beta"], dtype=float),
-                         feature_means=np.asarray(d["feature_means"], dtype=float),
-                         feature_stds=np.asarray(d["feature_stds"], dtype=float))

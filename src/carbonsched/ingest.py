@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from typing import IO, Iterable
 
@@ -61,11 +61,6 @@ class GridMixSeries:
         for j, name in enumerate(self.sources):
             if name not in SIGNED_SOURCES and np.any(self.power[:, j] < 0):
                 raise ValueError(f"negative power for non-signed source {name!r}")
-
-    @property
-    def slot_minutes(self) -> int:
-        step = self.timestamps[1] - self.timestamps[0]
-        return int(round(step.total_seconds() / 60.0))
 
     def drop_negative_sources(self) -> "GridMixSeries":
         """Copy with negative power readings zeroed (CLI --exclude-negative)."""
@@ -132,7 +127,7 @@ def _check_uniform(timestamps) -> None:
 
 def _text(stream: IO) -> IO[str]:
     if isinstance(stream, (io.RawIOBase, io.BufferedIOBase)) or "b" in getattr(stream, "mode", ""):
-        return io.TextIOWrapper(stream, encoding="utf-8", newline="")
+        return io.StringIO(stream.read().decode("utf-8"), newline="")
     return stream
 
 
@@ -200,9 +195,6 @@ def parse_load(load_file: IO) -> LoadForecastSeries:
         timestamps.append(_parse_ts(row["timestamp"], row_no, "timestamp"))
         load.append(_parse_float(row["load_mw"], row_no, "load_mw"))
     return LoadForecastSeries(tuple(timestamps), np.asarray(load, dtype=float))
-
-
-_SESSION_REQUIRED = ("id", "arrival_ts", "depart_ts", "soc_arrival", "soc_target")
 
 
 def parse_sessions(file: IO, grid: TimeGrid) -> list[ChargingSession]:

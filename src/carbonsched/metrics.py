@@ -7,13 +7,11 @@ requests nothing.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import IO, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import UnknownBaseline
 from .ingest import ChargingSession
 from .scheduler import ScheduleResult
 
@@ -77,15 +75,6 @@ def edq_session(result: ScheduleResult, sessions: Sequence[ChargingSession]) -> 
     return float(np.mean(ratios)) if ratios else 1.0
 
 
-def edq_station_energy(result: ScheduleResult,
-                       sessions: Sequence[ChargingSession]) -> float:
-    """Energy-weighted station EDQ (kWh delivered / kWh requested). Not one
-    of the standard two metrics; weights sessions by energy instead of SoC."""
-    delivered, requested = _delivered_requested(result, sessions)
-    return float(_ratio(sum(d * s.capacity_kwh for d, s in zip(delivered, sessions)),
-                        sum(r * s.capacity_kwh for r, s in zip(requested, sessions))))
-
-
 def make_report(policy: str,
                 days: Mapping[int, tuple[Sequence[ChargingSession], ScheduleResult]],
                 season_of_day: Callable[[int], str] | None = None) -> RunReport:
@@ -136,52 +125,21 @@ def make_report(policy: str,
     )
 
 
-def compare(reports: Sequence[RunReport], baseline: str) -> list[dict]:
-    """Per-policy comparison rows with percent deltas vs `baseline`.
+def compare(reports: Sequence[RunReport], base: RunReport) -> list[dict]:
+    """Per-policy comparison rows with percent deltas vs the `base` report.
 
     Deltas are 100*(base - x)/base, computed from unrounded values, so a
     positive emissions delta is a reduction.
     """
-    if len(reports) < 2:
-        raise ValueError("need at least two reports to compare")
-    base = next((r for r in reports if r.policy == baseline), None)
-    if base is None:
-        raise UnknownBaseline(baseline)
-
     def pct(b: float, x: float) -> float:
         return 100.0 * (b - x) / b if abs(b) > _EPS else 0.0
 
-    rows = []
-    for r in reports:
-        rows.append({
-            "policy": r.policy,
-            "emissions_per_session_kg": r.emissions_per_session_kg,
-            "total_emissions_kg": r.total_emissions_kg,
-            "edq_station": r.edq_station,
-            "edq_session": r.edq_session,
-            "emissions_reduction_pct": pct(base.total_emissions_kg,
-                                           r.total_emissions_kg),
-            "edq_station_change_pct": pct(base.edq_station, r.edq_station),
-        })
-    return rows
-
-
-_TABLE_COLS = ("policy", "emissions_per_session_kg", "edq_station", "edq_session",
-               "emissions_reduction_pct")
-
-
-def comparison_csv(rows: Sequence[dict], out: IO[str]) -> None:
-    w = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
-    w.writeheader()
-    w.writerows(rows)
-
-
-def format_table(rows: Sequence[dict]) -> str:
-    """Aligned-text comparison table, three decimals."""
-    header = [c for c in _TABLE_COLS]
-    body = [[r["policy"]] + [f"{r[c]:.3f}" for c in header[1:]] for r in rows]
-    widths = [max(len(h), *(len(b[j]) for b in body)) for j, h in enumerate(header)]
-    fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-    lines = [fmt.format(*header)]
-    lines.extend(fmt.format(*b) for b in body)
-    return "\n".join(lines)
+    return [{
+        "policy": r.policy,
+        "emissions_per_session_kg": r.emissions_per_session_kg,
+        "total_emissions_kg": r.total_emissions_kg,
+        "edq_station": r.edq_station,
+        "edq_session": r.edq_session,
+        "emissions_reduction_pct": pct(base.total_emissions_kg, r.total_emissions_kg),
+        "edq_station_change_pct": pct(base.edq_station, r.edq_station),
+    } for r in reports]

@@ -45,11 +45,9 @@ class PerfectForecaster:
     def window(self, k: int, horizon: int) -> np.ndarray:
         if k < 0 or k >= len(self.values):
             raise ForecastUnavailable(k)
-        out = list(self.values[k:k + horizon])
+        head = self.values[k:k + horizon]
         tail = self.values[-self.slots_per_day:]
-        while len(out) < horizon:
-            out.extend(tail[:horizon - len(out)])
-        return np.asarray(out)
+        return np.concatenate([head, np.resize(tail, horizon - len(head))])
 
 
 class ModelForecaster:
@@ -172,7 +170,6 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
                               repr(float(step[j])), repr(float(window[0])),
                               repr(float(true_carbon[k]))])
 
-    final_config = StationConfig(config.power_cap_kw, config.slot_hours,
-                                 config.lam, total_slots)
-    return result_from_power(sessions, power, final_config,
+    return result_from_power(sessions, power,
+                             replace(config, horizon_slots=total_slots),
                              true_carbon[:total_slots])

@@ -10,9 +10,8 @@ session (epigraph trick), so the problem is a plain sparse LP.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,7 +51,6 @@ class ScheduleResult:
     objective value, emissions against the pricing signal, and per-session
     terminal SoC gaps."""
 
-    session_ids: tuple[str, ...]
     power: np.ndarray
     soc: np.ndarray
     objective: float
@@ -67,22 +65,6 @@ class ScheduleResult:
         """Energy credited to batteries: SoC gain times capacity."""
         return float(sum((self.soc[i, -1] - self.soc[i, 0]) * s.capacity_kwh
                          for i, s in enumerate(sessions)))
-
-    def to_csv(self, out: IO[str]) -> None:
-        w = csv.writer(out)
-        w.writerow(["session_id", "slot", "power_kw", "soc"])
-        for i, sid in enumerate(self.session_ids):
-            for t in range(self.power.shape[1]):
-                w.writerow([sid, t, repr(float(self.power[i, t])),
-                            repr(float(self.soc[i, t + 1]))])
-
-    def summary(self) -> dict:
-        return {
-            "objective": self.objective,
-            "emissions_kg": self.emissions_kg,
-            "terminal_gaps": {sid: float(g) for sid, g
-                              in zip(self.session_ids, self.terminal_gaps)},
-        }
 
 
 @dataclass(frozen=True)
@@ -221,8 +203,7 @@ def result_from_power(sessions: Sequence[ChargingSession], power: np.ndarray,
     else:
         emissions = 0.0
         objective = config.lam * float(gaps.sum())
-    return ScheduleResult(session_ids=tuple(s.id for s in sessions),
-                          power=power, soc=soc, objective=objective,
+    return ScheduleResult(power=power, soc=soc, objective=objective,
                           emissions_kg=emissions, terminal_gaps=gaps)
 
 

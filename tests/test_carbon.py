@@ -1,4 +1,3 @@
-import io
 from datetime import datetime, timezone
 
 import numpy as np
@@ -53,14 +52,6 @@ class TestComputeIntensity:
             expected = sum(float(factors[j]) * float(power[t, j]) / total
                            for j in range(5))
             assert abs(ci.values[t] - expected) <= 1e-12
-
-    def test_csv_export(self):
-        ci = carbon.compute_intensity(_mix([[100.0, 100.0]] * 2, [0.0, 0.4]))
-        out = io.StringIO()
-        ci.to_csv(out)
-        lines = out.getvalue().strip().splitlines()
-        assert lines[0] == "timestamp,kgco2_per_kwh"
-        assert lines[1].endswith("0.2")
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,4 +1,5 @@
 import io
+import json
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -211,9 +212,11 @@ class TestPredict:
         model, _, _ = forecast.fit(forecast.build_features(ci, load), seed=7)
         buf = io.StringIO()
         forecast.save_model(model, buf)
-        again = forecast.load_model(io.StringIO(buf.getvalue()))
-        np.testing.assert_array_equal(again.beta, model.beta)
-        np.testing.assert_array_equal(again.feature_means, model.feature_means)
+        d = json.loads(buf.getvalue())
+        assert set(d) == {"beta", "feature_means", "feature_stds"}
+        np.testing.assert_array_equal(d["beta"], model.beta)
+        np.testing.assert_array_equal(d["feature_means"], model.feature_means)
+        np.testing.assert_array_equal(d["feature_stds"], model.feature_stds)
 
 
 def _hand_rollout(beta, ci, load, start, horizon):

@@ -150,6 +150,37 @@ class TestParseSessions:
                                    [s.soc_target for s in sessions])
 
 
+class TestBinaryStreams:
+    """Parsers read a caller's binary file and leave it open."""
+
+    def _write(self, path, text):
+        path.write_text(text, encoding="utf-8", newline="")
+        return path
+
+    def test_parsers_leave_stream_open(self, tmp_path):
+        mix = self._write(tmp_path / "mix.csv", "timestamp,solar,gas\r\n"
+                          "2021-01-01T00:00:00+00:00,100,100\r\n"
+                          "2021-01-01T00:05:00+00:00,100,300\r\n")
+        factors = self._write(tmp_path / "factors.csv",
+                              "source,kgco2_per_kwh\nsolar,0.0\ngas,0.4\n")
+        load = self._write(tmp_path / "load.csv", "timestamp,load_mw\n"
+                           "2021-01-01T00:00:00+00:00,24000\n")
+        sessions = self._write(
+            tmp_path / "sessions.csv",
+            "id,arrival_ts,depart_ts,soc_arrival,soc_target\n"
+            "a,2021-01-01T08:00:00+00:00,2021-01-01T12:00:00+00:00,0.2,0.6\n")
+        with open(mix, "rb") as mf, open(factors, "rb") as ff:
+            parsed = ingest.parse_grid_mix(mf, ff)
+            assert not mf.closed and not ff.closed
+        np.testing.assert_array_equal(parsed.power, [[100.0, 100.0], [100.0, 300.0]])
+        with open(load, "rb") as f:
+            assert ingest.parse_load(f).load_mw.tolist() == [24000.0]
+            assert not f.closed
+        with open(sessions, "rb") as f:
+            assert [s.id for s in ingest.parse_sessions(f, make_grid(1))] == ["a"]
+            assert not f.closed
+
+
 class TestSynthSessions:
     def test_count_zero(self, day_grid):
         assert ingest.synth_sessions(0, day_grid, seed=1) == []

@@ -1,15 +1,11 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carbonsched import metrics
-from carbonsched.errors import UnknownBaseline
-from carbonsched.metrics import (RunReport, compare, comparison_csv,
-                                 edq_session, edq_station, edq_station_energy,
-                                 format_table, make_report)
+from carbonsched.metrics import (RunReport, compare, edq_session, edq_station,
+                                 make_report)
 from carbonsched.scheduler import StationConfig, result_from_power
 
 from conftest import make_session
@@ -60,7 +56,6 @@ class TestEdq:
         res, _ = _result(sessions, [0.0])
         assert edq_session(res, sessions) == 1.0
         assert edq_station(res, sessions) == 1.0
-        assert edq_station_energy(res, sessions) == 1.0
 
     def test_single_session_identity(self):
         s = make_session("a", 0, 12, soc_arrival=0.2, soc_target=0.6,
@@ -87,9 +82,8 @@ class TestEdq:
                          capacity_kwh=40.0, delta=1.0, power_max_kw=100.0),
         ]
         res, _ = _result(sessions, [0.4, 0.2])
-        # SoC-weighted: (0.4+0.2)/0.8; energy-weighted: (4+8)/20
+        # SoC-weighted (0.4+0.2)/0.8, not energy-weighted (4+8)/20
         assert edq_station(res, sessions) == pytest.approx(0.75)
-        assert edq_station_energy(res, sessions) == pytest.approx(0.6)
 
     @settings(max_examples=30, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -117,8 +111,9 @@ def _report(policy, emissions):
 
 class TestCompare:
     def test_percentage_reductions(self):
-        rows = compare([_report("edf", 2.913), _report("offline-0.4", 2.798),
-                        _report("offline-0.3", 2.195)], baseline="edf")
+        edf = _report("edf", 2.913)
+        rows = compare([edf, _report("offline-0.4", 2.798),
+                        _report("offline-0.3", 2.195)], edf)
         by = {r["policy"]: r for r in rows}
         assert by["offline-0.4"]["emissions_reduction_pct"] \
             == pytest.approx(3.948, abs=0.001)
@@ -126,26 +121,9 @@ class TestCompare:
             == pytest.approx(24.648, abs=0.001)
 
     def test_identical_reports_zero_delta(self):
-        rows = compare([_report("a", 2.0), _report("b", 2.0)], baseline="a")
+        a = _report("a", 2.0)
+        rows = compare([a, _report("b", 2.0)], a)
         assert rows[1]["emissions_reduction_pct"] == 0.0
-
-    def test_unknown_baseline(self):
-        with pytest.raises(UnknownBaseline):
-            compare([_report("a", 1.0), _report("b", 2.0)], baseline="zzz")
-
-    def test_requires_two_reports(self):
-        with pytest.raises(ValueError):
-            compare([_report("a", 1.0)], baseline="a")
-
-    def test_csv_and_table_rendering(self):
-        rows = compare([_report("edf", 2.913), _report("lp", 2.798)],
-                       baseline="edf")
-        buf = io.StringIO()
-        comparison_csv(rows, buf)
-        assert buf.getvalue().startswith("policy,")
-        table = format_table(rows)
-        assert "2.798" in table
-        assert "3.948" in table
 
 
 class TestMakeReport:

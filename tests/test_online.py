@@ -49,6 +49,11 @@ class TestLookaheadWindow:
         np.testing.assert_array_equal(w[:8], ci.values[280:])
         # padding repeats the final day from its start
         np.testing.assert_array_equal(w[8:20], ci.values[:12])
+        # and wraps again when the window outruns a whole day
+        values = np.arange(100, dtype=float)
+        w = lookahead_window(90, 288, PerfectForecaster(values, slots_per_day=100))
+        np.testing.assert_array_equal(
+            w, np.concatenate([values[90:], values, values, values[:78]]))
 
     def test_unavailable(self, day):
         _, ci = day

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -231,20 +229,3 @@ class TestSelectLambda:
         with pytest.raises(ValueError):
             select_lambda(-1)
 
-
-class TestScheduleResult:
-    def test_csv_export(self):
-        s = make_session(t_arrival=0, t_depart=2, capacity_kwh=10.0, delta=1.0)
-        res = solve(build_lp([s], np.array([0.2, 0.1]), _config(T=2)))
-        out = io.StringIO()
-        res.to_csv(out)
-        lines = out.getvalue().strip().splitlines()
-        assert lines[0] == "session_id,slot,power_kw,soc"
-        assert len(lines) == 3
-
-    def test_summary_fields(self):
-        s = make_session(t_arrival=0, t_depart=2, capacity_kwh=10.0, delta=1.0)
-        res = solve(build_lp([s], np.array([0.2, 0.1]), _config(T=2)))
-        summary = res.summary()
-        assert set(summary) == {"objective", "emissions_kg", "terminal_gaps"}
-        assert "s0" in summary["terminal_gaps"]
