@@ -4,7 +4,7 @@ from .carbon import CarbonIntensitySeries, compute_intensity, seasonal_profile
 from .ingest import (ChargingSession, GridMixSeries, LoadForecastSeries,
                      parse_grid_mix, parse_sessions, synth_sessions)
 from .scheduler import (ScheduleResult, StationConfig, build_lp,
-                        carbon_schedule, select_lambda, solve, tou_schedule)
+                        carbon_schedule, select_lambda, solve)
 from .timegrid import TimeGrid
 
 __all__ = [
@@ -12,7 +12,7 @@ __all__ = [
     "LoadForecastSeries", "ScheduleResult", "StationConfig", "TimeGrid",
     "build_lp", "carbon_schedule", "compute_intensity", "parse_grid_mix",
     "parse_sessions", "seasonal_profile", "select_lambda", "solve",
-    "synth_sessions", "tou_schedule",
+    "synth_sessions",
 ]
 
 __version__ = "0.1.0"

@@ -1,8 +1,10 @@
 """Heuristic baseline schedulers: equal sharing and earliest deadline first.
 
-Both are constructive per-slot policies: they never violate the per-EV
-power limit, the station cap, or SoC limits, and they clip the final
-slot's power so a session never overshoots its target SoC.
+Both are allocation rules over `scheduler.run_slots`, the one slot loop
+that also drives the online controller. Each slot a rule splits the
+station cap among the pending sessions, granting no session more than
+its per-EV limit or the power that reaches its target SoC in that slot,
+so neither rule violates a limit or overshoots a target.
 """
 
 from __future__ import annotations
@@ -12,19 +14,17 @@ from typing import Sequence
 import numpy as np
 
 from .ingest import ChargingSession
-from .scheduler import ScheduleResult, StationConfig, result_from_power
+from .scheduler import ScheduleResult, StationConfig, run_slots
 
 _EPS = 1e-12
 
 
-def _need_power_kw(session: ChargingSession, soc: float) -> float:
-    """Power that would exactly reach the target SoC in one slot."""
-    return max(session.soc_target - soc, 0.0) * session.capacity_kwh / session.delta
-
-
-def _active(sessions: Sequence[ChargingSession], soc: np.ndarray, t: int) -> list[int]:
-    return [i for i, s in enumerate(sessions)
-            if s.t_arrival <= t < s.t_depart and soc[i] < s.soc_target - _EPS]
+def _caps(sessions: Sequence[ChargingSession], idx: list[int],
+          soc: np.ndarray) -> list[float]:
+    """Per-EV cap of each of `idx`, or the power reaching its target if lower."""
+    return [min(sessions[i].power_max_kw,
+                max(sessions[i].soc_target - soc[i], 0.0)
+                * sessions[i].capacity_kwh / sessions[i].delta) for i in idx]
 
 
 def _water_fill(budget: float, caps: list[float]) -> list[float]:
@@ -48,44 +48,29 @@ def _water_fill(budget: float, caps: list[float]) -> list[float]:
 
 
 def equal_sharing(sessions: Sequence[ChargingSession], config: StationConfig,
-                  carbon: np.ndarray | None = None) -> ScheduleResult:
-    """Each slot, divide the station cap equally among active unfinished
-    sessions by water-filling over the per-EV caps."""
-    T = config.horizon_slots
-    power = np.zeros((len(sessions), T))
-    soc = np.array([s.soc_arrival for s in sessions])
-    for t in range(T):
-        act = _active(sessions, soc, t)
-        if not act:
-            continue
-        caps = [min(sessions[i].power_max_kw, _need_power_kw(sessions[i], soc[i]))
-                for i in act]
-        alloc = _water_fill(config.power_cap_kw, caps)
-        for i, u in zip(act, alloc):
-            power[i, t] = u
-            soc[i] += u * sessions[i].delta / sessions[i].capacity_kwh
-    return result_from_power(sessions, power, config, carbon)
+                  carbon: np.ndarray) -> ScheduleResult:
+    """Each slot, divide the station cap equally among pending sessions by
+    water-filling over their per-slot caps."""
+    def decide(t, active, pending, soc):
+        return pending, _water_fill(config.power_cap_kw,
+                                    _caps(sessions, pending, soc))
+    return run_slots(sessions, config, carbon, decide)
 
 
 def earliest_deadline_first(sessions: Sequence[ChargingSession],
                             config: StationConfig,
-                            carbon: np.ndarray | None = None) -> ScheduleResult:
-    """Each slot, grant max power to active sessions in deadline order
-    (ties: arrival, then id) until the station budget is exhausted."""
-    T = config.horizon_slots
-    power = np.zeros((len(sessions), T))
-    soc = np.array([s.soc_arrival for s in sessions])
-    for t in range(T):
-        act = _active(sessions, soc, t)
-        act.sort(key=lambda i: (sessions[i].t_depart, sessions[i].t_arrival,
-                                sessions[i].id))
-        budget = config.power_cap_kw
-        for i in act:
+                            carbon: np.ndarray) -> ScheduleResult:
+    """Each slot, grant pending sessions their per-slot cap in deadline
+    order (ties: arrival, then id) until the station budget is exhausted."""
+    key = [(s.t_depart, s.t_arrival, s.id) for s in sessions]
+
+    def decide(t, active, pending, soc):
+        order = sorted(pending, key=key.__getitem__)
+        budget, alloc = config.power_cap_kw, []
+        for cap in _caps(sessions, order, soc):
             if budget <= _EPS:
                 break
-            u = min(sessions[i].power_max_kw, _need_power_kw(sessions[i], soc[i]),
-                    budget)
-            power[i, t] = u
-            soc[i] += u * sessions[i].delta / sessions[i].capacity_kwh
-            budget -= u
-    return result_from_power(sessions, power, config, carbon)
+            alloc.append(min(cap, budget))
+            budget -= alloc[-1]
+        return order, alloc
+    return run_slots(sessions, config, carbon, decide)

@@ -114,8 +114,8 @@ def _run_policy_day(policy, rel, values, off, horizon, lam, args, grid,
     if policy == "edf":
         return baselines.earliest_deadline_first(rel, config, cvals)
     if policy == "tou":
-        return scheduler.tou_schedule(rel, _tou_prices(timestamps, off, horizon),
-                                      config, carbon=cvals)
+        return scheduler.solve(scheduler.build_lp(
+            rel, _tou_prices(timestamps, off, horizon), config), carbon=cvals)
     if policy in ("carbon-offline", "carbon-adaptive"):
         return scheduler.carbon_schedule(rel, cvals, config)
     if policy == "carbon-online":
@@ -175,7 +175,7 @@ def cmd_simulate(args) -> int:
     report.update({"lambda": args.lam, "seed": args.seed})
 
     with open(out_dir / "report.json", "w") as f:
-        json.dump(report, f, sort_keys=True, indent=2)
+        json.dump(report, f, sort_keys=True, indent=2, allow_nan=False)
         f.write("\n")
 
     with open(out_dir / "schedule.csv", "w", newline="") as f:
@@ -239,7 +239,7 @@ def cmd_forecast(args) -> int:
         f.write("\n")
     with open(out_dir / "forecast_metrics.json", "w") as f:
         json.dump({"mae": mae, "mse": mse, "n_rows": len(y)}, f,
-                  sort_keys=True, indent=2)
+                  sort_keys=True, indent=2, allow_nan=False)
         f.write("\n")
     print(f"held-out MAE={mae:.6f} MSE={mse:.8f} over {len(y)} rows")
     return 0

@@ -27,6 +27,20 @@ class MalformedNumber(CarbonSchedError):
         super().__init__(f"malformed number at row {row}, column {col!r}")
 
 
+class MixedTimezones(CarbonSchedError):
+    def __init__(self, row: int, detail: str = ""):
+        self.row = row
+        super().__init__(f"naive and timezone-aware timestamps mixed at row {row}"
+                         + (f": {detail}" if detail else ""))
+
+
+class DuplicateSessionId(CarbonSchedError):
+    def __init__(self, session_id: str, row: int):
+        self.session_id = session_id
+        self.row = row
+        super().__init__(f"duplicate session id {session_id!r} at row {row}")
+
+
 class SessionOutsideHorizon(CarbonSchedError):
     def __init__(self, session_id: str):
         self.session_id = session_id

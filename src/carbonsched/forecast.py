@@ -184,4 +184,5 @@ def rollout(model: ForecastModel, observed: np.ndarray, start: int, horizon: int
 def save_model(model: ForecastModel, out: IO[str]) -> None:
     json.dump({"beta": model.beta.tolist(),
                "feature_means": model.feature_means.tolist(),
-               "feature_stds": model.feature_stds.tolist()}, out, sort_keys=True)
+               "feature_stds": model.feature_stds.tolist()}, out, sort_keys=True,
+              allow_nan=False)

@@ -16,10 +16,12 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import (
+    DuplicateSessionId,
     EmptyWindow,
     InvalidSoC,
     MalformedNumber,
     MissingSourceFactor,
+    MixedTimezones,
     NonMonotonicTimestamps,
     SessionOutsideHorizon,
 )
@@ -34,6 +36,9 @@ DEFAULT_CAPACITY_KWH = 50.0
 DEFAULT_POWER_MAX_KW = 7.5
 DEFAULT_SOC_MAX = 1.0
 DEFAULT_EFFICIENCY = 0.9
+
+# First timestamp of the synthetic fuel mix.
+SYNTH_START = datetime(2021, 1, 1, tzinfo=timezone.utc)
 
 
 @dataclass(frozen=True)
@@ -108,13 +113,18 @@ class ChargingSession:
                                       f"max={self.soc_max}")
         if self.t_arrival >= self.t_depart:
             raise EmptyWindow(self.id)
-        if self.capacity_kwh <= 0 or self.power_max_kw <= 0 or self.delta <= 0:
-            raise InvalidSoC(self.id, "capacity, power_max and delta must be positive")
+        if not all(0 < v < np.inf for v in (self.capacity_kwh, self.power_max_kw,
+                                             self.delta)):
+            raise InvalidSoC(self.id, "capacity, power_max and delta must be "
+                                      "positive and finite")
 
 
 def _check_uniform(timestamps) -> None:
     if len(timestamps) < 1:
         raise ValueError("empty timestamp series")
+    naive = [ts.tzinfo is None for ts in timestamps]
+    if any(naive) and not all(naive):
+        raise MixedTimezones(naive.index(not naive[0]) + 1)
     if len(timestamps) == 1:
         return
     step = timestamps[1] - timestamps[0]
@@ -202,12 +212,20 @@ def parse_sessions(file: IO, grid: TimeGrid) -> list[ChargingSession]:
 
     Arrival rounds UP to the next slot boundary and departure rounds
     DOWN, so charging never extends outside the true session window.
+    Stamps must be naive exactly when the grid's are, and ids unique.
     """
     out: list[ChargingSession] = []
+    seen: set[str] = set()
     for row_no, row in enumerate(csv.DictReader(_text(file)), start=1):
         sid = row["id"].strip()
+        if sid in seen:
+            raise DuplicateSessionId(sid, row_no)
+        seen.add(sid)
         arrival = _parse_ts(row["arrival_ts"], row_no, "arrival_ts")
         depart = _parse_ts(row["depart_ts"], row_no, "depart_ts")
+        if any((ts.tzinfo is None) != (grid.start.tzinfo is None)
+               for ts in (arrival, depart)):
+            raise MixedTimezones(row_no, f"session {sid!r} against the intensity grid")
         if not (grid.contains(arrival) and grid.contains(depart)):
             raise SessionOutsideHorizon(sid)
 
@@ -252,10 +270,7 @@ def write_sessions(sessions: Iterable[ChargingSession], grid: TimeGrid, out: IO[
 
 
 def synth_sessions(count: int, grid: TimeGrid, seed: int,
-                   capacity_kwh: float = DEFAULT_CAPACITY_KWH,
-                   power_max_kw: float = DEFAULT_POWER_MAX_KW,
-                   soc_max: float = DEFAULT_SOC_MAX,
-                   efficiency: float = DEFAULT_EFFICIENCY) -> list[ChargingSession]:
+                   capacity_kwh: float = DEFAULT_CAPACITY_KWH) -> list[ChargingSession]:
     """Generate synthetic workplace-style sessions on `grid`.
 
     Arrival times peak mid-morning and most stays are under four hours,
@@ -282,7 +297,7 @@ def synth_sessions(count: int, grid: TimeGrid, seed: int,
             t_depart = t_arrival + 1
 
         soc_arrival = float(rng.uniform(0.2, 0.5))
-        soc_target = min(soc_arrival + float(rng.uniform(0.1, 0.4)), soc_max)
+        soc_target = min(soc_arrival + float(rng.uniform(0.1, 0.4)), DEFAULT_SOC_MAX)
         out.append(ChargingSession(
             id=f"synth-{n:04d}",
             t_arrival=t_arrival,
@@ -290,16 +305,12 @@ def synth_sessions(count: int, grid: TimeGrid, seed: int,
             soc_arrival=soc_arrival,
             soc_target=soc_target,
             capacity_kwh=capacity_kwh,
-            soc_max=soc_max,
-            power_max_kw=power_max_kw,
-            delta=efficiency * grid.slot_hours,
+            delta=DEFAULT_EFFICIENCY * grid.slot_hours,
         ))
     return out
 
 
-def synth_grid_mix(n_days: int, seed: int = 0,
-                   start: datetime = datetime(2021, 1, 1, tzinfo=timezone.utc),
-                   slot_minutes: int = 5) -> GridMixSeries:
+def synth_grid_mix(n_days: int, seed: int = 0, slot_minutes: int = 5) -> GridMixSeries:
     """Five-source synthetic fuel mix whose weighted intensity traces a
     duck curve (midday solar depresses the average)."""
     rng = np.random.default_rng(seed)
@@ -320,7 +331,7 @@ def synth_grid_mix(n_days: int, seed: int = 0,
     gas = np.maximum(gas, 1000.0)
     imports = np.full(n, 1800.0) + rng.normal(0, 50.0, size=n)
 
-    grid = TimeGrid(start, slot_minutes, n)
+    grid = TimeGrid(SYNTH_START, slot_minutes, n)
     return GridMixSeries(
         timestamps=tuple(grid.timestamps()),
         sources=("solar", "wind", "nuclear", "gas", "imports"),

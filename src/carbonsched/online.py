@@ -1,13 +1,14 @@
 """Rolling-horizon real-time scheduling.
 
-At each slot the scheduler sees only the sessions that have already
-arrived and a forecast of carbon intensity over the lookahead window. It
-applies one slot of a charging plan and advances the battery states.
-The plan is re-solved when a session has arrived or the forecast has
-changed since the last solve; otherwise the rest of the last plan is
-still optimal (principle of optimality) and the controller follows it.
-Realized emissions are always accounted against the true intensity;
-forecasts drive decisions only.
+The controller is a plan-following rule over `scheduler.run_slots`, the
+slot loop the baselines share. At each pending slot it sees only the
+sessions that have already arrived and a forecast of carbon intensity
+over the lookahead window, and it hands the stepper one slot of a
+charging plan to apply. The plan is re-solved when a session has arrived
+or the forecast has changed since the last solve; otherwise the rest of
+the last plan is still optimal (principle of optimality) and the
+controller follows it. Realized emissions are always accounted against
+the true intensity; forecasts drive decisions only.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .carbon import CarbonIntensitySeries
 from .errors import ForecastUnavailable, NumericalFailure
 from .forecast import ForecastModel, check_same_grid, rollout
 from .ingest import ChargingSession, LoadForecastSeries
-from .scheduler import (ScheduleResult, StationConfig, build_lp,
-                        result_from_power, solve)
+from .scheduler import (ScheduleResult, StationConfig, build_lp, run_slots,
+                        solve)
 
 DECISION_LOG_HEADER = ("slot", "session_id", "power_kw", "forecast_c", "true_c")
 
@@ -127,19 +128,11 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
     if total_slots < 1 or len(true_carbon) < total_slots:
         raise ValueError("need true carbon for every simulated slot")
     T = config.horizon_slots
-    n = len(sessions)
-    soc = np.array([s.soc_arrival for s in sessions])
-    power = np.zeros((n, total_slots))
     log = csv.writer(log_out) if log_out is not None else None
     plan: _Plan | None = None
 
-    for k in range(total_slots):
-        active = [i for i, s in enumerate(sessions)
-                  if s.t_arrival <= k and s.t_depart > k]
-        pending = [i for i in active
-                   if soc[i] < sessions[i].soc_target - 1e-9]
-        if not pending:
-            continue
+    def decide(k, active, pending, soc):
+        nonlocal plan
         window = lookahead_window(k, T, forecaster)
         step = (plan.column(k, active, sessions, soc, window)
                 if plan is not None else None)
@@ -160,16 +153,11 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
                 raise NumericalFailure(f"slot {k}: {exc}") from exc
             plan = _Plan(k, {i: j for j, i in enumerate(active)}, window, planned)
             step = planned[:, 0]
-        for j, i in enumerate(active):
-            u = float(step[j])
-            power[i, k] = u
-            soc[i] += u * sessions[i].delta / sessions[i].capacity_kwh
         if log:
-            for j, i in enumerate(active):
-                log.writerow([slot_offset + k, sessions[i].id,
-                              repr(float(step[j])), repr(float(window[0])),
-                              repr(float(true_carbon[k]))])
+            for i, u in zip(active, step):
+                log.writerow([slot_offset + k, sessions[i].id, repr(float(u)),
+                              repr(float(window[0])), repr(float(true_carbon[k]))])
+        return active, step
 
-    return result_from_power(sessions, power,
-                             replace(config, horizon_slots=total_slots),
-                             true_carbon[:total_slots])
+    return run_slots(sessions, replace(config, horizon_slots=total_slots),
+                     true_carbon[:total_slots], decide)

@@ -11,7 +11,7 @@ session (epigraph trick), so the problem is a plain sparse LP.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,10 +37,10 @@ class StationConfig:
     horizon_slots: int
 
     def __post_init__(self):
-        if self.power_cap_kw <= 0 or self.slot_hours <= 0:
-            raise ValueError("power_cap_kw and slot_hours must be positive")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+        if not (0 < self.power_cap_kw < np.inf and 0 < self.slot_hours < np.inf):
+            raise ValueError("power_cap_kw and slot_hours must be positive and finite")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lam must be finite and >= 0")
         if self.horizon_slots < 1:
             raise EmptyHorizon("horizon_slots must be >= 1")
 
@@ -175,20 +175,11 @@ def carbon_schedule(sessions: Sequence[ChargingSession], carbon: np.ndarray,
     return solve(build_lp(sessions, carbon, config))
 
 
-def tou_schedule(sessions: Sequence[ChargingSession], tou_price: np.ndarray,
-                 config: StationConfig,
-                 carbon: np.ndarray | None = None) -> ScheduleResult:
-    """Same LP with a $/kWh tariff as the price signal; emissions are
-    accounted against `carbon` when provided."""
-    return solve(build_lp(sessions, tou_price, config), carbon=carbon)
-
-
 def result_from_power(sessions: Sequence[ChargingSession], power: np.ndarray,
-                      config: StationConfig,
-                      carbon: np.ndarray | None = None) -> ScheduleResult:
+                      config: StationConfig, carbon: np.ndarray) -> ScheduleResult:
     """Wrap an externally computed power matrix into a ScheduleResult,
-    deriving SoC trajectories, terminal gaps, and (if `carbon` is given)
-    emissions and the equivalent LP objective value."""
+    deriving SoC trajectories, terminal gaps, emissions against `carbon`
+    and the equivalent LP objective value."""
     n = len(sessions)
     T = config.horizon_slots
     soc = np.zeros((n, T + 1))
@@ -197,14 +188,35 @@ def result_from_power(sessions: Sequence[ChargingSession], power: np.ndarray,
         soc[i, 0] = s.soc_arrival
         soc[i, 1:] = s.soc_arrival + np.cumsum(power[i]) * s.delta / s.capacity_kwh
         gaps[i] = abs(soc[i, -1] - s.soc_target)
-    if carbon is not None:
-        emissions = float(np.sum(carbon * power.sum(axis=0)) * config.slot_hours)
-        objective = emissions + config.lam * float(gaps.sum())
-    else:
-        emissions = 0.0
-        objective = config.lam * float(gaps.sum())
-    return ScheduleResult(power=power, soc=soc, objective=objective,
+    emissions = float(np.sum(carbon * power.sum(axis=0)) * config.slot_hours)
+    return ScheduleResult(power=power, soc=soc,
+                          objective=emissions + config.lam * float(gaps.sum()),
                           emissions_kg=emissions, terminal_gaps=gaps)
+
+
+PENDING_EPS = 1e-9  # a session this close below its target is finished
+
+
+def run_slots(sessions: Sequence[ChargingSession], config: StationConfig,
+              carbon: np.ndarray, decide: Callable[..., tuple]) -> ScheduleResult:
+    """Step the station through its horizon one slot at a time.
+
+    At each slot with a pending session (in its window, below its target),
+    `decide(t, active, pending, soc)` returns the sessions to charge and
+    their powers in kW, within every limit; the stepper applies them.
+    """
+    power = np.zeros((len(sessions), config.horizon_slots))
+    soc = np.array([s.soc_arrival for s in sessions])
+    for t in range(config.horizon_slots):
+        active = [i for i, s in enumerate(sessions) if s.t_arrival <= t < s.t_depart]
+        pending = [i for i in active
+                   if soc[i] < sessions[i].soc_target - PENDING_EPS]
+        if not pending:
+            continue
+        for i, u in zip(*decide(t, active, pending, soc)):
+            power[i, t] = u
+            soc[i] += u * sessions[i].delta / sessions[i].capacity_kwh
+    return result_from_power(sessions, power, config, carbon)
 
 
 def select_lambda(n_sessions_today: int) -> float:

@@ -4,7 +4,10 @@ The LP checker enumerates discretized schedules, and the matrix builder
 assembles the constraint matrix densely, row by row, straight from the
 constraint definitions; both avoid the library's own code paths. The
 online reference reuses the library's LP but re-solves at every pending
-slot, so it checks when the online controller may skip a solve.
+slot, so it checks when the online controller may skip a solve. The
+baseline references are self-contained slot loops for equal sharing and
+earliest deadline first, which the library's allocation rules over
+`scheduler.run_slots` must match bit for bit.
 """
 
 import itertools
@@ -200,3 +203,77 @@ def always_resolve_online(sessions, forecaster, true_carbon, config,
                           total_slots)
     return result_from_power(sessions, power, final,
                              np.asarray(true_carbon, dtype=float)[:total_slots]), solves
+
+
+_EPS = 1e-12
+
+
+def _need_power_kw(session: ChargingSession, soc: float) -> float:
+    """Power that would exactly reach the target SoC in one slot."""
+    return max(session.soc_target - soc, 0.0) * session.capacity_kwh / session.delta
+
+
+def _active(sessions, soc: np.ndarray, t: int) -> list[int]:
+    return [i for i, s in enumerate(sessions)
+            if s.t_arrival <= t < s.t_depart and soc[i] < s.soc_target - _EPS]
+
+
+def _water_fill(budget: float, caps: list[float]) -> list[float]:
+    """Split `budget` equally, redistributing the surplus of capped
+    participants until a fixpoint."""
+    alloc = [0.0] * len(caps)
+    uncapped = list(range(len(caps)))
+    remaining = budget
+    while uncapped and remaining > _EPS:
+        share = remaining / len(uncapped)
+        newly = [i for i in uncapped if caps[i] <= share + _EPS]
+        if not newly:
+            for i in uncapped:
+                alloc[i] = share
+            return alloc
+        for i in newly:
+            alloc[i] = caps[i]
+            remaining -= caps[i]
+            uncapped.remove(i)
+    return alloc
+
+
+def loop_equal_sharing(sessions, config, carbon):
+    """Each slot, divide the station cap equally among active unfinished
+    sessions by water-filling over the per-EV caps."""
+    T = config.horizon_slots
+    power = np.zeros((len(sessions), T))
+    soc = np.array([s.soc_arrival for s in sessions])
+    for t in range(T):
+        act = _active(sessions, soc, t)
+        if not act:
+            continue
+        caps = [min(sessions[i].power_max_kw, _need_power_kw(sessions[i], soc[i]))
+                for i in act]
+        alloc = _water_fill(config.power_cap_kw, caps)
+        for i, u in zip(act, alloc):
+            power[i, t] = u
+            soc[i] += u * sessions[i].delta / sessions[i].capacity_kwh
+    return result_from_power(sessions, power, config, carbon)
+
+
+def loop_earliest_deadline_first(sessions, config, carbon):
+    """Each slot, grant max power to active sessions in deadline order
+    (ties: arrival, then id) until the station budget is exhausted."""
+    T = config.horizon_slots
+    power = np.zeros((len(sessions), T))
+    soc = np.array([s.soc_arrival for s in sessions])
+    for t in range(T):
+        act = _active(sessions, soc, t)
+        act.sort(key=lambda i: (sessions[i].t_depart, sessions[i].t_arrival,
+                                sessions[i].id))
+        budget = config.power_cap_kw
+        for i in act:
+            if budget <= _EPS:
+                break
+            u = min(sessions[i].power_max_kw, _need_power_kw(sessions[i], soc[i]),
+                    budget)
+            power[i, t] = u
+            soc[i] += u * sessions[i].delta / sessions[i].capacity_kwh
+            budget -= u
+    return result_from_power(sessions, power, config, carbon)

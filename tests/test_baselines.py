@@ -6,7 +6,8 @@ from carbonsched.baselines import (_water_fill, earliest_deadline_first,
 from carbonsched.scheduler import StationConfig, max_constraint_violation
 
 from conftest import make_session
-from oracles import random_instance
+from oracles import (loop_earliest_deadline_first, loop_equal_sharing,
+                     random_instance)
 
 
 def _config(T=288, cap=180.0, lam=0.3):
@@ -18,13 +19,13 @@ class TestEqualSharing:
     def test_symmetric_split(self):
         sessions = [make_session(f"s{i}", 0, 288, 0.2, 0.9, capacity_kwh=50.0)
                     for i in range(2)]
-        res = equal_sharing(sessions, _config(cap=10.0))
+        res = equal_sharing(sessions, _config(cap=10.0), np.zeros(288))
         np.testing.assert_allclose(res.power[:, 0], 5.0)
 
     def test_per_ev_cap_binds(self):
         sessions = [make_session(f"s{i}", 0, 288, 0.2, 0.9, capacity_kwh=50.0)
                     for i in range(3)]
-        res = equal_sharing(sessions, _config(cap=180.0))
+        res = equal_sharing(sessions, _config(cap=180.0), np.zeros(288))
         np.testing.assert_allclose(res.power[:, 0], 7.5)
 
     def test_water_fill_redistribution(self):
@@ -34,7 +35,7 @@ class TestEqualSharing:
             make_session("b", 0, 288, 0.2, 0.9, capacity_kwh=50.0,
                          power_max_kw=7.5),
         ]
-        res = equal_sharing(sessions, _config(cap=10.0))
+        res = equal_sharing(sessions, _config(cap=10.0), np.zeros(288))
         assert res.power[0, 0] == pytest.approx(3.0)
         assert res.power[1, 0] == pytest.approx(7.0)
 
@@ -48,8 +49,8 @@ class TestEarliestDeadlineFirst:
     def test_single_ev_matches_equal_sharing(self):
         s = make_session("a", 10, 60, 0.2, 0.8, capacity_kwh=5.0)
         config = _config()
-        edf = earliest_deadline_first([s], config)
-        es = equal_sharing([s], config)
+        edf = earliest_deadline_first([s], config, np.zeros(288))
+        es = equal_sharing([s], config, np.zeros(288))
         np.testing.assert_allclose(edf.power, es.power)
 
     def test_strict_priority(self):
@@ -57,7 +58,7 @@ class TestEarliestDeadlineFirst:
             make_session("late", 0, 12 * 12, 0.2, 0.9, capacity_kwh=50.0),
             make_session("early", 0, 10 * 12, 0.2, 0.9, capacity_kwh=50.0),
         ]
-        res = earliest_deadline_first(sessions, _config(cap=7.5))
+        res = earliest_deadline_first(sessions, _config(cap=7.5), np.zeros(288))
         # earlier deadline takes the entire budget while it still needs energy
         assert res.power[1, 0] == pytest.approx(7.5)
         assert res.power[0, 0] == pytest.approx(0.0)
@@ -65,7 +66,7 @@ class TestEarliestDeadlineFirst:
     def test_deterministic_tiebreak_by_id(self):
         sessions = [make_session(sid, 0, 48, 0.2, 0.9, capacity_kwh=50.0)
                     for sid in ("b", "a")]
-        res = earliest_deadline_first(sessions, _config(cap=7.5))
+        res = earliest_deadline_first(sessions, _config(cap=7.5), np.zeros(288))
         assert res.power[1, 0] == pytest.approx(7.5)  # "a" wins the tie
 
 
@@ -75,7 +76,7 @@ class TestSharedProperties:
         rng = np.random.default_rng(99)
         for _ in range(50):
             sessions, _, config = random_instance(rng, 8, 96)
-            res = policy(sessions, config)
+            res = policy(sessions, config, np.zeros(config.horizon_slots))
             assert max_constraint_violation(res, sessions, config) <= 1e-9
 
     @pytest.mark.parametrize("policy", [equal_sharing, earliest_deadline_first])
@@ -83,7 +84,7 @@ class TestSharedProperties:
         rng = np.random.default_rng(5)
         for _ in range(30):
             sessions, _, config = random_instance(rng, 6, 96)
-            res = policy(sessions, config)
+            res = policy(sessions, config, np.zeros(config.horizon_slots))
             for i, s in enumerate(sessions):
                 assert res.soc[i, -1] <= s.soc_target + 1e-9
 
@@ -95,7 +96,7 @@ class TestSharedProperties:
         ]
         config = _config(T=48, cap=9.0)
         for policy in (equal_sharing, earliest_deadline_first):
-            res = policy(sessions, config)
+            res = policy(sessions, config, np.zeros(config.horizon_slots))
             for t in range(48):
                 demands = []
                 for i, s in enumerate(sessions):
@@ -125,3 +126,21 @@ class TestSharedProperties:
         assert es.delivered_kwh(sessions) \
             == pytest.approx(edf.delivered_kwh(sessions), rel=1e-12)
         assert es.emissions_kg == pytest.approx(edf.emissions_kg, rel=1e-12)
+
+
+@pytest.mark.parametrize("policy,reference", [
+    (equal_sharing, loop_equal_sharing),
+    (earliest_deadline_first, loop_earliest_deadline_first),
+])
+def test_bitwise_equal_to_slot_loop_reference(policy, reference):
+    # 600 random instances; a third have a station cap below every EV's limit
+    rng = np.random.default_rng(2024)
+    for k in range(600):
+        cap = (float(rng.uniform(0.2, 2.0)), float(rng.uniform(2.0, 12.0)),
+               None)[k % 3]
+        sessions, price, config = random_instance(rng, 10, 48, power_cap=cap)
+        got = policy(sessions, config, price)
+        want = reference(sessions, config, price)
+        assert np.array_equal(got.power, want.power), k
+        assert np.array_equal(got.soc, want.soc), k
+        assert got.objective == want.objective, k

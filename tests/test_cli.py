@@ -215,6 +215,47 @@ class TestSimulate:
         assert "Traceback" not in err
 
 
+def _session_row(sid="a", tz="+00:00", capacity="50", power="7.5"):
+    return (f"{sid},2021-01-01T08:00:00{tz},2021-01-01T12:00:00{tz},"
+            f"0.2,0.6,{capacity},{power}\n")
+
+
+_SESSIONS_HEADER = ("id,arrival_ts,depart_ts,soc_arrival,soc_target,"
+                    "capacity_kwh,power_max_kw\n")
+_MIXED_MIX = ("timestamp,gas\n2021-01-01T00:00:00+00:00,100\n"
+              "2021-01-01T00:05:00,100\n2021-01-01T00:10:00+00:00,100\n")
+
+
+@pytest.mark.parametrize("files,args", [
+    pytest.param({"s.csv": _SESSIONS_HEADER + _session_row(capacity="inf")},
+                 ("--sessions", "s.csv"), id="capacity-inf"),
+    pytest.param({"s.csv": _SESSIONS_HEADER + _session_row(power="nan")},
+                 ("--sessions", "s.csv"), id="power-max-nan"),
+    pytest.param({"s.csv": _SESSIONS_HEADER + _session_row() + _session_row()},
+                 ("--sessions", "s.csv"), id="duplicate-id"),
+    pytest.param({"s.csv": _SESSIONS_HEADER + _session_row(tz="")},
+                 ("--sessions", "s.csv"), id="naive-sessions-utc-grid"),
+    pytest.param({"mix.csv": _MIXED_MIX,
+                  "factors.csv": "source,kgco2_per_kwh\ngas,0.4\n"},
+                 ("--mix", "mix.csv", "--factors", "factors.csv"),
+                 id="mix-naive-and-aware-rows"),
+    pytest.param({}, ("--lambda", "nan"), id="lambda-nan"),
+    pytest.param({}, ("--lambda", "inf"), id="lambda-inf"),
+    pytest.param({}, ("--power-cap-kw", "nan"), id="power-cap-nan"),
+])
+def test_boundary_input_exits_1(tmp_path, capsys, files, args):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in args]
+    code = run_cli("simulate", "--policy", "edf", "--synth-days", "1",
+                   "--synth-sessions-per-day", "3", *argv,
+                   "--out-dir", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 class TestLambdaSweep:
     def test_single_lambda_single_row(self, tmp_path):
         out = tmp_path / "out"

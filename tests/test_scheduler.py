@@ -7,7 +7,7 @@ from carbonsched import errors, scheduler
 from carbonsched.ingest import ChargingSession
 from carbonsched.scheduler import (StationConfig, build_lp, carbon_schedule,
                                    max_constraint_violation, select_lambda,
-                                   solve, tou_schedule)
+                                   solve)
 
 from conftest import make_session
 from oracles import (brute_force_objective, naive_dense_lp, random_instance,
@@ -192,7 +192,7 @@ class TestTouSchedule:
         sessions = [make_session("a", 0, 6, capacity_kwh=5.0, delta=1.0),
                     make_session("b", 2, 6, capacity_kwh=5.0, delta=1.0)]
         config = _config(lam=10.0)
-        by_tou = tou_schedule(sessions, np.full(6, 0.3), config)
+        by_tou = solve(build_lp(sessions, np.full(6, 0.3), config))
         by_carbon = carbon_schedule(sessions, np.full(6, 0.3), config)
         assert by_tou.delivered_kwh(sessions) \
             == pytest.approx(by_carbon.delivered_kwh(sessions), abs=1e-7)
@@ -204,15 +204,15 @@ class TestTouSchedule:
         s = make_session(t_arrival=14 * 12, t_depart=20 * 12, soc_arrival=0.2,
                          soc_target=0.6, capacity_kwh=2.0, delta=0.075)
         config = StationConfig(180.0, 5 / 60, 1.0, T)
-        res = tou_schedule([s], price, config)
+        res = solve(build_lp([s], price, config))
         assert res.terminal_gaps[0] <= 1e-7
         assert np.all(res.power[0, 16 * 12:] <= 1e-8)
 
     def test_emissions_accounted_against_carbon(self):
         s = make_session(t_arrival=0, t_depart=6, capacity_kwh=5.0, delta=1.0)
         carbon = np.full(6, 0.1)
-        res = tou_schedule([s], np.full(6, 0.3), _config(lam=10.0),
-                           carbon=carbon)
+        res = solve(build_lp([s], np.full(6, 0.3), _config(lam=10.0)),
+                    carbon=carbon)
         delivered_grid_kwh = res.power.sum() * 1.0
         assert res.emissions_kg == pytest.approx(0.1 * delivered_grid_kwh)
 
