@@ -132,7 +132,14 @@ def _run_policy_day(policy, rel, values, off, horizon, lam, args, grid,
     raise CarbonSchedError(f"unknown policy {policy!r}")
 
 
+def _check_lambdas(flag: str, values) -> None:
+    for lam in values:
+        if not 0 <= lam < np.inf:
+            raise CarbonSchedError(f"{flag} must be finite and >= 0, got {lam!r}")
+
+
 def cmd_simulate(args) -> int:
+    _check_lambdas("--lambda", [args.lam])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     intensity = _load_intensity(args)
@@ -202,6 +209,7 @@ def cmd_simulate(args) -> int:
 def cmd_lambda_sweep(args) -> int:
     if not args.lambdas:
         raise CarbonSchedError("empty lambda list")
+    _check_lambdas("--lambdas", args.lambdas)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     intensity = _load_intensity(args)

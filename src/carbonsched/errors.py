@@ -27,6 +27,12 @@ class MalformedNumber(CarbonSchedError):
         super().__init__(f"malformed number at row {row}, column {col!r}")
 
 
+class NonFiniteValue(CarbonSchedError):
+    def __init__(self, what: str):
+        self.what = what
+        super().__init__(f"non-finite value in {what}")
+
+
 class MixedTimezones(CarbonSchedError):
     def __init__(self, row: int, detail: str = ""):
         self.row = row

@@ -22,6 +22,7 @@ from .errors import (
     MalformedNumber,
     MissingSourceFactor,
     MixedTimezones,
+    NonFiniteValue,
     NonMonotonicTimestamps,
     SessionOutsideHorizon,
 )
@@ -60,8 +61,11 @@ class GridMixSeries:
             raise ValueError(f"power matrix shape {self.power.shape} != ({t}, {s})")
         if self.factors.shape != (s,):
             raise ValueError(f"factors shape {self.factors.shape} != ({s},)")
+        if not np.isfinite(self.factors).all():
+            raise NonFiniteValue("emission factors")
         if np.any(self.factors < 0):
             raise ValueError("emission factors must be >= 0")
+        _check_finite(self.power, self.sources)
         _check_uniform(self.timestamps)
         for j, name in enumerate(self.sources):
             if name not in SIGNED_SOURCES and np.any(self.power[:, j] < 0):
@@ -82,6 +86,7 @@ class LoadForecastSeries:
     def __post_init__(self):
         if self.load_mw.shape != (len(self.timestamps),):
             raise ValueError("load_mw length mismatch")
+        _check_finite(self.load_mw[:, None], ("load_mw",))
         if np.any(self.load_mw <= 0):
             raise ValueError("load_mw must be positive")
         _check_uniform(self.timestamps)
@@ -117,6 +122,14 @@ class ChargingSession:
                                              self.delta)):
             raise InvalidSoC(self.id, "capacity, power_max and delta must be "
                                       "positive and finite")
+
+
+def _check_finite(values: np.ndarray, columns) -> None:
+    """Reject a NaN or infinite cell, naming its (1-based) row and column."""
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        row, col = bad[0]
+        raise NonFiniteValue(f"row {row + 1}, column {columns[col]!r}")
 
 
 def _check_uniform(timestamps) -> None:

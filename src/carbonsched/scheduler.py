@@ -15,15 +15,23 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
-from .errors import EmptyHorizon, NumericalFailure, SessionOutsideHorizon
+from .errors import (EmptyHorizon, NonFiniteValue, NumericalFailure,
+                     SessionOutsideHorizon)
 from .ingest import ChargingSession
 
-_SOLVER_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-9,
-}
+# HiGHS is called through scipy's bundled binding, with the options that
+# scipy's own HiGHS front end sets and tighter feasibility tolerances; the
+# tests check the result bit for bit against that front end.
+_HIGHS_OPTIONS = highs.HighsOptions()
+_HIGHS_OPTIONS.output_flag = False
+_HIGHS_OPTIONS.log_to_console = False
+_HIGHS_OPTIONS.presolve = "on"
+_HIGHS_OPTIONS.simplex_strategy = int(
+    highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+_HIGHS_OPTIONS.primal_feasibility_tolerance = 1e-10
+_HIGHS_OPTIONS.dual_feasibility_tolerance = 1e-9
 
 
 @dataclass(frozen=True)
@@ -144,6 +152,47 @@ def build_lp(sessions: Sequence[ChargingSession], price: np.ndarray,
     )
 
 
+def solve_lp(lp: LpInstance) -> tuple[np.ndarray, float, int]:
+    """Solve the LP with HiGHS: (x, objective, simplex iterations).
+
+    Raises NonFiniteValue on a non-finite cost, matrix entry or right-hand
+    side, or a NaN upper bound, and NumericalFailure on any status other
+    than optimal.
+    """
+    if not (np.isfinite(lp.c).all() and np.isfinite(lp.b_ub).all()
+            and np.isfinite(lp.a_ub.data).all()) or np.isnan(lp.upper).any():
+        raise NonFiniteValue("LP cost, constraint or bound")
+    a = lp.a_ub.tocsc()
+    m, n = a.shape
+    model = highs.HighsLp()
+    model.num_col_ = n
+    model.num_row_ = m
+    model.col_cost_ = lp.c
+    model.col_lower_ = np.zeros(n)
+    model.col_upper_ = np.minimum(lp.upper, highs.kHighsInf)
+    model.row_lower_ = np.full(m, -highs.kHighsInf)
+    model.row_upper_ = lp.b_ub
+    matrix = model.a_matrix_
+    matrix.format_ = highs.MatrixFormat.kColwise
+    matrix.num_col_ = n
+    matrix.num_row_ = m
+    matrix.start_ = a.indptr
+    matrix.index_ = a.indices
+    matrix.value_ = a.data
+
+    solver = highs._Highs()
+    solver.passOptions(_HIGHS_OPTIONS)
+    solver.passModel(model)
+    solver.run()
+    status = solver.getModelStatus()
+    info = solver.getInfo()
+    if status != highs.HighsModelStatus.kOptimal:
+        raise NumericalFailure(solver.modelStatusToString(status),
+                               info.simplex_iteration_count)
+    return (np.array(solver.getSolution().col_value),
+            info.objective_function_value, info.simplex_iteration_count)
+
+
 def solve(lp: LpInstance, carbon: np.ndarray | None = None) -> ScheduleResult:
     """Solve the LP with HiGHS and expand the solution into a schedule.
 
@@ -154,15 +203,10 @@ def solve(lp: LpInstance, carbon: np.ndarray | None = None) -> ScheduleResult:
     power = np.zeros((n, lp.config.horizon_slots))
     objective = 0.0
     if n:
-        res = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub,
-                      bounds=np.column_stack([np.zeros(len(lp.c)), lp.upper]),
-                      method="highs", options=_SOLVER_OPTIONS)
-        if res.status != 0:
-            raise NumericalFailure(res.message, getattr(res, "nit", None))
+        x, objective, _ = solve_lp(lp)
         owner = np.repeat(np.arange(n), [len(w) for w in lp.window_slots])
         power[owner, np.concatenate(lp.window_slots)] = \
-            np.maximum(res.x[:len(owner)], 0.0)
-        objective = float(res.fun)
+            np.maximum(x[:len(owner)], 0.0)
 
     signal = lp.price if carbon is None else np.asarray(carbon, dtype=float)
     return replace(result_from_power(lp.sessions, power, lp.config, signal),
@@ -180,14 +224,13 @@ def result_from_power(sessions: Sequence[ChargingSession], power: np.ndarray,
     """Wrap an externally computed power matrix into a ScheduleResult,
     deriving SoC trajectories, terminal gaps, emissions against `carbon`
     and the equivalent LP objective value."""
-    n = len(sessions)
-    T = config.horizon_slots
-    soc = np.zeros((n, T + 1))
-    gaps = np.zeros(n)
-    for i, s in enumerate(sessions):
-        soc[i, 0] = s.soc_arrival
-        soc[i, 1:] = s.soc_arrival + np.cumsum(power[i]) * s.delta / s.capacity_kwh
-        gaps[i] = abs(soc[i, -1] - s.soc_target)
+    def per_session(name):
+        return np.array([getattr(s, name) for s in sessions], dtype=float)[:, None]
+
+    arrival = per_session("soc_arrival")
+    soc = np.hstack([arrival, arrival + np.cumsum(power, axis=1)
+                     * per_session("delta") / per_session("capacity_kwh")])
+    gaps = np.abs(soc[:, -1] - per_session("soc_target")[:, 0])
     emissions = float(np.sum(carbon * power.sum(axis=0)) * config.slot_hours)
     return ScheduleResult(power=power, soc=soc,
                           objective=emissions + config.lam * float(gaps.sum()),

@@ -7,13 +7,17 @@ online reference reuses the library's LP but re-solves at every pending
 slot, so it checks when the online controller may skip a solve. The
 baseline references are self-contained slot loops for equal sharing and
 earliest deadline first, which the library's allocation rules over
-`scheduler.run_slots` must match bit for bit.
+`scheduler.run_slots` must match bit for bit. The LP reference solves
+through scipy's public `linprog`, and the SoC reference expands a power
+matrix one session at a time; the library's direct HiGHS call and its
+vectorised expansion must match them bit for bit.
 """
 
 import itertools
 from dataclasses import replace
 
 import numpy as np
+from scipy.optimize import linprog
 
 from carbonsched.ingest import ChargingSession
 from carbonsched.online import lookahead_window
@@ -166,6 +170,29 @@ def random_instance(rng: np.random.Generator, max_sessions: int, horizon: int,
     )
     price = rng.uniform(0.02, 0.5, size=horizon)
     return sessions, price, config
+
+
+def linprog_solve(lp):
+    """Solve an LpInstance through `linprog(method="highs")` with the
+    library's tolerances: (x, objective, simplex iterations)."""
+    res = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub,
+                  bounds=np.column_stack([np.zeros(len(lp.c)), lp.upper]),
+                  method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-9})
+    assert res.status == 0, res.message
+    return res.x, float(res.fun), res.nit
+
+
+def loop_soc_and_gaps(sessions, power):
+    """SoC trajectories and terminal gaps built one session at a time."""
+    soc = np.zeros((len(sessions), power.shape[1] + 1))
+    gaps = np.zeros(len(sessions))
+    for i, s in enumerate(sessions):
+        soc[i, 0] = s.soc_arrival
+        soc[i, 1:] = s.soc_arrival + np.cumsum(power[i]) * s.delta / s.capacity_kwh
+        gaps[i] = abs(soc[i, -1] - s.soc_target)
+    return soc, gaps
 
 
 def always_resolve_online(sessions, forecaster, true_carbon, config,

@@ -50,17 +50,13 @@ def test_criterion_1_solver_matches_enumeration_oracle():
     _ok(1, f"50 instances bracketed by enumeration in {elapsed:.2f}s")
 
 
-def test_criterion_2_constraint_satisfaction_and_scale():
-    """1,000 random schedules feasible within 1e-8; one full-size
-    60 EV x 288 slot instance solves in under 10 s."""
+def criterion_2_instances():
+    """Criterion 2's 1,000 random instances, then its 60 EV x 288 slot one,
+    as (sessions, price, config)."""
     rng = np.random.default_rng(202)
-    worst = 0.0
     for _ in range(1000):
         horizon = int(rng.choice([24, 48, 96]))
-        sessions, price, config = random_instance(rng, 10, horizon)
-        res = solve(build_lp(sessions, price, config))
-        worst = max(worst, max_constraint_violation(res, sessions, config))
-    assert worst <= 1e-8
+        yield random_instance(rng, 10, horizon)
 
     sessions = []
     for i in range(60):
@@ -71,7 +67,19 @@ def test_criterion_2_constraint_satisfaction_and_scale():
                                      arr + float(rng.uniform(0.1, 0.4)),
                                      capacity_kwh=50.0))
     price = rng.uniform(0.05, 0.4, size=288)
-    config = _config(lam=0.3)
+    yield sessions, price, _config(lam=0.3)
+
+
+def test_criterion_2_constraint_satisfaction_and_scale():
+    """1,000 random schedules feasible within 1e-8; one full-size
+    60 EV x 288 slot instance solves in under 10 s."""
+    *small, (sessions, price, config) = criterion_2_instances()
+    worst = 0.0
+    for s, p, c in small:
+        res = solve(build_lp(s, p, c))
+        worst = max(worst, max_constraint_violation(res, s, c))
+    assert worst <= 1e-8
+
     t0 = time.perf_counter()
     res = solve(build_lp(sessions, price, config))
     elapsed = time.perf_counter() - t0

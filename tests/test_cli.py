@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from carbonsched import ingest
-from carbonsched.cli import main
+from carbonsched import ingest, scheduler
+from carbonsched.cli import POLICIES, main
+from carbonsched.scheduler import build_lp
 
 from conftest import DAY_SLOTS, make_grid, make_session
+from test_scheduler import infeasible
 
 
 def run_cli(*argv):
@@ -224,6 +226,13 @@ _SESSIONS_HEADER = ("id,arrival_ts,depart_ts,soc_arrival,soc_target,"
                     "capacity_kwh,power_max_kw\n")
 _MIXED_MIX = ("timestamp,gas\n2021-01-01T00:00:00+00:00,100\n"
               "2021-01-01T00:05:00,100\n2021-01-01T00:10:00+00:00,100\n")
+_NAN_MIX = ("timestamp,gas\n2021-01-01T00:00:00+00:00,100\n"
+            "2021-01-01T00:05:00+00:00,nan\n2021-01-01T00:10:00+00:00,100\n")
+_FACTORS = "source,kgco2_per_kwh\ngas,0.4\n"
+# One day on the synthetic grid, so only the nan cell is wrong.
+_NAN_LOAD = "timestamp,load_mw\n" + "".join(
+    f"2021-01-01T{k // 12:02d}:{5 * (k % 12):02d}:00+00:00,"
+    f"{'nan' if k == 100 else '24000'}\n" for k in range(DAY_SLOTS))
 
 
 @pytest.mark.parametrize("files,args", [
@@ -239,11 +248,23 @@ _MIXED_MIX = ("timestamp,gas\n2021-01-01T00:00:00+00:00,100\n"
                   "factors.csv": "source,kgco2_per_kwh\ngas,0.4\n"},
                  ("--mix", "mix.csv", "--factors", "factors.csv"),
                  id="mix-naive-and-aware-rows"),
+    pytest.param({"mix.csv": _NAN_MIX, "factors.csv": _FACTORS},
+                 ("--mix", "mix.csv", "--factors", "factors.csv"),
+                 id="mix-nan-cell-edf"),
+    pytest.param({"mix.csv": _NAN_MIX, "factors.csv": _FACTORS},
+                 ("--mix", "mix.csv", "--factors", "factors.csv",
+                  "--policy", "carbon-offline"), id="mix-nan-cell-offline"),
+    pytest.param({"load.csv": _NAN_LOAD},
+                 ("--load", "load.csv", "--policy", "carbon-online",
+                  "--online-forecast", "model"), id="load-nan-cell"),
     pytest.param({}, ("--lambda", "nan"), id="lambda-nan"),
     pytest.param({}, ("--lambda", "inf"), id="lambda-inf"),
+    pytest.param({}, ("--lambda", "nan", "--policy", "carbon-adaptive"),
+                 id="lambda-nan-adaptive"),
     pytest.param({}, ("--power-cap-kw", "nan"), id="power-cap-nan"),
 ])
 def test_boundary_input_exits_1(tmp_path, capsys, files, args):
+    # A --policy in `args` overrides the default edf (argparse keeps the last).
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a) if a in files else a for a in args]
@@ -253,6 +274,30 @@ def test_boundary_input_exits_1(tmp_path, capsys, files, args):
     err = capsys.readouterr().err
     assert code == 1
     assert "error:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("lam", ["nan", "inf", "-0.1"])
+def test_bad_lambda_rejected_before_any_day(tmp_path, capsys, policy, lam):
+    code = run_cli("simulate", "--policy", policy, "--lambda", lam,
+                   "--synth-days", "1", "--synth-sessions-per-day", "3",
+                   "--out-dir", str(tmp_path / "out"))
+    assert code == 1
+    assert "error: --lambda must be finite and >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_solver_failure_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(scheduler, "build_lp",
+                        lambda *a: infeasible(build_lp(*a)))
+    code = run_cli("simulate", "--policy", "carbon-offline",
+                   "--synth-days", "1", "--synth-sessions-per-day", "3",
+                   "--out-dir", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: LP solver failed: Infeasible" in err
     assert "Traceback" not in err
 
 

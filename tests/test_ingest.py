@@ -57,6 +57,21 @@ class TestParseGridMix:
                 _factors_csv([("solar", 0.0), ("gas", 0.4)]))
         assert exc.value.row == 1
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_rejected(self, cell):
+        with pytest.raises(errors.NonFiniteValue,
+                           match="row 2, column 'gas'"):
+            ingest.parse_grid_mix(
+                _mix_csv(["2021-01-01T00:00:00+00:00,1,1",
+                          f"2021-01-01T00:05:00+00:00,1,{cell}"]),
+                _factors_csv([("solar", 0.0), ("gas", 0.4)]))
+
+    def test_non_finite_factor_rejected(self):
+        with pytest.raises(errors.NonFiniteValue, match="emission factors"):
+            ingest.parse_grid_mix(
+                _mix_csv(["2021-01-01T00:00:00+00:00,1,1"]),
+                _factors_csv([("solar", 0.0), ("gas", "nan")]))
+
     def test_negative_power_needs_signed_source(self):
         with pytest.raises(ValueError):
             ingest.parse_grid_mix(
@@ -85,6 +100,16 @@ def _sessions_csv(rows, header=None):
     header = header or ("id,arrival_ts,depart_ts,soc_arrival,soc_target,"
                         "capacity_kwh,soc_max,power_max_kw,efficiency")
     return io.StringIO("\n".join([header, *rows]) + "\n")
+
+
+class TestParseLoad:
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell_rejected(self, cell):
+        with pytest.raises(errors.NonFiniteValue,
+                           match="row 2, column 'load_mw'"):
+            ingest.parse_load(io.StringIO(
+                "timestamp,load_mw\n2021-01-01T00:00:00+00:00,24000\n"
+                f"2021-01-01T00:05:00+00:00,{cell}\n"))
 
 
 class TestParseSessions:

@@ -7,15 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carbonsched import forecast, online
-from carbonsched.errors import ForecastUnavailable, GridMismatch
+from carbonsched.errors import (ForecastUnavailable, GridMismatch,
+                                NumericalFailure)
 from carbonsched.online import (DECISION_LOG_HEADER, ModelForecaster,
                                 PerfectForecaster, lookahead_window,
                                 run_online)
-from carbonsched.scheduler import (StationConfig, carbon_schedule,
+from carbonsched.scheduler import (StationConfig, build_lp, carbon_schedule,
                                    max_constraint_violation)
 
 from conftest import duck_curve, flexible_sessions, make_grid, make_session
 from oracles import always_resolve_online
+from test_scheduler import infeasible
 
 
 def _config(T=288, cap=180.0, lam=0.4):
@@ -68,6 +70,14 @@ class TestRunOnline:
                          _config(), 288)
         assert res.power.shape == (0, 288)
         assert res.emissions_kg == 0.0
+
+    def test_solver_failure_names_the_slot(self, day, monkeypatch):
+        _, ci = day
+        monkeypatch.setattr(online, "build_lp",
+                            lambda *a: infeasible(build_lp(*a)))
+        with pytest.raises(NumericalFailure, match=r"slot 5: .*Infeasible"):
+            run_online([make_session(t_arrival=5, t_depart=100)],
+                       PerfectForecaster(ci.values), ci.values, _config(), 288)
 
     def test_no_power_before_arrival(self, day):
         _, ci = day

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,12 +8,13 @@ from hypothesis import strategies as st
 from carbonsched import errors, scheduler
 from carbonsched.ingest import ChargingSession
 from carbonsched.scheduler import (StationConfig, build_lp, carbon_schedule,
-                                   max_constraint_violation, select_lambda,
-                                   solve)
+                                   max_constraint_violation, result_from_power,
+                                   select_lambda, solve, solve_lp)
 
 from conftest import make_session
-from oracles import (brute_force_objective, naive_dense_lp, random_instance,
-                     resolution_bound)
+from oracles import (brute_force_objective, linprog_solve, loop_soc_and_gaps,
+                     naive_dense_lp, random_instance, resolution_bound)
+from test_acceptance import criterion_2_instances
 
 
 def _config(T=6, cap=100.0, lam=10.0, slot_hours=1.0):
@@ -185,6 +188,59 @@ class TestSolve:
                          capacity_kwh=20.0, delta=1.0)
         res = solve(build_lp([s], np.full(6, 0.2), _config(lam=1.0)))
         assert res.delivered_kwh([s]) <= 1e-8
+
+
+def infeasible(lp):
+    """`lp` with session 0's SoC cap row set to g * sum(u) <= -0.1, which
+    no u >= 0 satisfies."""
+    b_ub = lp.b_ub.copy()
+    b_ub[0] = -0.1
+    return replace(lp, b_ub=b_ub)
+
+
+class TestSolveLp:
+    def test_bitwise_equal_to_linprog_on_criterion_2_instances(self):
+        for sessions, price, config in criterion_2_instances():
+            lp = build_lp(sessions, price, config)
+            x, objective, nit = solve_lp(lp)
+            ref_x, ref_objective, ref_nit = linprog_solve(lp)
+            assert np.array_equal(x, ref_x)
+            assert objective == ref_objective
+            assert nit == ref_nit
+
+    def test_nan_price_rejected_before_highs(self):
+        price = np.full(6, 0.2)
+        price[3] = np.nan
+        lp = build_lp([make_session(t_depart=6)], price, _config())
+        with pytest.raises(errors.NonFiniteValue):
+            solve(lp)
+
+    @pytest.mark.parametrize("field,value", [
+        ("c", np.inf), ("b_ub", np.nan), ("b_ub", np.inf), ("upper", np.nan)])
+    def test_non_finite_lp_rejected(self, field, value):
+        lp = build_lp([make_session(t_depart=6)], np.full(6, 0.2), _config())
+        bad = getattr(lp, field).copy()
+        bad[0] = value
+        with pytest.raises(errors.NonFiniteValue):
+            solve(replace(lp, **{field: bad}))
+
+    def test_infeasible_raises_numerical_failure(self):
+        lp = build_lp([make_session(t_depart=6)], np.full(6, 0.2), _config())
+        with pytest.raises(errors.NumericalFailure, match="Infeasible"):
+            solve(infeasible(lp))
+
+
+class TestResultFromPower:
+    def test_bitwise_equal_to_per_session_loop(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            sessions, price, config = random_instance(rng, 10, 288)
+            power = rng.uniform(0.0, 10.0, size=(len(sessions), 288))
+            power[rng.random(power.shape) < 0.5] = 0.0
+            res = result_from_power(sessions, power, config, price)
+            soc, gaps = loop_soc_and_gaps(sessions, power)
+            assert np.array_equal(res.soc, soc)
+            assert np.array_equal(res.terminal_gaps, gaps)
 
 
 class TestTouSchedule:
