@@ -1,8 +1,9 @@
 """Input parsing and synthetic workload generation.
 
-CSV conventions: UTF-8, RFC 4180 quoting, ISO-8601 timestamps with offset.
-All parsers validate and reject; nothing is silently clamped except the
-documented timestamp snapping of charging sessions.
+CSV conventions: UTF-8 (a leading BOM is skipped), RFC 4180 quoting,
+ISO-8601 timestamps with offset. All parsers validate and reject;
+nothing is silently clamped except the documented timestamp snapping of
+charging sessions.
 """
 
 from __future__ import annotations
@@ -133,13 +134,12 @@ def _check_finite(values: np.ndarray, columns) -> None:
 
 
 def _check_uniform(timestamps) -> None:
-    if len(timestamps) < 1:
-        raise ValueError("empty timestamp series")
+    if len(timestamps) < 2:
+        raise ValueError("a time series needs at least two rows to fix its "
+                         f"slot length, got {len(timestamps)}")
     naive = [ts.tzinfo is None for ts in timestamps]
     if any(naive) and not all(naive):
         raise MixedTimezones(naive.index(not naive[0]) + 1)
-    if len(timestamps) == 1:
-        return
     step = timestamps[1] - timestamps[0]
     if step <= timedelta(0):
         raise NonMonotonicTimestamps(2)
@@ -150,7 +150,7 @@ def _check_uniform(timestamps) -> None:
 
 def _text(stream: IO) -> IO[str]:
     if isinstance(stream, (io.RawIOBase, io.BufferedIOBase)) or "b" in getattr(stream, "mode", ""):
-        return io.StringIO(stream.read().decode("utf-8"), newline="")
+        return io.StringIO(stream.read().decode("utf-8-sig"), newline="")
     return stream
 
 

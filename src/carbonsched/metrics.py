@@ -62,19 +62,6 @@ def _ratio(delivered: float, requested: float) -> float:
     return delivered / requested if requested > _EPS else 1.0
 
 
-def edq_station(result: ScheduleResult, sessions: Sequence[ChargingSession]) -> float:
-    """Station-level delivery quality: total delivered SoC over total
-    requested SoC (weights sessions by their SoC delta)."""
-    delivered, requested = _delivered_requested(result, sessions)
-    return float(_ratio(sum(delivered), sum(requested)))
-
-
-def edq_session(result: ScheduleResult, sessions: Sequence[ChargingSession]) -> float:
-    """Mean per-session delivery quality."""
-    ratios = list(map(_ratio, *_delivered_requested(result, sessions)))
-    return float(np.mean(ratios)) if ratios else 1.0
-
-
 def make_report(policy: str,
                 days: Mapping[int, tuple[Sequence[ChargingSession], ScheduleResult]],
                 season_of_day: Callable[[int], str] | None = None) -> RunReport:

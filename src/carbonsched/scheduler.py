@@ -2,10 +2,12 @@
 
 Minimizes sum_t sum_i price(t) * u_i(t) * slot_hours
         + lam * sum_i |x_i(T) - soc_target_i|
-over per-slot charging powers u, subject to per-EV power and SoC limits
-and the station power cap. SoC variables are eliminated by cumulative
-substitution and the absolute terminal gap is handled with one slack per
-session (epigraph trick), so the problem is a plain sparse LP.
+over per-slot charging powers u, subject to per-EV power limits and the
+station power cap. SoC variables are eliminated by cumulative
+substitution, and each session is capped at its target, so the terminal
+gap is the shortfall target - x_i(T) >= 0 and enters the cost linearly.
+With every price >= 0 this changes no optimum: scaling down a schedule
+that overshoots a target raises neither term.
 """
 
 from __future__ import annotations
@@ -79,10 +81,9 @@ class ScheduleResult:
 class LpInstance:
     """Assembled LP in standard form min c.x s.t. A_ub x <= b_ub, bounds.
 
-    Variable order: u vars session by session (window slots ascending),
-    then one terminal slack per session. Row order: one SoC cap row per
-    session, then the two slack rows per session (+gap then -gap), then
-    one station row per slot.
+    Variable order: u vars session by session (window slots ascending).
+    Row order: one SoC row per session, then one station row per slot.
+    Every upper bound is finite: the owning session's power limit.
     """
 
     sessions: tuple[ChargingSession, ...]
@@ -91,7 +92,7 @@ class LpInstance:
     c: np.ndarray
     a_ub: sp.csr_matrix
     b_ub: np.ndarray
-    upper: np.ndarray  # per-variable upper bound, inf for slacks
+    upper: np.ndarray  # per-variable upper bound
     window_slots: tuple[np.ndarray, ...]
 
 
@@ -114,40 +115,30 @@ def build_lp(sessions: Sequence[ChargingSession], price: np.ndarray,
     lengths = np.array([len(w) for w in windows], dtype=int)
     n_u = int(lengths.sum())
     n = len(sessions)
-    n_vars = n_u + n
     # u column k charges session owner[k] in slot[k].
     owner = np.repeat(np.arange(n), lengths)
     slot = np.concatenate(windows) if windows else np.zeros(0, dtype=int)
-    g = np.array([s.delta / s.capacity_kwh for s in sessions], dtype=float)
-    soc_arrival = np.array([s.soc_arrival for s in sessions], dtype=float)
-    soc_max = np.array([s.soc_max for s in sessions], dtype=float)
-    gap = np.array([s.soc_target for s in sessions], dtype=float) - soc_arrival
+    g = np.array([s.delta / s.capacity_kwh for s in sessions], dtype=float)[owner]
+    request = np.array([s.soc_target - s.soc_arrival for s in sessions], dtype=float)
     power_max = np.array([s.power_max_kw for s in sessions], dtype=float)
 
-    c = np.concatenate([price[slot] * config.slot_hours, np.full(n, config.lam)])
-    upper = np.concatenate([power_max[owner], np.full(n, np.inf)])
+    # Each unit of SoC delivered cuts the shortfall lam * (request - g sum(u)).
+    c = price[slot] * config.slot_hours - config.lam * g
 
-    # Rows: the SoC cap g * sum(u) <= soc_max - soc_arrival, one per session
-    # (u >= 0, so it bounds every partial sum too); the terminal-gap slack
-    # rows +g sum(u) - s <= gap and -g sum(u) - s <= -gap; the station cap,
-    # one row per slot (kept even when no session is active), whose columns
-    # a stable sort by slot lists in ascending order.
-    u_cols = np.arange(n_u)
-    slack_cols = n_u + np.arange(n)
-    plus = n + 2 * np.arange(n)  # each session's +gap row; -gap is next
+    # Rows: the SoC cap g * sum(u) <= soc_target - soc_arrival, one per
+    # session (u >= 0, so it bounds every partial sum too); the station
+    # cap, one row per slot (kept even when no session is active), whose
+    # columns a stable sort by slot lists in ascending order.
     order = np.argsort(slot, kind="stable")
-    rows = np.concatenate([owner, plus[owner], plus[owner] + 1, plus, plus + 1,
-                           3 * n + slot[order]])
-    cols = np.concatenate([u_cols, u_cols, u_cols, slack_cols, slack_cols, order])
-    gu = g[owner]
-    data = np.concatenate([gu, gu, -gu, np.full(2 * n, -1.0), np.ones(n_u)])
-    b = np.concatenate([soc_max - soc_arrival, np.column_stack([gap, -gap]).ravel(),
-                        np.full(T, float(config.power_cap_kw))])
-
-    a_ub = sp.csr_matrix((data, (rows, cols)), shape=(3 * n + T, n_vars))
+    a_ub = sp.csr_matrix(
+        (np.concatenate([g, np.ones(n_u)]),
+         (np.concatenate([owner, n + slot[order]]),
+          np.concatenate([np.arange(n_u), order]))),
+        shape=(n + T, n_u))
+    b = np.concatenate([request, np.full(T, float(config.power_cap_kw))])
     return LpInstance(
         sessions=tuple(sessions), config=config, price=price,
-        c=c, a_ub=a_ub, b_ub=b, upper=upper,
+        c=c, a_ub=a_ub, b_ub=b, upper=power_max[owner],
         window_slots=tuple(windows),
     )
 
@@ -155,12 +146,11 @@ def build_lp(sessions: Sequence[ChargingSession], price: np.ndarray,
 def solve_lp(lp: LpInstance) -> tuple[np.ndarray, float, int]:
     """Solve the LP with HiGHS: (x, objective, simplex iterations).
 
-    Raises NonFiniteValue on a non-finite cost, matrix entry or right-hand
-    side, or a NaN upper bound, and NumericalFailure on any status other
-    than optimal.
+    Raises NonFiniteValue on a non-finite cost, matrix entry, right-hand
+    side or upper bound, and NumericalFailure on any status other than
+    optimal.
     """
-    if not (np.isfinite(lp.c).all() and np.isfinite(lp.b_ub).all()
-            and np.isfinite(lp.a_ub.data).all()) or np.isnan(lp.upper).any():
+    if not all(np.isfinite(v).all() for v in (lp.c, lp.a_ub.data, lp.b_ub, lp.upper)):
         raise NonFiniteValue("LP cost, constraint or bound")
     a = lp.a_ub.tocsc()
     m, n = a.shape
@@ -169,7 +159,7 @@ def solve_lp(lp: LpInstance) -> tuple[np.ndarray, float, int]:
     model.num_row_ = m
     model.col_cost_ = lp.c
     model.col_lower_ = np.zeros(n)
-    model.col_upper_ = np.minimum(lp.upper, highs.kHighsInf)
+    model.col_upper_ = lp.upper
     model.row_lower_ = np.full(m, -highs.kHighsInf)
     model.row_upper_ = lp.b_ub
     matrix = model.a_matrix_
@@ -197,16 +187,19 @@ def solve(lp: LpInstance, carbon: np.ndarray | None = None) -> ScheduleResult:
     """Solve the LP with HiGHS and expand the solution into a schedule.
 
     `carbon` overrides the emission-accounting signal (used when the LP
-    prices in dollars, as in the TOU variant); defaults to lp.price.
+    prices in dollars, as in the TOU variant); defaults to lp.price. The
+    objective adds back the constant lam * sum(target - arrival) that the
+    LP's shortfall cost leaves out.
     """
     n = len(lp.sessions)
     power = np.zeros((n, lp.config.horizon_slots))
     objective = 0.0
     if n:
-        x, objective, _ = solve_lp(lp)
+        x, optimum, _ = solve_lp(lp)
         owner = np.repeat(np.arange(n), [len(w) for w in lp.window_slots])
-        power[owner, np.concatenate(lp.window_slots)] = \
-            np.maximum(x[:len(owner)], 0.0)
+        power[owner, np.concatenate(lp.window_slots)] = np.maximum(x, 0.0)
+        objective = optimum + lp.config.lam * sum(
+            s.soc_target - s.soc_arrival for s in lp.sessions)
 
     signal = lp.price if carbon is None else np.asarray(carbon, dtype=float)
     return replace(result_from_power(lp.sessions, power, lp.config, signal),

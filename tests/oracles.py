@@ -3,11 +3,13 @@
 The LP checker enumerates discretized schedules, and the matrix builder
 assembles the constraint matrix densely, row by row, straight from the
 constraint definitions; both avoid the library's own code paths. The
-online reference reuses the library's LP but re-solves at every pending
-slot, so it checks when the online controller may skip a solve. The
-baseline references are self-contained slot loops for equal sharing and
-earliest deadline first, which the library's allocation rules over
-`scheduler.run_slots` must match bit for bit. The LP reference solves
+epigraph builder writes the absolute terminal gap with one slack per
+session and caps SoC at soc_max; with prices >= 0 its optimum is the
+library's objective. The online reference reuses the library's LP but
+re-solves at every pending slot, so it checks when the online controller
+may skip a solve. The baseline references are self-contained slot loops
+for equal sharing and earliest deadline first, which the library's
+allocation rules over `scheduler.run_slots` must match bit for bit. The LP reference solves
 through scipy's public `linprog`, and the SoC reference expands a power
 matrix one session at a time; the library's direct HiGHS call and its
 vectorised expansion must match them bit for bit.
@@ -86,7 +88,44 @@ def resolution_bound(sessions, config) -> float:
 
 def naive_dense_lp(sessions, price, config):
     """Dense (c, A, b, upper) assembled independently, same documented
-    variable and row ordering as scheduler.build_lp."""
+    variable and row ordering as scheduler.build_lp: no slack, each
+    session capped at its target, the shortfall priced in the cost."""
+    T = config.horizon_slots
+    windows = [list(range(max(0, s.t_arrival), min(T, s.t_depart)))
+               for s in sessions]
+    cols = [(i, t) for i, w in enumerate(windows) for t in w]
+
+    c = np.zeros(len(cols))
+    upper = np.zeros(len(cols))
+    for k, (i, t) in enumerate(cols):
+        s = sessions[i]
+        # price * h per kW, less lam per unit of SoC the kW delivers
+        c[k] = price[t] * config.slot_hours - config.lam * (s.delta / s.capacity_kwh)
+        upper[k] = s.power_max_kw
+
+    rows = []
+    b = []
+    # SoC cap: x_i(t) <= soc_target for every t. With u >= 0 the partial
+    # sums are nondecreasing, so the cap at the last window slot implies
+    # the others: one row g * sum_t u_i(t) <= soc_target - soc_arrival.
+    for i, s in enumerate(sessions):
+        rows.append([s.delta / s.capacity_kwh if j == i else 0.0
+                     for j, _ in cols])
+        b.append(s.soc_target - s.soc_arrival)
+    for t in range(T):
+        rows.append([1.0 if u == t else 0.0 for _, u in cols])
+        b.append(config.power_cap_kw)
+
+    return c, np.asarray(rows).reshape(len(b), len(cols)), np.asarray(b), upper
+
+
+def epigraph_dense_lp(sessions, price, config):
+    """Dense (c, A, b, upper) of the charging LP with the absolute terminal
+    gap written as an epigraph: u vars session by session, then one slack
+    per session priced at lam. Rows: one SoC cap per session at soc_max,
+    then +gap and -gap per session, then one station row per slot. Every
+    schedule with a SoC within [0, soc_max] is feasible here, so its
+    optimum is the reference for the library's shortfall-only LP."""
     T = config.horizon_slots
     windows = []
     for s in sessions:
@@ -170,6 +209,16 @@ def random_instance(rng: np.random.Generator, max_sessions: int, horizon: int,
     )
     price = rng.uniform(0.02, 0.5, size=horizon)
     return sessions, price, config
+
+
+def epigraph_optimum(sessions, price, config) -> float:
+    """Optimum of `epigraph_dense_lp` through `linprog(method="highs")`."""
+    c, a, b, upper = epigraph_dense_lp(sessions, price, config)
+    res = linprog(c, A_ub=a, b_ub=b,
+                  bounds=np.column_stack([np.zeros(len(c)), upper]),
+                  method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
 
 
 def linprog_solve(lp):

@@ -15,7 +15,7 @@ from carbonsched.carbon import compute_intensity, synthetic_duck_curve
 from carbonsched.cli import main as cli_main
 from carbonsched.forecast import build_features, fit
 from carbonsched.ingest import GridMixSeries
-from carbonsched.metrics import edq_station
+from carbonsched.metrics import make_report
 from carbonsched.online import PerfectForecaster, run_online
 from carbonsched.scheduler import (StationConfig, build_lp, carbon_schedule,
                                    max_constraint_violation, solve)
@@ -127,8 +127,8 @@ def test_criterion_4_energy_neutral_savings():
     lp = carbon_schedule(sessions, ci.values, config)
     edf = earliest_deadline_first(sessions, config, ci.values)
 
-    edq_lp = edq_station(lp, sessions)
-    edq_edf = edq_station(edf, sessions)
+    edq_lp = make_report("lp", {0: (sessions, lp)}).edq_station
+    edq_edf = make_report("edf", {0: (sessions, edf)}).edq_station
     assert abs(edq_lp - edq_edf) <= 0.001
     assert lp.emissions_kg < edf.emissions_kg
     reduction = 100.0 * (edf.emissions_kg - lp.emissions_kg) / edf.emissions_kg

@@ -229,6 +229,7 @@ _MIXED_MIX = ("timestamp,gas\n2021-01-01T00:00:00+00:00,100\n"
 _NAN_MIX = ("timestamp,gas\n2021-01-01T00:00:00+00:00,100\n"
             "2021-01-01T00:05:00+00:00,nan\n2021-01-01T00:10:00+00:00,100\n")
 _FACTORS = "source,kgco2_per_kwh\ngas,0.4\n"
+_ONE_ROW_MIX = "timestamp,gas\n2021-01-01T00:00:00+00:00,100\n"
 # One day on the synthetic grid, so only the nan cell is wrong.
 _NAN_LOAD = "timestamp,load_mw\n" + "".join(
     f"2021-01-01T{k // 12:02d}:{5 * (k % 12):02d}:00+00:00,"
@@ -254,6 +255,9 @@ _NAN_LOAD = "timestamp,load_mw\n" + "".join(
     pytest.param({"mix.csv": _NAN_MIX, "factors.csv": _FACTORS},
                  ("--mix", "mix.csv", "--factors", "factors.csv",
                   "--policy", "carbon-offline"), id="mix-nan-cell-offline"),
+    pytest.param({"mix.csv": _ONE_ROW_MIX, "factors.csv": _FACTORS},
+                 ("--mix", "mix.csv", "--factors", "factors.csv"),
+                 id="mix-one-row"),
     pytest.param({"load.csv": _NAN_LOAD},
                  ("--load", "load.csv", "--policy", "carbon-online",
                   "--online-forecast", "model"), id="load-nan-cell"),
@@ -287,6 +291,40 @@ def test_bad_lambda_rejected_before_any_day(tmp_path, capsys, policy, lam):
     assert code == 1
     assert "error: --lambda must be finite and >= 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# One day whose imports turn to -3000 MW (exports) from 10:00 to 15:00,
+# where C(t) = (0.42 * 1000 - 0.30 * 3000) / 8000 = -0.06 kg/kWh.
+_NEGATIVE_MIDDAY_MIX = "timestamp,solar,gas,imports\n" + "".join(
+    f"2021-01-01T{k // 12:02d}:{5 * (k % 12):02d}:00+00:00,10000,1000,"
+    f"{-3000 if 10 * 12 <= k < 15 * 12 else 1800}\n" for k in range(DAY_SLOTS))
+
+
+@pytest.mark.parametrize("policy",
+                         ["carbon-offline", "carbon-adaptive", "carbon-online"])
+def test_negative_intensity_never_charges_past_target(tmp_path, policy):
+    files = {"mix.csv": _NEGATIVE_MIDDAY_MIX,
+             "factors.csv": "source,kgco2_per_kwh\nsolar,0.0\ngas,0.42\n"
+                            "imports,0.30\n",
+             "sessions.csv": "id,arrival_ts,depart_ts,soc_arrival,soc_target\n"
+                             "a,2021-01-01T09:00:00+00:00,"
+                             "2021-01-01T16:00:00+00:00,0.2,0.5\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--policy", policy, "--lambda", "0.3",
+                   "--mix", str(tmp_path / "mix.csv"),
+                   "--factors", str(tmp_path / "factors.csv"),
+                   "--sessions", str(tmp_path / "sessions.csv"),
+                   "--out-dir", str(out)) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["total_emissions_kg"] < 0     # it charged while C < 0
+    assert report["edq_station"] <= 1.0
+    final_soc = {}
+    with open(out / "schedule.csv", newline="") as f:
+        for r in csv.DictReader(f):    # slots ascend within a session
+            final_soc[r["session_id"]] = float(r["soc"])
+    assert final_soc["a"] <= 0.5 + 1e-8
 
 
 def test_solver_failure_exits_2(tmp_path, capsys, monkeypatch):

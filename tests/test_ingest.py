@@ -73,14 +73,13 @@ class TestParseGridMix:
                 _factors_csv([("solar", 0.0), ("gas", "nan")]))
 
     def test_negative_power_needs_signed_source(self):
-        with pytest.raises(ValueError):
+        rows = ["2021-01-01T00:00:00+00:00,-5,1", "2021-01-01T00:05:00+00:00,-5,1"]
+        with pytest.raises(ValueError, match="non-signed source 'solar'"):
             ingest.parse_grid_mix(
-                _mix_csv(["2021-01-01T00:00:00+00:00,-5,1"]),
-                _factors_csv([("solar", 0.0), ("gas", 0.4)]))
+                _mix_csv(rows), _factors_csv([("solar", 0.0), ("gas", 0.4)]))
         # imports may legitimately go negative (exports)
         mix = ingest.parse_grid_mix(
-            _mix_csv(["2021-01-01T00:00:00+00:00,-5,1"],
-                     sources=("imports", "gas")),
+            _mix_csv(rows, sources=("imports", "gas")),
             _factors_csv([("imports", 0.3), ("gas", 0.4)]))
         assert mix.power[0, 0] == -5.0
 
@@ -110,6 +109,12 @@ class TestParseLoad:
             ingest.parse_load(io.StringIO(
                 "timestamp,load_mw\n2021-01-01T00:00:00+00:00,24000\n"
                 f"2021-01-01T00:05:00+00:00,{cell}\n"))
+
+    def test_one_row_rejected(self):
+        # one stamp fixes no slot length
+        with pytest.raises(ValueError, match="at least two rows"):
+            ingest.parse_load(io.StringIO(
+                "timestamp,load_mw\n2021-01-01T00:00:00+00:00,24000\n"))
 
 
 class TestParseSessions:
@@ -189,7 +194,8 @@ class TestBinaryStreams:
         factors = self._write(tmp_path / "factors.csv",
                               "source,kgco2_per_kwh\nsolar,0.0\ngas,0.4\n")
         load = self._write(tmp_path / "load.csv", "timestamp,load_mw\n"
-                           "2021-01-01T00:00:00+00:00,24000\n")
+                           "2021-01-01T00:00:00+00:00,24000\n"
+                           "2021-01-01T00:05:00+00:00,24000\n")
         sessions = self._write(
             tmp_path / "sessions.csv",
             "id,arrival_ts,depart_ts,soc_arrival,soc_target\n"
@@ -199,11 +205,35 @@ class TestBinaryStreams:
             assert not mf.closed and not ff.closed
         np.testing.assert_array_equal(parsed.power, [[100.0, 100.0], [100.0, 300.0]])
         with open(load, "rb") as f:
-            assert ingest.parse_load(f).load_mw.tolist() == [24000.0]
+            assert ingest.parse_load(f).load_mw.tolist() == [24000.0, 24000.0]
             assert not f.closed
         with open(sessions, "rb") as f:
             assert [s.id for s in ingest.parse_sessions(f, make_grid(1))] == ["a"]
             assert not f.closed
+
+
+    def test_byte_order_mark_skipped(self):
+        # spreadsheet exports start with a UTF-8 BOM
+        texts = {
+            "mix": "timestamp,solar,gas\n2021-01-01T00:00:00+00:00,100,100\n"
+                   "2021-01-01T00:05:00+00:00,100,300\n",
+            "factors": "source,kgco2_per_kwh\nsolar,0.0\ngas,0.4\n",
+            "load": "timestamp,load_mw\n2021-01-01T00:00:00+00:00,24000\n"
+                    "2021-01-01T00:05:00+00:00,25000\n",
+            "sessions": "id,arrival_ts,depart_ts,soc_arrival,soc_target\n"
+                        "a,2021-01-01T08:00:00+00:00,2021-01-01T12:00:00+00:00,"
+                        "0.2,0.6\n",
+        }
+
+        def parse(bom):
+            f = {k: io.BytesIO(bom + v.encode()) for k, v in texts.items()}
+            mix = ingest.parse_grid_mix(f["mix"], f["factors"])
+            load = ingest.parse_load(f["load"])
+            return (mix.timestamps, mix.sources, mix.power.tolist(),
+                    mix.factors.tolist(), load.timestamps, load.load_mw.tolist(),
+                    ingest.parse_sessions(f["sessions"], make_grid(1)))
+
+        assert parse(b"\xef\xbb\xbf") == parse(b"")
 
 
 class TestSynthSessions:

@@ -4,11 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carbonsched import metrics
-from carbonsched.metrics import (RunReport, compare, edq_session, edq_station,
-                                 make_report)
+from carbonsched.metrics import RunReport, compare, make_report
 from carbonsched.scheduler import StationConfig, result_from_power
 
 from conftest import make_session
+
+
+def edq_station(result, sessions):
+    return make_report("p", {0: (sessions, result)}).edq_station
+
+
+def edq_session(result, sessions):
+    return make_report("p", {0: (sessions, result)}).edq_session
 
 
 def _result(sessions, delivered_soc, T=12):

@@ -12,8 +12,9 @@ from carbonsched.scheduler import (StationConfig, build_lp, carbon_schedule,
                                    select_lambda, solve, solve_lp)
 
 from conftest import make_session
-from oracles import (brute_force_objective, linprog_solve, loop_soc_and_gaps,
-                     naive_dense_lp, random_instance, resolution_bound)
+from oracles import (brute_force_objective, epigraph_optimum, linprog_solve,
+                     loop_soc_and_gaps, naive_dense_lp, random_instance,
+                     resolution_bound)
 from test_acceptance import criterion_2_instances
 
 
@@ -49,11 +50,15 @@ class TestBuildLp:
     def test_structural_counts(self):
         s = make_session(t_arrival=1, t_depart=5, capacity_kwh=20.0, delta=1.0)
         lp = build_lp([s], np.full(6, 0.2), _config())
-        assert lp.c.shape == (5,)                 # 4 power vars + 1 slack
-        assert lp.a_ub.shape == (1 + 2 + 6, 5)    # SoC cap + slack + station
+        assert lp.c.shape == (4,)                 # 4 power vars, no slack
+        assert lp.a_ub.shape == (1 + 6, 4)        # SoC cap + station
+        # price * h less lam * g per power var
+        np.testing.assert_allclose(lp.c, [0.2 - 10.0 * 0.05] * 4)
+        np.testing.assert_array_equal(lp.upper, [7.5] * 4)
         # the SoC cap row weights every power var of the session by g
-        np.testing.assert_array_equal(lp.a_ub.toarray()[0], [0.05] * 4 + [0.0])
-        assert lp.b_ub[0] == pytest.approx(1.0 - 0.2)
+        # and stops the session at its target
+        np.testing.assert_array_equal(lp.a_ub.toarray()[0], [0.05] * 4)
+        assert lp.b_ub[0] == pytest.approx(0.6 - 0.2)
         # station rows are the last six and each touches at most the u vars
         station = lp.a_ub.toarray()[-6:]
         assert station[0].sum() == 0              # slot 0: session not active
@@ -150,6 +155,16 @@ class TestSolve:
         enum = brute_force_objective(sessions, price, config)
         assert res.objective <= enum + 1e-7
         assert res.objective >= enum - resolution_bound(sessions, config) - 1e-7
+
+    def test_objective_equals_epigraph_optimum(self):
+        # prices >= 0: capping each session at its target changes no optimum
+        rng = np.random.default_rng(909)
+        for _ in range(200):
+            sessions, price, config = random_instance(
+                rng, 6, int(rng.choice([6, 24, 48])))
+            res = solve(build_lp(sessions, price, config))
+            ref = epigraph_optimum(sessions, price, config)
+            assert res.objective == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
     def test_random_feasibility(self):
         rng = np.random.default_rng(2024)
