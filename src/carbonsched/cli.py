@@ -79,11 +79,6 @@ def _load_load(args, timestamps) -> ingest.LoadForecastSeries:
     return ingest.LoadForecastSeries(tuple(timestamps), np.maximum(load, 1.0))
 
 
-def _tou_prices(timestamps, offset: int, n: int) -> np.ndarray:
-    ts = timestamps[offset:offset + n]
-    return np.array([TOU_PEAK if t.hour >= 16 else TOU_OFFPEAK for t in ts])
-
-
 def _day_plans(sessions, grid: TimeGrid) -> dict[int, tuple[int, int, list]]:
     """Per day with arrivals: its first absolute slot, its horizon and its
     sessions relative to that slot, ordered by arrival then id. Sessions
@@ -105,31 +100,39 @@ def _day_plans(sessions, grid: TimeGrid) -> dict[int, tuple[int, int, list]]:
     return plans
 
 
-def _run_policy_day(policy, rel, values, off, horizon, lam, args, grid,
-                    timestamps, intensity, model_forecaster, log):
-    cvals = values[off:off + horizon]
-    config = scheduler.StationConfig(args.power_cap_kw, grid.slot_hours, lam, horizon)
-    if policy == "es":
-        return baselines.equal_sharing(rel, config, cvals)
-    if policy == "edf":
-        return baselines.earliest_deadline_first(rel, config, cvals)
-    if policy == "tou":
-        return scheduler.solve(scheduler.build_lp(
-            rel, _tou_prices(timestamps, off, horizon), config), carbon=cvals)
-    if policy in ("carbon-offline", "carbon-adaptive"):
-        return scheduler.carbon_schedule(rel, cvals, config)
-    if policy == "carbon-online":
-        lookahead = scheduler.StationConfig(args.power_cap_kw, grid.slot_hours,
-                                            lam, args.horizon)
-        if args.online_forecast == "model":
-            fc = online.ModelForecaster(model_forecaster[0], intensity,
-                                        model_forecaster[1], sim_start=off)
-        else:
-            fc = online.PerfectForecaster(values[off:],
-                                          1440 // grid.slot_minutes)
-        return online.run_online(rel, fc, cvals, lookahead, horizon,
-                                 log_out=log, slot_offset=off)
-    raise CarbonSchedError(f"unknown policy {policy!r}")
+def _run_days(policy, plans, lams, args, intensity, model_forecaster=None,
+              log=None) -> dict:
+    """Per day of `plans`: its sessions and `policy`'s schedule at `lams[day]`."""
+    grid = _grid_of(intensity)
+
+    def schedule(rel, off, horizon, lam):
+        cvals = intensity.values[off:off + horizon]
+        config = scheduler.StationConfig(args.power_cap_kw, grid.slot_hours,
+                                         lam, horizon)
+        if policy == "es":
+            return baselines.equal_sharing(rel, config, cvals)
+        if policy == "edf":
+            return baselines.earliest_deadline_first(rel, config, cvals)
+        if policy == "tou":
+            tariff = np.array([TOU_PEAK if ts.hour >= 16 else TOU_OFFPEAK
+                               for ts in intensity.timestamps[off:off + horizon]])
+            return scheduler.solve(scheduler.build_lp(rel, tariff, config), carbon=cvals)
+        if policy in ("carbon-offline", "carbon-adaptive"):
+            return scheduler.carbon_schedule(rel, cvals, config)
+        if policy == "carbon-online":
+            if args.online_forecast == "model":
+                fc = online.ModelForecaster(model_forecaster[0], intensity,
+                                            model_forecaster[1], sim_start=off)
+            else:
+                fc = online.PerfectForecaster(intensity.values[off:],
+                                              1440 // grid.slot_minutes)
+            return online.run_online(
+                rel, fc, cvals, replace(config, horizon_slots=args.horizon),
+                horizon, log_out=log, slot_offset=off)
+        raise CarbonSchedError(f"unknown policy {policy!r}")
+
+    return {day: (rel, schedule(rel, off, horizon, lams[day]))
+            for day, (off, horizon, rel) in plans.items()}
 
 
 def _check_lambdas(flag: str, values) -> None:
@@ -154,22 +157,18 @@ def cmd_simulate(args) -> int:
                                    seed=args.seed)
         model_forecaster = (model, load)
 
-    results, edf_results = {}, {}
+    adaptive = args.policy == "carbon-adaptive"
+    lams = {day: scheduler.select_lambda(len(rel)) if adaptive else args.lam
+            for day, (_, _, rel) in plans.items()}
     with (open(out_dir / "decisions.csv", "w", newline="")
           if args.policy == "carbon-online"
           else contextlib.nullcontext()) as log:
         if log:
             csv.writer(log).writerow(online.DECISION_LOG_HEADER)
-        for day, (off, horizon, rel) in plans.items():
-            lam = (scheduler.select_lambda(len(rel))
-                   if args.policy == "carbon-adaptive" else args.lam)
-            results[day] = rel, _run_policy_day(
-                args.policy, rel, intensity.values, off, horizon, lam, args,
-                grid, timestamps, intensity, model_forecaster, log)
-            edf_results[day] = baselines.earliest_deadline_first(
-                rel, scheduler.StationConfig(args.power_cap_kw, grid.slot_hours,
-                                             lam, horizon),
-                intensity.values[off:off + horizon])
+        results = _run_days(args.policy, plans, lams, args, intensity,
+                            model_forecaster, log)
+    edf = (results if args.policy == "edf"
+           else _run_days("edf", plans, lams, args, intensity))
 
     def season_of_day(day: int) -> str:
         ts = timestamps[plans[day][0]]
@@ -179,30 +178,34 @@ def cmd_simulate(args) -> int:
         return "unknown"
 
     report = metrics.make_report(args.policy, results, season_of_day).to_dict()
-    report.update({"lambda": args.lam, "seed": args.seed})
+    if adaptive:    # each day ran under its own factor
+        for row in report["per_day"]:
+            row["lambda"] = lams[row["day"]]
+    else:
+        report["lambda"] = args.lam
+    report["seed"] = args.seed
 
     with open(out_dir / "report.json", "w") as f:
         json.dump(report, f, sort_keys=True, indent=2, allow_nan=False)
         f.write("\n")
 
-    with open(out_dir / "schedule.csv", "w", newline="") as f:
-        f.write("session_id,slot,power_kw,soc\n")
-        for day, (rel, res) in results.items():
-            off = plans[day][0]
-            for i, s in enumerate(rel):
-                for t in range(s.t_arrival, s.t_depart):
-                    f.write(f"{s.id},{off + t},{float(res.power[i, t])!r},"
-                            f"{float(res.soc[i, t + 1])!r}\n")
-
-    with open(out_dir / "shift.csv", "w", newline="") as f:
-        f.write("slot,timestamp,policy_kg,baseline_edf_kg\n")
-        for day, (off, horizon, _) in plans.items():
+    with open(out_dir / "schedule.csv", "w", newline="") as sched, \
+            open(out_dir / "shift.csv", "w", newline="") as shift:
+        sched.write("session_id,slot,power_kw,soc\n")
+        shift.write("slot,timestamp,policy_kg,baseline_edf_kg\n")
+        for day, (off, horizon, rel) in plans.items():
+            res = results[day][1]
+            owner, slot = scheduler.session_slots(rel, horizon)
+            sched.write("".join(
+                f"{rel[i].id},{off + t},{u!r},{x!r}\n" for i, t, u, x in zip(
+                    owner.tolist(), slot.tolist(), res.power[owner, slot].tolist(),
+                    res.soc[owner, slot + 1].tolist())))
             cvals = intensity.values[off:off + horizon]
-            pol = cvals * results[day][1].station_power * grid.slot_hours
-            ref = cvals * edf_results[day].station_power * grid.slot_hours
-            for t in range(horizon):
-                f.write(f"{off + t},{timestamps[off + t].isoformat()},"
-                        f"{float(pol[t])!r},{float(ref[t])!r}\n")
+            pol = cvals * res.station_power * grid.slot_hours
+            ref = cvals * edf[day][1].station_power * grid.slot_hours
+            shift.write("".join(
+                f"{off + t},{timestamps[off + t].isoformat()},{p!r},{r!r}\n"
+                for t, (p, r) in enumerate(zip(pol.tolist(), ref.tolist()))))
     return 0
 
 
@@ -218,13 +221,8 @@ def cmd_lambda_sweep(args) -> int:
 
     rows = []
     for lam in args.lambdas:
-        results = {
-            day: (rel, scheduler.carbon_schedule(
-                rel, intensity.values[off:off + horizon],
-                scheduler.StationConfig(args.power_cap_kw, grid.slot_hours,
-                                        lam, horizon)))
-            for day, (off, horizon, rel) in plans.items()}
-        report = metrics.make_report("carbon-offline", results)
+        report = metrics.make_report("carbon-offline", _run_days(
+            "carbon-offline", plans, dict.fromkeys(plans, lam), args, intensity))
         rows.append((lam, report.total_emissions_kg,
                      100.0 * (1.0 - report.edq_station)))
 

@@ -8,11 +8,16 @@ substitution, and each session is capped at its target, so the terminal
 gap is the shortfall target - x_i(T) >= 0 and enters the cost linearly.
 With every price >= 0 this changes no optimum: scaling down a schedule
 that overshoots a target raises neither term.
+
+`session_slots` maps LP columns to (session, slot) pairs for the LP, its
+solution and the CLI's schedule.csv. Every ScheduleResult comes from
+`result_from_power`, so every policy's objective is the formula above
+with its emissions counted against the accounting signal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,15 +62,14 @@ class StationConfig:
 
 @dataclass(frozen=True)
 class ScheduleResult:
-    """Solved schedule: power[i, t] in kW, soc[i, t] for t = 0..T, the
-    objective value, emissions against the pricing signal, and per-session
-    terminal SoC gaps."""
+    """Schedule: power[i, t] in kW, soc[i, t] for t = 0..T, emissions in
+    kg against the accounting signal, and the objective: those emissions
+    plus lam times the summed absolute terminal SoC gap."""
 
     power: np.ndarray
     soc: np.ndarray
     objective: float
     emissions_kg: float
-    terminal_gaps: np.ndarray
 
     @property
     def station_power(self) -> np.ndarray:
@@ -81,26 +85,36 @@ class ScheduleResult:
 class LpInstance:
     """Assembled LP in standard form min c.x s.t. A_ub x <= b_ub, bounds.
 
-    Variable order: u vars session by session (window slots ascending).
-    Row order: one SoC row per session, then one station row per slot.
-    Every upper bound is finite: the owning session's power limit.
+    Column k is the power of session owner[k] in slot[k] (`session_slots`).
+    Rows: one SoC row per session, then one station row per slot, so
+    column k has two entries, in rows owner[k] and n + slot[k]. Every
+    upper bound is finite: the owning session's power limit.
     """
 
     sessions: tuple[ChargingSession, ...]
     config: StationConfig
     price: np.ndarray
     c: np.ndarray
-    a_ub: sp.csr_matrix
+    a_ub: sp.csc_matrix
     b_ub: np.ndarray
     upper: np.ndarray  # per-variable upper bound
-    window_slots: tuple[np.ndarray, ...]
+    owner: np.ndarray
+    slot: np.ndarray
 
 
-def _window(session: ChargingSession, horizon: int) -> np.ndarray:
-    lo, hi = max(0, session.t_arrival), min(horizon, session.t_depart)
-    if lo >= hi:
-        raise SessionOutsideHorizon(session.id)
-    return np.arange(lo, hi)
+def session_slots(sessions: Sequence[ChargingSession],
+                  horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, slot): session owner[k] may charge in slot[k]; session by
+    session, window slots ascending, windows clipped to the horizon.
+    Raises SessionOutsideHorizon for a session with no slot in it."""
+    windows = []
+    for s in sessions:
+        lo, hi = max(0, s.t_arrival), min(horizon, s.t_depart)
+        if lo >= hi:
+            raise SessionOutsideHorizon(s.id)
+        windows.append(np.arange(lo, hi))
+    owner = np.repeat(np.arange(len(windows)), [len(w) for w in windows])
+    return owner, np.concatenate([np.zeros(0, dtype=int), *windows])
 
 
 def build_lp(sessions: Sequence[ChargingSession], price: np.ndarray,
@@ -111,13 +125,8 @@ def build_lp(sessions: Sequence[ChargingSession], price: np.ndarray,
     if price.shape != (T,):
         raise EmptyHorizon(f"price length {price.shape} != horizon {T}")
 
-    windows = [_window(s, T) for s in sessions]
-    lengths = np.array([len(w) for w in windows], dtype=int)
-    n_u = int(lengths.sum())
-    n = len(sessions)
-    # u column k charges session owner[k] in slot[k].
-    owner = np.repeat(np.arange(n), lengths)
-    slot = np.concatenate(windows) if windows else np.zeros(0, dtype=int)
+    owner, slot = session_slots(sessions, T)
+    n, n_u = len(sessions), len(owner)
     g = np.array([s.delta / s.capacity_kwh for s in sessions], dtype=float)[owner]
     request = np.array([s.soc_target - s.soc_arrival for s in sessions], dtype=float)
     power_max = np.array([s.power_max_kw for s in sessions], dtype=float)
@@ -127,19 +136,16 @@ def build_lp(sessions: Sequence[ChargingSession], price: np.ndarray,
 
     # Rows: the SoC cap g * sum(u) <= soc_target - soc_arrival, one per
     # session (u >= 0, so it bounds every partial sum too); the station
-    # cap, one row per slot (kept even when no session is active), whose
-    # columns a stable sort by slot lists in ascending order.
-    order = np.argsort(slot, kind="stable")
-    a_ub = sp.csr_matrix(
-        (np.concatenate([g, np.ones(n_u)]),
-         (np.concatenate([owner, n + slot[order]]),
-          np.concatenate([np.arange(n_u), order]))),
+    # cap, one row per slot (kept even when no session is active).
+    a_ub = sp.csc_matrix(
+        (np.column_stack([g, np.ones(n_u)]).ravel(),
+         np.column_stack([owner, n + slot]).ravel(),
+         np.arange(0, 2 * n_u + 1, 2)),
         shape=(n + T, n_u))
     b = np.concatenate([request, np.full(T, float(config.power_cap_kw))])
     return LpInstance(
         sessions=tuple(sessions), config=config, price=price,
-        c=c, a_ub=a_ub, b_ub=b, upper=power_max[owner],
-        window_slots=tuple(windows),
+        c=c, a_ub=a_ub, b_ub=b, upper=power_max[owner], owner=owner, slot=slot,
     )
 
 
@@ -152,8 +158,7 @@ def solve_lp(lp: LpInstance) -> tuple[np.ndarray, float, int]:
     """
     if not all(np.isfinite(v).all() for v in (lp.c, lp.a_ub.data, lp.b_ub, lp.upper)):
         raise NonFiniteValue("LP cost, constraint or bound")
-    a = lp.a_ub.tocsc()
-    m, n = a.shape
+    m, n = lp.a_ub.shape
     model = highs.HighsLp()
     model.num_col_ = n
     model.num_row_ = m
@@ -166,9 +171,9 @@ def solve_lp(lp: LpInstance) -> tuple[np.ndarray, float, int]:
     matrix.format_ = highs.MatrixFormat.kColwise
     matrix.num_col_ = n
     matrix.num_row_ = m
-    matrix.start_ = a.indptr
-    matrix.index_ = a.indices
-    matrix.value_ = a.data
+    matrix.start_ = lp.a_ub.indptr
+    matrix.index_ = lp.a_ub.indices
+    matrix.value_ = lp.a_ub.data
 
     solver = highs._Highs()
     solver.passOptions(_HIGHS_OPTIONS)
@@ -188,22 +193,14 @@ def solve(lp: LpInstance, carbon: np.ndarray | None = None) -> ScheduleResult:
 
     `carbon` overrides the emission-accounting signal (used when the LP
     prices in dollars, as in the TOU variant); defaults to lp.price. The
-    objective adds back the constant lam * sum(target - arrival) that the
-    LP's shortfall cost leaves out.
+    objective is `result_from_power`'s, against that signal.
     """
-    n = len(lp.sessions)
-    power = np.zeros((n, lp.config.horizon_slots))
-    objective = 0.0
-    if n:
-        x, optimum, _ = solve_lp(lp)
-        owner = np.repeat(np.arange(n), [len(w) for w in lp.window_slots])
-        power[owner, np.concatenate(lp.window_slots)] = np.maximum(x, 0.0)
-        objective = optimum + lp.config.lam * sum(
-            s.soc_target - s.soc_arrival for s in lp.sessions)
-
+    power = np.zeros((len(lp.sessions), lp.config.horizon_slots))
+    if lp.sessions:
+        x, _, _ = solve_lp(lp)
+        power[lp.owner, lp.slot] = np.maximum(x, 0.0)
     signal = lp.price if carbon is None else np.asarray(carbon, dtype=float)
-    return replace(result_from_power(lp.sessions, power, lp.config, signal),
-                   objective=objective)
+    return result_from_power(lp.sessions, power, lp.config, signal)
 
 
 def carbon_schedule(sessions: Sequence[ChargingSession], carbon: np.ndarray,
@@ -214,9 +211,9 @@ def carbon_schedule(sessions: Sequence[ChargingSession], carbon: np.ndarray,
 
 def result_from_power(sessions: Sequence[ChargingSession], power: np.ndarray,
                       config: StationConfig, carbon: np.ndarray) -> ScheduleResult:
-    """Wrap an externally computed power matrix into a ScheduleResult,
-    deriving SoC trajectories, terminal gaps, emissions against `carbon`
-    and the equivalent LP objective value."""
+    """The ScheduleResult of a power matrix: SoC trajectories, emissions
+    against `carbon`, and the objective, those emissions plus lam times
+    the summed absolute terminal SoC gap."""
     def per_session(name):
         return np.array([getattr(s, name) for s in sessions], dtype=float)[:, None]
 
@@ -227,7 +224,7 @@ def result_from_power(sessions: Sequence[ChargingSession], power: np.ndarray,
     emissions = float(np.sum(carbon * power.sum(axis=0)) * config.slot_hours)
     return ScheduleResult(power=power, soc=soc,
                           objective=emissions + config.lam * float(gaps.sum()),
-                          emissions_kg=emissions, terminal_gaps=gaps)
+                          emissions_kg=emissions)
 
 
 PENDING_EPS = 1e-9  # a session this close below its target is finished

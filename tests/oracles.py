@@ -12,7 +12,9 @@ for equal sharing and earliest deadline first, which the library's
 allocation rules over `scheduler.run_slots` must match bit for bit. The LP reference solves
 through scipy's public `linprog`, and the SoC reference expands a power
 matrix one session at a time; the library's direct HiGHS call and its
-vectorised expansion must match them bit for bit.
+vectorised expansion must match them bit for bit. The CSV references write
+schedule.csv and shift.csv one session and one slot at a time; the CLI's
+files must match them byte for byte.
 """
 
 import itertools
@@ -233,6 +235,11 @@ def linprog_solve(lp):
     return res.x, float(res.fun), res.nit
 
 
+def terminal_gaps(result, sessions):
+    """Per-session absolute gap between final SoC and target."""
+    return np.abs(result.soc[:, -1] - np.array([s.soc_target for s in sessions]))
+
+
 def loop_soc_and_gaps(sessions, power):
     """SoC trajectories and terminal gaps built one session at a time."""
     soc = np.zeros((len(sessions), power.shape[1] + 1))
@@ -353,3 +360,30 @@ def loop_earliest_deadline_first(sessions, config, carbon):
             soc[i] += u * sessions[i].delta / sessions[i].capacity_kwh
             budget -= u
     return result_from_power(sessions, power, config, carbon)
+
+
+def loop_schedule_csv(plans, results) -> str:
+    """schedule.csv of a run from its day plans and per-day (sessions,
+    result) pairs, one row per session and slot of its window."""
+    out = ["session_id,slot,power_kw,soc\n"]
+    for day, (rel, res) in results.items():
+        off = plans[day][0]
+        for i, s in enumerate(rel):
+            for t in range(s.t_arrival, s.t_depart):
+                out.append(f"{s.id},{off + t},{float(res.power[i, t])!r},"
+                           f"{float(res.soc[i, t + 1])!r}\n")
+    return "".join(out)
+
+
+def loop_shift_csv(plans, results, edf_results, intensity, slot_hours) -> str:
+    """shift.csv of a run: per slot of each day, the policy's and the EDF
+    reference's emissions in kg."""
+    out = ["slot,timestamp,policy_kg,baseline_edf_kg\n"]
+    for day, (off, horizon, _) in plans.items():
+        cvals = intensity.values[off:off + horizon]
+        pol = cvals * results[day][1].station_power * slot_hours
+        ref = cvals * edf_results[day][1].station_power * slot_hours
+        for t in range(horizon):
+            out.append(f"{off + t},{intensity.timestamps[off + t].isoformat()},"
+                       f"{float(pol[t])!r},{float(ref[t])!r}\n")
+    return "".join(out)

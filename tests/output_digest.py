@@ -1,0 +1,73 @@
+"""Digest of every output file of a fixed list of seeded CLI runs.
+
+    PYTHONPATH=src python3 tests/output_digest.py > digest.txt
+
+Each run calls `carbonsched.cli.main` in-process in a fresh temporary
+directory and prints one line per output file with its sha256, plus the
+exit code and the sha256 of stdout and stderr. Two checkouts that write
+the same bytes print the same digest, so a refactor that must keep every
+output identical is checked with one `diff` of the two digests. Pytest
+does not collect this file.
+"""
+
+import contextlib
+import hashlib
+import io
+import tempfile
+from pathlib import Path
+
+from carbonsched.cli import POLICIES, main
+
+SYNTH = ("--synth-days", "2", "--synth-sessions-per-day", "8",
+         "--synth-capacity-kwh", "5", "--power-cap-kw", "20",
+         "--seed", "1")
+
+# Three days with sessions that cross midnight into the next day, against a
+# cap one session can fill on its own.
+OVERNIGHT_SESSIONS = (
+    "id,arrival_ts,depart_ts,soc_arrival,soc_target,capacity_kwh\n"
+    "night-a,2021-01-01T22:00:00+00:00,2021-01-02T06:00:00+00:00,0.1,0.9,60\n"
+    "night-b,2021-01-02T00:30:00+00:00,2021-01-02T05:00:00+00:00,0.1,0.9,60\n"
+    "day-c,2021-01-02T09:00:00+00:00,2021-01-02T15:00:00+00:00,0.2,0.6,20\n"
+    "night-d,2021-01-02T23:00:00+00:00,2021-01-03T07:00:00+00:00,0.3,0.8,40\n")
+OVERNIGHT = ("--synth-days", "3", "--sessions", "{tmp}/sessions.csv",
+             "--power-cap-kw", "7.5", "--lambda", "100")
+
+RUNS = [
+    *((f"simulate-{p}", ("simulate", "--policy", p, "--lambda", "1.2", *SYNTH))
+      for p in POLICIES),
+    ("simulate-tou-lambda-8",
+     ("simulate", "--policy", "tou", "--lambda", "8", *SYNTH)),
+    ("simulate-carbon-adaptive-lambda-7",
+     ("simulate", "--policy", "carbon-adaptive", "--lambda", "7", *SYNTH)),
+    *((f"overnight-{p}", ("simulate", "--policy", p, *OVERNIGHT))
+      for p in ("carbon-offline", "edf", "carbon-online")),
+    ("lambda-sweep", ("lambda-sweep", "--lambdas", "0.1,1,1.2,3", *SYNTH)),
+    ("forecast", ("forecast", "--synth-days", "60", "--seed", "1")),
+    ("simulate-bad-lambda", ("simulate", "--policy", "edf", "--lambda", "nan")),
+]
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(name: str, argv: tuple[str, ...]) -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "sessions.csv").write_text(OVERNIGHT_SESSIONS)
+        out = Path(tmp) / "out"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([a.format(tmp=tmp) for a in argv] + ["--out-dir", str(out)])
+        lines = [f"{name} exit {code}",
+                 f"{name} stdout {sha(stdout.getvalue().replace(tmp, '<tmp>').encode())}",
+                 f"{name} stderr {sha(stderr.getvalue().replace(tmp, '<tmp>').encode())}"]
+        if out.is_dir():
+            lines += [f"{name} {p.name} {sha(p.read_bytes())}"
+                      for p in sorted(out.iterdir())]
+    return lines
+
+
+if __name__ == "__main__":
+    for name, argv in RUNS:
+        print("\n".join(digest(name, argv)), flush=True)

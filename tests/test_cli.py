@@ -1,18 +1,24 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from carbonsched import ingest, scheduler
+from carbonsched import cli, ingest, scheduler
 from carbonsched.cli import POLICIES, main
 from carbonsched.scheduler import build_lp
 
 from conftest import DAY_SLOTS, make_grid, make_session
+from oracles import loop_schedule_csv, loop_shift_csv
 from test_scheduler import infeasible
 
 
@@ -180,13 +186,17 @@ class TestSimulate:
             == (tmp_path / "b/schedule.csv").read_bytes()
 
     def test_adaptive_policy_runs(self, tmp_path):
+        # 35 sessions in the day select lambda 0.35, which the day's row
+        # reports; --lambda is not used, so the report must not carry it
         out = tmp_path / "out"
-        code = run_cli("simulate", "--policy", "carbon-adaptive",
-                       "--synth-days", "1", "--synth-sessions-per-day", "6",
+        code = run_cli("simulate", "--policy", "carbon-adaptive", "--lambda", "7",
+                       "--synth-days", "1", "--synth-sessions-per-day", "35",
                        "--synth-capacity-kwh", "5", "--out-dir", str(out))
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["policy"] == "carbon-adaptive"
+        assert report["per_day"][0]["lambda"] == 0.35
+        assert 7.0 not in list(_numbers(report))
 
     def test_tou_policy_runs(self, tmp_path):
         out = tmp_path / "out"
@@ -396,3 +406,151 @@ def test_console_entry_point():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
+
+
+def _numbers(node):
+    """Every number in a parsed JSON document."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for v in node:
+            yield from _numbers(v)
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield node
+
+
+# Three days; night-a and night-d cross midnight, night-b shares night-a's
+# slots, and one session alone can fill the 7.5 kW cap.
+_OVERNIGHT_SESSIONS = (
+    "id,arrival_ts,depart_ts,soc_arrival,soc_target,capacity_kwh\n"
+    "night-a,2021-01-01T22:00:00+00:00,2021-01-02T06:00:00+00:00,0.1,0.9,60\n"
+    "night-b,2021-01-02T00:30:00+00:00,2021-01-02T05:00:00+00:00,0.1,0.9,60\n"
+    "day-c,2021-01-02T09:00:00+00:00,2021-01-02T15:00:00+00:00,0.2,0.6,20\n"
+    "night-d,2021-01-02T23:00:00+00:00,2021-01-03T07:00:00+00:00,0.3,0.8,40\n")
+
+
+@pytest.mark.parametrize("policy,args", [
+    pytest.param("carbon-offline",
+                 ("--synth-days", "3", "--sessions", "sessions.csv",
+                  "--power-cap-kw", "7.5", "--lambda", "100"),
+                 id="offline-3-days-overnight"),
+    pytest.param("carbon-online",
+                 ("--synth-days", "2", "--synth-sessions-per-day", "4",
+                  "--synth-capacity-kwh", "5", "--lambda", "2"),
+                 id="online-2-days"),
+])
+def test_csv_files_match_loop_writers(tmp_path, monkeypatch, policy, args):
+    (tmp_path / "sessions.csv").write_text(_OVERNIGHT_SESSIONS)
+    real, runs = cli._run_days, {}
+
+    def spy(day_policy, plans, lams, parsed, intensity, *rest):
+        runs[day_policy] = real(day_policy, plans, lams, parsed, intensity, *rest)
+        runs["plans"], runs["intensity"] = plans, intensity
+        return runs[day_policy]
+
+    monkeypatch.setattr(cli, "_run_days", spy)
+    out = tmp_path / "out"
+    argv = [str(tmp_path / a) if a == "sessions.csv" else a for a in args]
+    assert run_cli("simulate", "--policy", policy, *argv,
+                   "--out-dir", str(out)) == 0
+    plans, intensity = runs["plans"], runs["intensity"]
+    if "--sessions" in args:
+        assert any(horizon > DAY_SLOTS for _, horizon, _ in plans.values())
+    assert any(res.power.any() for _, res in runs[policy].values())
+    assert (out / "schedule.csv").read_bytes() \
+        == loop_schedule_csv(plans, runs[policy]).encode()
+    assert (out / "shift.csv").read_bytes() == loop_shift_csv(
+        plans, runs[policy], runs["edf"], intensity,
+        cli._grid_of(intensity).slot_hours).encode()
+
+
+_STAMP_COLUMNS = {"timestamp", "arrival_ts", "depart_ts"}
+_TEXT_COLUMNS = {"id", "session_id", "source", "timestamp"}
+
+
+def _stamp(k: int) -> str:
+    return f"2021-01-01T{k // 12:02d}:{5 * (k % 12):02d}:00+00:00"
+
+
+# One valid day: a two-source mix, its factors and three sessions.
+_VALID_INPUTS = {
+    "mix.csv": [["timestamp", "gas", "solar"]] + [
+        [_stamp(k), "1000", str(400 + k)] for k in range(DAY_SLOTS)],
+    "factors.csv": [["source", "kgco2_per_kwh"], ["gas", "0.4"], ["solar", "0.0"]],
+    "sessions.csv": [
+        ["id", "arrival_ts", "depart_ts", "soc_arrival", "soc_target",
+         "capacity_kwh", "power_max_kw"],
+        ["a", _stamp(96), _stamp(180), "0.2", "0.8", "20", "7.5"],
+        ["b", _stamp(100), _stamp(250), "0.1", "0.5", "50", "11"],
+        ["c", _stamp(150), _stamp(200), "0.4", "0.9", "5", "3.7"]],
+}
+
+
+@st.composite
+def _mutated_inputs(draw):
+    """The valid inputs with up to four edits: a cell replaced by a naive
+    or shifted stamp, nan, inf, a negative, empty or malformed number or
+    another row's id; a row duplicated; two rows swapped; a BOM."""
+    files = {name: [row[:] for row in rows] for name, rows in _VALID_INPUTS.items()}
+    boms = set()
+    for _ in range(draw(st.integers(0, 4))):
+        name = draw(st.sampled_from(sorted(files)))
+        rows = files[name]
+        r = draw(st.integers(1, len(rows) - 1))
+        edit = draw(st.sampled_from(("cell", "duplicate", "swap", "bom")))
+        if edit == "cell":
+            c = draw(st.integers(0, len(rows[0]) - 1))
+            col = rows[0][c]
+            if col in _STAMP_COLUMNS:
+                cell = draw(st.sampled_from((
+                    rows[r][c][:-6], rows[r][c][:-6] + "+02:00", "", "noon")))
+            elif col in _TEXT_COLUMNS:
+                cell = draw(st.sampled_from(("", *(row[c] for row in rows[1:]))))
+            else:
+                cell = draw(st.sampled_from((
+                    "nan", "inf", "-inf", "-1", "-0.5", "0", "", "x", "1e400")))
+            rows[r][c] = cell
+        elif edit == "duplicate":
+            rows.insert(r, rows[r][:])
+        elif edit == "swap":
+            r2 = draw(st.integers(1, len(rows) - 1))
+            rows[r], rows[r2] = rows[r2], rows[r]
+        else:
+            boms.add(name)
+    texts = {name: ("\ufeff" if name in boms else "")
+             + "".join(",".join(row) + "\n" for row in rows)
+             for name, rows in files.items()}
+    return texts, draw(st.sampled_from(POLICIES))
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in strict JSON")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mutated_inputs())
+def test_mutated_inputs_exit_cleanly(inputs):
+    texts, policy = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, text in texts.items():
+            (tmp / name).write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["simulate", "--policy", policy, "--lambda", "2",
+                         "--mix", str(tmp / "mix.csv"),
+                         "--factors", str(tmp / "factors.csv"),
+                         "--sessions", str(tmp / "sessions.csv"),
+                         "--out-dir", str(tmp / "out")])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code != 0:
+            return
+        json.loads((tmp / "out" / "report.json").read_text(),
+                   parse_constant=_reject_constant)
+        for path in (tmp / "out").glob("*.csv"):
+            with open(path, newline="") as f:
+                for row in csv.DictReader(f):
+                    for col, cell in row.items():
+                        if col not in _TEXT_COLUMNS:
+                            assert math.isfinite(float(cell)), (path.name, col, cell)

@@ -14,7 +14,7 @@ from carbonsched.scheduler import (StationConfig, build_lp, carbon_schedule,
 from conftest import make_session
 from oracles import (brute_force_objective, epigraph_optimum, linprog_solve,
                      loop_soc_and_gaps, naive_dense_lp, random_instance,
-                     resolution_bound)
+                     resolution_bound, terminal_gaps)
 from test_acceptance import criterion_2_instances
 
 
@@ -115,7 +115,7 @@ class TestSolve:
         res = solve(build_lp([s], np.full(6, 0.2), _config(lam=10.0)))
         assert res.delivered_kwh([s]) == pytest.approx(10.0, abs=1e-7)
         assert res.objective == pytest.approx(0.2 * 10.0, abs=1e-6)
-        assert res.terminal_gaps[0] <= 1e-8
+        assert terminal_gaps(res, [s])[0] <= 1e-8
 
     def test_two_slot_dominance(self):
         s = make_session(t_arrival=0, t_depart=2, soc_arrival=0.3,
@@ -182,7 +182,7 @@ class TestSolve:
             cfg = StationConfig(config.power_cap_kw, config.slot_hours,
                                 float(lam), config.horizon_slots)
             res = solve(build_lp(sessions, price, cfg))
-            gap = float(res.terminal_gaps.sum())
+            gap = float(terminal_gaps(res, sessions).sum())
             assert res.emissions_kg >= prev_em - 1e-7
             assert gap <= prev_gap + 1e-7
             prev_em, prev_gap = res.emissions_kg, gap
@@ -255,7 +255,7 @@ class TestResultFromPower:
             res = result_from_power(sessions, power, config, price)
             soc, gaps = loop_soc_and_gaps(sessions, power)
             assert np.array_equal(res.soc, soc)
-            assert np.array_equal(res.terminal_gaps, gaps)
+            assert res.objective == res.emissions_kg + config.lam * float(gaps.sum())
 
 
 class TestTouSchedule:
@@ -276,7 +276,7 @@ class TestTouSchedule:
                          soc_target=0.6, capacity_kwh=2.0, delta=0.075)
         config = StationConfig(180.0, 5 / 60, 1.0, T)
         res = solve(build_lp([s], price, config))
-        assert res.terminal_gaps[0] <= 1e-7
+        assert terminal_gaps(res, [s])[0] <= 1e-7
         assert np.all(res.power[0, 16 * 12:] <= 1e-8)
 
     def test_emissions_accounted_against_carbon(self):
