@@ -1,6 +1,6 @@
 """Carbon-aware EV charging scheduling toolkit."""
 
-from .carbon import CarbonIntensitySeries, compute_intensity, seasonal_profile
+from .carbon import CarbonIntensitySeries, compute_intensity
 from .ingest import (ChargingSession, GridMixSeries, LoadForecastSeries,
                      parse_grid_mix, parse_sessions, synth_sessions)
 from .scheduler import (ScheduleResult, StationConfig, build_lp,
@@ -11,8 +11,7 @@ __all__ = [
     "CarbonIntensitySeries", "ChargingSession", "GridMixSeries",
     "LoadForecastSeries", "ScheduleResult", "StationConfig", "TimeGrid",
     "build_lp", "carbon_schedule", "compute_intensity", "parse_grid_mix",
-    "parse_sessions", "seasonal_profile", "select_lambda", "solve",
-    "synth_sessions",
+    "parse_sessions", "select_lambda", "solve", "synth_sessions",
 ]
 
 __version__ = "0.1.0"

@@ -1,5 +1,5 @@
 """Grid carbon intensity: the generation-weighted average of per-source
-emission factors, plus seasonal aggregation and synthetic curves."""
+emission factors, and the calendar seasons reports group it by."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import ZeroTotalGeneration
 from .ingest import GridMixSeries
-from .timegrid import TimeGrid
 
 # Season partition by calendar month (Feb 29 lands in winter).
 MET_SEASONS: dict[str, frozenset[int]] = {
@@ -50,57 +49,3 @@ def compute_intensity(mix: GridMixSeries) -> CarbonIntensitySeries:
         raise ZeroTotalGeneration(int(zero[0]))
     values = (mix.power @ mix.factors) / totals
     return CarbonIntensitySeries(mix.timestamps, values)
-
-
-def seasonal_profile(series: CarbonIntensitySeries,
-                     seasons: dict[str, frozenset[int]] = MET_SEASONS,
-                     ) -> dict[str, np.ndarray]:
-    """Slot-of-day mean intensity per season.
-
-    Returns one daily curve (1440/slot_minutes values) for each season that
-    has data; seasons with no member days are absent from the result.
-    """
-    slot_minutes = series.slot_minutes
-    slots_per_day = 1440 // slot_minutes
-    if len(series.timestamps) < slots_per_day:
-        raise ValueError("series must span at least one day")
-
-    sums = {name: np.zeros(slots_per_day) for name in seasons}
-    counts = {name: np.zeros(slots_per_day) for name in seasons}
-    month_to_season = {m: name for name, months in seasons.items() for m in months}
-
-    for ts, v in zip(series.timestamps, series.values):
-        name = month_to_season.get(ts.month)
-        if name is None:
-            continue
-        slot = (ts.hour * 60 + ts.minute) // slot_minutes
-        sums[name][slot] += v
-        counts[name][slot] += 1
-
-    out = {}
-    for name in seasons:
-        if np.all(counts[name] > 0):
-            out[name] = sums[name] / counts[name]
-    return out
-
-
-def synthetic_duck_curve(grid: TimeGrid,
-                         night: float = 0.32,
-                         dip: float = 0.15,
-                         peak_hour: float = 13.0,
-                         width_hours: float = 3.0,
-                         dip_by_month: dict[int, float] | None = None,
-                         noise: float = 0.0,
-                         seed: int = 0) -> CarbonIntensitySeries:
-    """Duck-curve intensity: `night` baseline with a Gaussian midday dip of
-    depth `dip` (per-month override via dip_by_month)."""
-    rng = np.random.default_rng(seed)
-    timestamps = grid.timestamps()
-    values = np.empty(grid.n_slots)
-    for k, ts in enumerate(timestamps):
-        d = dip_by_month.get(ts.month, dip) if dip_by_month else dip
-        h = ts.hour + ts.minute / 60.0
-        values[k] = night - d * np.exp(-((h - peak_hour) ** 2) / (2 * width_hours ** 2))
-    if noise > 0:
-        values = np.maximum(values + rng.normal(0, noise, size=grid.n_slots), 0.0)
-    return CarbonIntensitySeries(tuple(timestamps), values)

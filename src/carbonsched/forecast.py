@@ -19,7 +19,6 @@ from datetime import datetime, timedelta
 from typing import IO, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .carbon import CarbonIntensitySeries
 from .errors import GridMismatch, InsufficientHistory, RankDeficient
@@ -107,6 +106,8 @@ def fit(data: tuple[np.ndarray, np.ndarray], seed: int = 0,
     Features are z-scored before solving the normal equations (Cholesky on
     the Gram matrix) and the coefficients are mapped back to raw space.
     """
+    import scipy.linalg  # about 0.2 s to import; only fitting needs it
+
     X, y = data
     if len(y) < 10:
         raise InsufficientHistory("need at least 10 feature rows")

@@ -17,16 +17,47 @@ with its emissions counted against the accounting signal.
 
 from __future__ import annotations
 
+import importlib.util
+import os
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize._highspy import _core as highs
 
 from .errors import (EmptyHorizon, NonFiniteValue, NumericalFailure,
                      SessionOutsideHorizon)
 from .ingest import ChargingSession
+
+
+def _load_highs():
+    """scipy's bundled HiGHS binding, `scipy.optimize._highspy._core`.
+
+    The usual import runs scipy.optimize's package __init__, which imports
+    most of scipy and takes longer than everything else a CLI run does at
+    start-up. The extension is therefore loaded from its file, under its
+    own name, without importing scipy. CPython keeps an extension module
+    per file and name, so a later `import scipy.optimize` gets this same
+    module object. If the file does not load, the usual import is used.
+    """
+    name = "scipy.optimize._highspy._core"
+    package = os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin),
+                           "optimize", "_highspy")
+    for suffix in EXTENSION_SUFFIXES:
+        path = os.path.join(package, "_core" + suffix)
+        spec = importlib.util.spec_from_file_location(
+            name, path, loader=ExtensionFileLoader(name, path))
+        try:
+            module = importlib.util.module_from_spec(spec)
+        except ImportError:  # no such file, or not loadable
+            continue
+        spec.loader.exec_module(module)
+        return module
+    from scipy.optimize._highspy import _core
+    return _core
+
+
+highs = _load_highs()
 
 # HiGHS is called through scipy's bundled binding, with the options that
 # scipy's own HiGHS front end sets and tighter feasibility tolerances; the
@@ -82,20 +113,37 @@ class ScheduleResult:
 
 
 @dataclass(frozen=True)
+class CscMatrix:
+    """A sparse matrix in compressed sparse column form, as HiGHS takes
+    it: column j holds data[indptr[j]:indptr[j + 1]] in the rows
+    indices[indptr[j]:indptr[j + 1]]."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+
+@dataclass(frozen=True)
 class LpInstance:
     """Assembled LP in standard form min c.x s.t. A_ub x <= b_ub, bounds.
 
     Column k is the power of session owner[k] in slot[k] (`session_slots`).
     Rows: one SoC row per session, then one station row per slot, so
-    column k has two entries, in rows owner[k] and n + slot[k]. Every
-    upper bound is finite: the owning session's power limit.
+    column k has two entries, in rows owner[k] and n + slot[k]. `a_ub` is
+    a plain `CscMatrix`, the arrays HiGHS is given. Every upper bound is
+    finite: the owning session's power limit.
     """
 
     sessions: tuple[ChargingSession, ...]
     config: StationConfig
     price: np.ndarray
     c: np.ndarray
-    a_ub: sp.csc_matrix
+    a_ub: CscMatrix
     b_ub: np.ndarray
     upper: np.ndarray  # per-variable upper bound
     owner: np.ndarray
@@ -137,11 +185,10 @@ def build_lp(sessions: Sequence[ChargingSession], price: np.ndarray,
     # Rows: the SoC cap g * sum(u) <= soc_target - soc_arrival, one per
     # session (u >= 0, so it bounds every partial sum too); the station
     # cap, one row per slot (kept even when no session is active).
-    a_ub = sp.csc_matrix(
-        (np.column_stack([g, np.ones(n_u)]).ravel(),
-         np.column_stack([owner, n + slot]).ravel(),
-         np.arange(0, 2 * n_u + 1, 2)),
-        shape=(n + T, n_u))
+    a_ub = CscMatrix(data=np.column_stack([g, np.ones(n_u)]).ravel(),
+                     indices=np.column_stack([owner, n + slot]).ravel(),
+                     indptr=np.arange(0, 2 * n_u + 1, 2),
+                     shape=(n + T, n_u))
     b = np.concatenate([request, np.full(T, float(config.power_cap_kw))])
     return LpInstance(
         sessions=tuple(sessions), config=config, price=price,

@@ -3,7 +3,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from carbonsched.carbon import synthetic_duck_curve
+from carbonsched.carbon import CarbonIntensitySeries
 from carbonsched.ingest import ChargingSession
 from carbonsched.timegrid import TimeGrid
 
@@ -53,5 +53,16 @@ def flexible_sessions(grid: TimeGrid, count: int, seed: int,
     return out
 
 
-def duck_curve(grid: TimeGrid, night=0.20, dip=0.15, **kw):
-    return synthetic_duck_curve(grid, night=night, dip=dip, **kw)
+def duck_curve(grid: TimeGrid, night=0.20, dip=0.15, peak_hour=13.0,
+               width_hours=3.0, noise=0.0, seed=0) -> CarbonIntensitySeries:
+    """Duck-curve intensity: `night` baseline with a Gaussian midday dip
+    of depth `dip`, plus optional clipped Gaussian noise."""
+    rng = np.random.default_rng(seed)
+    timestamps = grid.timestamps()
+    values = np.empty(grid.n_slots)
+    for k, ts in enumerate(timestamps):
+        h = ts.hour + ts.minute / 60.0
+        values[k] = night - dip * np.exp(-((h - peak_hour) ** 2) / (2 * width_hours ** 2))
+    if noise > 0:
+        values = np.maximum(values + rng.normal(0, noise, size=grid.n_slots), 0.0)
+    return CarbonIntensitySeries(tuple(timestamps), values)

@@ -9,18 +9,20 @@ library's objective. The online reference reuses the library's LP but
 re-solves at every pending slot, so it checks when the online controller
 may skip a solve. The baseline references are self-contained slot loops
 for equal sharing and earliest deadline first, which the library's
-allocation rules over `scheduler.run_slots` must match bit for bit. The LP reference solves
-through scipy's public `linprog`, and the SoC reference expands a power
-matrix one session at a time; the library's direct HiGHS call and its
-vectorised expansion must match them bit for bit. The CSV references write
-schedule.csv and shift.csv one session and one slot at a time; the CLI's
-files must match them byte for byte.
+allocation rules over `scheduler.run_slots` must match bit for bit. The LP
+reference solves through scipy's public `linprog`, on the scipy.sparse
+matrix that `scipy_matrix` rebuilds from the library's CSC arrays, and the
+SoC reference expands a power matrix one session at a time; the library's
+direct HiGHS call and its vectorised expansion must match them bit for
+bit. The CSV references write schedule.csv and shift.csv one session and
+one slot at a time; the CLI's files must match them byte for byte.
 """
 
 import itertools
 from dataclasses import replace
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from carbonsched.ingest import ChargingSession
@@ -223,10 +225,16 @@ def epigraph_optimum(sessions, price, config) -> float:
     return float(res.fun)
 
 
+def scipy_matrix(a):
+    """The scipy.sparse matrix of a `scheduler.CscMatrix`, from its arrays
+    as they are."""
+    return sp.csc_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+
+
 def linprog_solve(lp):
     """Solve an LpInstance through `linprog(method="highs")` with the
     library's tolerances: (x, objective, simplex iterations)."""
-    res = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub,
+    res = linprog(lp.c, A_ub=scipy_matrix(lp.a_ub), b_ub=lp.b_ub,
                   bounds=np.column_stack([np.zeros(len(lp.c)), lp.upper]),
                   method="highs",
                   options={"primal_feasibility_tolerance": 1e-10,

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from carbonsched.baselines import earliest_deadline_first, equal_sharing
-from carbonsched.carbon import compute_intensity, synthetic_duck_curve
+from carbonsched.carbon import compute_intensity
 from carbonsched.cli import main as cli_main
 from carbonsched.forecast import build_features, fit
 from carbonsched.ingest import GridMixSeries

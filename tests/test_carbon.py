@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from carbonsched import carbon, errors, ingest
 from carbonsched.timegrid import TimeGrid
 
-from conftest import make_grid
-
 UTC = timezone.utc
 
 
@@ -75,46 +73,3 @@ def test_intensity_properties(seed):
     perm = rng.permutation(n_src)
     permuted = carbon.compute_intensity(_mix(power[:, perm], factors[perm]))
     np.testing.assert_allclose(permuted.values, ci.values, rtol=1e-12)
-
-
-class TestSeasonalProfile:
-    def test_constant_series(self):
-        grid = make_grid(365)
-        ci = carbon.CarbonIntensitySeries(tuple(grid.timestamps()),
-                                          np.full(grid.n_slots, 0.3))
-        profiles = carbon.seasonal_profile(ci)
-        assert set(profiles) == {"spring", "summer", "autumn", "winter"}
-        for curve in profiles.values():
-            assert curve.shape == (288,)
-            np.testing.assert_allclose(curve, 0.3)
-
-    def test_single_spring_day(self):
-        grid = make_grid(1, start=datetime(2021, 4, 10, tzinfo=UTC))
-        ci = carbon.CarbonIntensitySeries(tuple(grid.timestamps()),
-                                          np.full(grid.n_slots, 0.25))
-        profiles = carbon.seasonal_profile(ci)
-        assert set(profiles) == {"spring"}
-
-    def test_spring_dip_deeper_than_winter(self):
-        grid = make_grid(365)
-        ci = carbon.synthetic_duck_curve(
-            grid, night=0.3, dip=0.1,
-            dip_by_month={3: 0.2, 4: 0.2, 5: 0.2})
-        profiles = carbon.seasonal_profile(ci)
-        midday = slice(12 * 12, 14 * 12)
-        assert profiles["spring"][midday].mean() \
-            < profiles["winter"][midday].mean() - 0.05
-
-    def test_under_one_day_rejected(self):
-        grid = TimeGrid(datetime(2021, 1, 1, tzinfo=UTC), 5, 100)
-        ci = carbon.CarbonIntensitySeries(tuple(grid.timestamps()),
-                                          np.full(100, 0.3))
-        with pytest.raises(ValueError):
-            carbon.seasonal_profile(ci)
-
-    def test_feb29_counts_as_winter(self):
-        grid = make_grid(2, start=datetime(2020, 2, 29, tzinfo=UTC))
-        ci = carbon.CarbonIntensitySeries(tuple(grid.timestamps()),
-                                          np.full(grid.n_slots, 0.4))
-        profiles = carbon.seasonal_profile(ci)
-        assert "winter" in profiles

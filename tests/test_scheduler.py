@@ -14,7 +14,7 @@ from carbonsched.scheduler import (StationConfig, build_lp, carbon_schedule,
 from conftest import make_session
 from oracles import (brute_force_objective, epigraph_optimum, linprog_solve,
                      loop_soc_and_gaps, naive_dense_lp, random_instance,
-                     resolution_bound, terminal_gaps)
+                     resolution_bound, scipy_matrix, terminal_gaps)
 from test_acceptance import criterion_2_instances
 
 
@@ -57,10 +57,10 @@ class TestBuildLp:
         np.testing.assert_array_equal(lp.upper, [7.5] * 4)
         # the SoC cap row weights every power var of the session by g
         # and stops the session at its target
-        np.testing.assert_array_equal(lp.a_ub.toarray()[0], [0.05] * 4)
+        np.testing.assert_array_equal(scipy_matrix(lp.a_ub).toarray()[0], [0.05] * 4)
         assert lp.b_ub[0] == pytest.approx(0.6 - 0.2)
         # station rows are the last six and each touches at most the u vars
-        station = lp.a_ub.toarray()[-6:]
+        station = scipy_matrix(lp.a_ub).toarray()[-6:]
         assert station[0].sum() == 0              # slot 0: session not active
         assert station[1].sum() == 1
 
@@ -77,7 +77,7 @@ class TestBuildLp:
         lp = build_lp(sessions, price, config)
         c, a, b, upper = naive_dense_lp(sessions, price, config)
         np.testing.assert_allclose(lp.c, c)
-        np.testing.assert_allclose(lp.a_ub.toarray(), a)
+        np.testing.assert_allclose(scipy_matrix(lp.a_ub).toarray(), a)
         np.testing.assert_allclose(lp.b_ub, b)
         np.testing.assert_allclose(lp.upper, upper)
 
@@ -91,7 +91,7 @@ class TestBuildLp:
         sessions, price, config = instance
         lp = build_lp(sessions, price, config)
         _, a, b, _ = naive_dense_lp(sessions, price, config)
-        np.testing.assert_array_equal(lp.a_ub.toarray(), a)
+        np.testing.assert_array_equal(scipy_matrix(lp.a_ub).toarray(), a)
         np.testing.assert_array_equal(lp.b_ub, b)
 
     def test_price_length_mismatch(self):
