@@ -171,13 +171,11 @@ def cmd_simulate(args) -> int:
            else _run_days("edf", plans, lams, args, intensity))
 
     def season_of_day(day: int) -> str:
-        ts = timestamps[plans[day][0]]
-        for name, months in carbon.MET_SEASONS.items():
-            if ts.month in months:
-                return name
-        return "unknown"
+        month = timestamps[plans[day][0]].month
+        return next(name for name, months in carbon.MET_SEASONS.items()
+                    if month in months)
 
-    report = metrics.make_report(args.policy, results, season_of_day).to_dict()
+    report = metrics.make_report(args.policy, results, season_of_day)
     if adaptive:    # each day ran under its own factor
         for row in report["per_day"]:
             row["lambda"] = lams[row["day"]]
@@ -223,8 +221,8 @@ def cmd_lambda_sweep(args) -> int:
     for lam in args.lambdas:
         report = metrics.make_report("carbon-offline", _run_days(
             "carbon-offline", plans, dict.fromkeys(plans, lam), args, intensity))
-        rows.append((lam, report.total_emissions_kg,
-                     100.0 * (1.0 - report.edq_station)))
+        rows.append((lam, report["total_emissions_kg"],
+                     100.0 * (1.0 - report["edq_station"])))
 
     with open(out_dir / "tradeoff.csv", "w", newline="") as f:
         f.write("lambda,emissions_kg,energy_loss_pct\n")
@@ -311,7 +309,7 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CarbonSchedError, OSError, ValueError, KeyError) as exc:
+    except (CarbonSchedError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,6 +27,12 @@ class MalformedNumber(CarbonSchedError):
         super().__init__(f"malformed number at row {row}, column {col!r}")
 
 
+class MalformedRow(CarbonSchedError):
+    def __init__(self, row: int, detail: str):  # row 0 is the header
+        self.row = row
+        super().__init__(f"malformed CSV {f'row {row}' if row else 'header'}: {detail}")
+
+
 class NonFiniteValue(CarbonSchedError):
     def __init__(self, what: str):
         self.what = what

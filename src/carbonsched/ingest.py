@@ -1,9 +1,12 @@
 """Input parsing and synthetic workload generation.
 
 CSV conventions: UTF-8 (a leading BOM is skipped), RFC 4180 quoting,
-ISO-8601 timestamps with offset. All parsers validate and reject;
-nothing is silently clamped except the documented timestamp snapping of
-charging sessions.
+ISO-8601 timestamps with offset. The first non-blank row is the header,
+with no repeated column; blank rows are skipped, and every other row has
+exactly the header's number of cells. Rows are numbered from 1 after the
+header, blank rows not counted. All parsers validate and reject; nothing
+is silently clamped except the documented timestamp snapping of charging
+sessions.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import csv
 import io
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -21,6 +24,7 @@ from .errors import (
     EmptyWindow,
     InvalidSoC,
     MalformedNumber,
+    MalformedRow,
     MissingSourceFactor,
     MixedTimezones,
     NonFiniteValue,
@@ -154,6 +158,31 @@ def _text(stream: IO) -> IO[str]:
     return stream
 
 
+def read_csv(stream: IO, required: Iterable[str] = ()
+             ) -> tuple[dict[str, int], Iterator[tuple[int, list[str]]]]:
+    """A CSV file's column positions by stripped name, in header order, and
+    an iterator of its numbered data rows, by this module's conventions.
+    Raises MalformedRow for an empty file, a repeated or missing `required`
+    column, or a row whose cell count is not the header's."""
+    reader = (row for row in csv.reader(_text(stream)) if row)
+    header = [name.strip() for name in next(reader, ())]
+    if not header:
+        raise MalformedRow(0, "the file is empty")
+    columns = {name: j for j, name in enumerate(header)}
+    if len(columns) < len(header):
+        raise MalformedRow(0, "a column name is repeated")
+    for name in required:
+        if name not in columns:
+            raise MalformedRow(0, f"no column {name!r}")
+
+    def rows():
+        for row_no, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise MalformedRow(row_no, f"{len(row)} cells, the header has {len(header)}")
+            yield row_no, row
+    return columns, rows()
+
+
 def _parse_ts(raw: str, row: int, col: str) -> datetime:
     try:
         return datetime.fromisoformat(raw.strip())
@@ -171,30 +200,27 @@ def _parse_float(raw: str, row: int, col: str) -> float:
 def parse_grid_mix(mix_file: IO, factors_file: IO) -> GridMixSeries:
     """Parse a fuel-mix CSV (`timestamp,<source>,...` in MW) plus a
     per-source emission-factor CSV (`source,kgco2_per_kwh`)."""
-    factors: dict[str, float] = {}
-    for row_no, row in enumerate(csv.DictReader(_text(factors_file)), start=1):
-        factors[row["source"].strip()] = _parse_float(row["kgco2_per_kwh"], row_no,
-                                                      "kgco2_per_kwh")
+    columns, rows = read_csv(factors_file, ("source", "kgco2_per_kwh"))
+    name, value = columns["source"], columns["kgco2_per_kwh"]
+    factors = {row[name].strip(): _parse_float(row[value], row_no, "kgco2_per_kwh")
+               for row_no, row in rows}
 
-    reader = csv.reader(_text(mix_file))
-    header = next(reader)
-    sources = [h.strip() for h in header[1:]]
+    columns, rows = read_csv(mix_file)
+    time_col, *sources = columns
     for name in sources:
         if name not in factors:
             raise MissingSourceFactor(name)
 
     timestamps: list[datetime] = []
-    rows: list[list[float]] = []
-    for row_no, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        timestamps.append(_parse_ts(row[0], row_no, header[0]))
-        rows.append([_parse_float(v, row_no, sources[j]) for j, v in enumerate(row[1:])])
+    power: list[list[float]] = []
+    for row_no, row in rows:
+        timestamps.append(_parse_ts(row[0], row_no, time_col))
+        power.append([_parse_float(v, row_no, sources[j]) for j, v in enumerate(row[1:])])
 
     return GridMixSeries(
         timestamps=tuple(timestamps),
         sources=tuple(sources),
-        power=np.asarray(rows, dtype=float).reshape(len(timestamps), len(sources)),
+        power=np.asarray(power, dtype=float).reshape(len(timestamps), len(sources)),
         factors=np.asarray([factors[s] for s in sources], dtype=float),
     )
 
@@ -213,10 +239,12 @@ def write_grid_mix(mix: GridMixSeries, mix_out: IO[str], factors_out: IO[str]) -
 
 def parse_load(load_file: IO) -> LoadForecastSeries:
     """Parse a load-forecast CSV `timestamp,load_mw`."""
+    columns, rows = read_csv(load_file, ("timestamp", "load_mw"))
+    t, v = columns["timestamp"], columns["load_mw"]
     timestamps, load = [], []
-    for row_no, row in enumerate(csv.DictReader(_text(load_file)), start=1):
-        timestamps.append(_parse_ts(row["timestamp"], row_no, "timestamp"))
-        load.append(_parse_float(row["load_mw"], row_no, "load_mw"))
+    for row_no, row in rows:
+        timestamps.append(_parse_ts(row[t], row_no, "timestamp"))
+        load.append(_parse_float(row[v], row_no, "load_mw"))
     return LoadForecastSeries(tuple(timestamps), np.asarray(load, dtype=float))
 
 
@@ -227,9 +255,12 @@ def parse_sessions(file: IO, grid: TimeGrid) -> list[ChargingSession]:
     DOWN, so charging never extends outside the true session window.
     Stamps must be naive exactly when the grid's are, and ids unique.
     """
+    columns, rows = read_csv(file, ("id", "arrival_ts", "depart_ts",
+                                    "soc_arrival", "soc_target"))
     out: list[ChargingSession] = []
     seen: set[str] = set()
-    for row_no, row in enumerate(csv.DictReader(_text(file)), start=1):
+    for row_no, cells in rows:
+        row = dict(zip(columns, cells))
         sid = row["id"].strip()
         if sid in seen:
             raise DuplicateSessionId(sid, row_no)
@@ -242,8 +273,8 @@ def parse_sessions(file: IO, grid: TimeGrid) -> list[ChargingSession]:
         if not (grid.contains(arrival) and grid.contains(depart)):
             raise SessionOutsideHorizon(sid)
 
-        t_arrival = max(0, grid.ceil_index(arrival))
-        t_depart = min(grid.n_slots, grid.floor_index(depart))
+        t_arrival = grid.ceil_index(arrival)
+        t_depart = grid.floor_index(depart)
         if t_arrival >= t_depart:
             raise EmptyWindow(sid)
 

@@ -1,13 +1,12 @@
 """Energy-delivery-quality and emission metrics, plus policy comparison.
 
-`make_report` builds every figure of a run's report; a session's delivery
-quality is its delivered SoC over its requested SoC, and 1.0 when it
-requests nothing.
+`make_report` builds every figure of a run's report, as the dict that
+report.json holds; a session's delivery quality is its delivered SoC over
+its requested SoC, and 1.0 when it requests nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -16,36 +15,6 @@ from .ingest import ChargingSession
 from .scheduler import ScheduleResult
 
 _EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Aggregate outcome of one policy run."""
-
-    policy: str
-    total_emissions_kg: float
-    emissions_per_session_kg: float
-    edq_station: float
-    edq_session: float
-    energy_delivered_kwh: float
-    n_sessions: int
-    per_day: tuple[dict, ...] = ()
-    per_season: dict[str, dict] | None = None
-
-    def to_dict(self) -> dict:
-        d = {
-            "policy": self.policy,
-            "total_emissions_kg": self.total_emissions_kg,
-            "emissions_per_session_kg": self.emissions_per_session_kg,
-            "edq_station": self.edq_station,
-            "edq_session": self.edq_session,
-            "energy_delivered_kwh": self.energy_delivered_kwh,
-            "n_sessions": self.n_sessions,
-            "per_day": list(self.per_day),
-        }
-        if self.per_season is not None:
-            d["per_season"] = self.per_season
-        return d
 
 
 def _delivered_requested(result: ScheduleResult,
@@ -64,9 +33,9 @@ def _ratio(delivered: float, requested: float) -> float:
 
 def make_report(policy: str,
                 days: Mapping[int, tuple[Sequence[ChargingSession], ScheduleResult]],
-                season_of_day: Callable[[int], str] | None = None) -> RunReport:
-    """Report of a run from its per-day (sessions, result) pairs, keyed by
-    day index.
+                season_of_day: Callable[[int], str] | None = None) -> dict:
+    """Report of a run, the dict report.json holds, from its per-day
+    (sessions, result) pairs keyed by day index.
 
     Every total is summed day by day in day order, each day's own sum
     first. `per_day` has one row per day; `per_season`, grouped by
@@ -96,37 +65,41 @@ def make_report(policy: str,
             bucket["requested"] += day_requested
             bucket["days"] += 1
     n = len(ratios)
-    return RunReport(
-        policy=policy,
-        total_emissions_kg=emissions,
-        emissions_per_session_kg=emissions / n if n else 0.0,
-        edq_station=_ratio(delivered, requested),
-        edq_session=float(np.mean(ratios)) if ratios else 1.0,
-        energy_delivered_kwh=energy,
-        n_sessions=n,
-        per_day=tuple(per_day),
-        per_season=None if season_of_day is None else {
+    report = {
+        "policy": policy,
+        "total_emissions_kg": emissions,
+        "emissions_per_session_kg": emissions / n if n else 0.0,
+        "edq_station": _ratio(delivered, requested),
+        "edq_session": float(np.mean(ratios)) if ratios else 1.0,
+        "energy_delivered_kwh": energy,
+        "n_sessions": n,
+        "per_day": per_day,
+    }
+    if season_of_day is not None:
+        report["per_season"] = {
             name: {"emissions_kg": b["emissions_kg"], "days": b["days"],
                    "edq_station": _ratio(b["delivered"], b["requested"])}
-            for name, b in sorted(seasons.items())},
-    )
+            for name, b in sorted(seasons.items())}
+    return report
 
 
-def compare(reports: Sequence[RunReport], base: RunReport) -> list[dict]:
-    """Per-policy comparison rows with percent deltas vs the `base` report.
+def compare(reports: Sequence[dict], base: dict) -> list[dict]:
+    """Per-policy comparison rows of `make_report` dicts, with percent
+    deltas vs the `base` report.
 
     Deltas are 100*(base - x)/base, computed from unrounded values, so a
     positive emissions delta is a reduction.
     """
-    def pct(b: float, x: float) -> float:
-        return 100.0 * (b - x) / b if abs(b) > _EPS else 0.0
+    def pct(key: str, r: dict) -> float:
+        b = base[key]
+        return 100.0 * (b - r[key]) / b if abs(b) > _EPS else 0.0
 
     return [{
-        "policy": r.policy,
-        "emissions_per_session_kg": r.emissions_per_session_kg,
-        "total_emissions_kg": r.total_emissions_kg,
-        "edq_station": r.edq_station,
-        "edq_session": r.edq_session,
-        "emissions_reduction_pct": pct(base.total_emissions_kg, r.total_emissions_kg),
-        "edq_station_change_pct": pct(base.edq_station, r.edq_station),
+        "policy": r["policy"],
+        "emissions_per_session_kg": r["emissions_per_session_kg"],
+        "total_emissions_kg": r["total_emissions_kg"],
+        "edq_station": r["edq_station"],
+        "edq_session": r["edq_session"],
+        "emissions_reduction_pct": pct("total_emissions_kg", r),
+        "edq_station_change_pct": pct("edq_station", r),
     } for r in reports]

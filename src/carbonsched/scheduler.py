@@ -116,7 +116,8 @@ class ScheduleResult:
 class CscMatrix:
     """A sparse matrix in compressed sparse column form, as HiGHS takes
     it: column j holds data[indptr[j]:indptr[j + 1]] in the rows
-    indices[indptr[j]:indptr[j + 1]]."""
+    indices[indptr[j]:indptr[j + 1]]. `indices` and `indptr` are int32,
+    HiGHS's index type, so HiGHS reads them without a copy."""
 
     data: np.ndarray
     indices: np.ndarray
@@ -186,8 +187,8 @@ def build_lp(sessions: Sequence[ChargingSession], price: np.ndarray,
     # session (u >= 0, so it bounds every partial sum too); the station
     # cap, one row per slot (kept even when no session is active).
     a_ub = CscMatrix(data=np.column_stack([g, np.ones(n_u)]).ravel(),
-                     indices=np.column_stack([owner, n + slot]).ravel(),
-                     indptr=np.arange(0, 2 * n_u + 1, 2),
+                     indices=np.column_stack([owner, n + slot]).ravel().astype(np.int32),
+                     indptr=np.arange(0, 2 * n_u + 1, 2, dtype=np.int32),
                      shape=(n + T, n_u))
     b = np.concatenate([request, np.full(T, float(config.power_cap_kw))])
     return LpInstance(
@@ -205,26 +206,14 @@ def solve_lp(lp: LpInstance) -> tuple[np.ndarray, float, int]:
     """
     if not all(np.isfinite(v).all() for v in (lp.c, lp.a_ub.data, lp.b_ub, lp.upper)):
         raise NonFiniteValue("LP cost, constraint or bound")
-    m, n = lp.a_ub.shape
-    model = highs.HighsLp()
-    model.num_col_ = n
-    model.num_row_ = m
-    model.col_cost_ = lp.c
-    model.col_lower_ = np.zeros(n)
-    model.col_upper_ = lp.upper
-    model.row_lower_ = np.full(m, -highs.kHighsInf)
-    model.row_upper_ = lp.b_ub
-    matrix = model.a_matrix_
-    matrix.format_ = highs.MatrixFormat.kColwise
-    matrix.num_col_ = n
-    matrix.num_row_ = m
-    matrix.start_ = lp.a_ub.indptr
-    matrix.index_ = lp.a_ub.indices
-    matrix.value_ = lp.a_ub.data
-
+    a = lp.a_ub
+    m, n = a.shape
     solver = highs._Highs()
     solver.passOptions(_HIGHS_OPTIONS)
-    solver.passModel(model)
+    # (cols, rows, nnz, format, sense, offset, cost, col bounds, row bounds, CSC, integrality)
+    solver.passModel(n, m, a.nnz, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize,
+                     0.0, lp.c, np.zeros(n), lp.upper, np.full(m, -highs.kHighsInf),
+                     lp.b_ub, a.indptr, a.indices, a.data, np.zeros(n, dtype=np.int32))
     solver.run()
     status = solver.getModelStatus()
     info = solver.getInfo()

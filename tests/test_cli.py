@@ -240,6 +240,8 @@ _NAN_MIX = ("timestamp,gas\n2021-01-01T00:00:00+00:00,100\n"
             "2021-01-01T00:05:00+00:00,nan\n2021-01-01T00:10:00+00:00,100\n")
 _FACTORS = "source,kgco2_per_kwh\ngas,0.4\n"
 _ONE_ROW_MIX = "timestamp,gas\n2021-01-01T00:00:00+00:00,100\n"
+_MIX = ("timestamp,gas\n2021-01-01T00:00:00+00:00,100\n"
+        "2021-01-01T00:05:00+00:00,100\n")
 # One day on the synthetic grid, so only the nan cell is wrong.
 _NAN_LOAD = "timestamp,load_mw\n" + "".join(
     f"2021-01-01T{k // 12:02d}:{5 * (k % 12):02d}:00+00:00,"
@@ -271,6 +273,26 @@ _NAN_LOAD = "timestamp,load_mw\n" + "".join(
     pytest.param({"load.csv": _NAN_LOAD},
                  ("--load", "load.csv", "--policy", "carbon-online",
                   "--online-forecast", "model"), id="load-nan-cell"),
+    pytest.param({"mix.csv": _MIX.replace(",100\n", ",100,7\n", 1),
+                  "factors.csv": _FACTORS},
+                 ("--mix", "mix.csv", "--factors", "factors.csv"), id="mix-long-row"),
+    pytest.param({"mix.csv": "timestamp,gas,solar\n2021-01-01T00:00:00+00:00,1,2\n"
+                             "2021-01-01T00:05:00+00:00,1\n",
+                  "factors.csv": _FACTORS + "solar,0.0\n"},
+                 ("--mix", "mix.csv", "--factors", "factors.csv"), id="mix-short-row"),
+    pytest.param({"mix.csv": "", "factors.csv": _FACTORS},
+                 ("--mix", "mix.csv", "--factors", "factors.csv"), id="mix-empty-file"),
+    pytest.param({"mix.csv": _MIX, "factors.csv": _FACTORS + "solar\n"},
+                 ("--mix", "mix.csv", "--factors", "factors.csv"),
+                 id="factors-short-row"),
+    pytest.param({"load.csv": _NAN_LOAD.replace(",nan\n", "\n")},
+                 ("--load", "load.csv", "--policy", "carbon-online",
+                  "--online-forecast", "model"), id="load-short-row"),
+    pytest.param({"s.csv": _SESSIONS_HEADER + _session_row().replace(",7.5\n", "\n")},
+                 ("--sessions", "s.csv"), id="sessions-short-row"),
+    pytest.param({"s.csv": _SESSIONS_HEADER.replace("depart_ts,", "")
+                  + "a,2021-01-01T08:00:00+00:00,0.2,0.6,50,7.5\n"},
+                 ("--sessions", "s.csv"), id="sessions-without-depart-ts"),
     pytest.param({}, ("--lambda", "nan"), id="lambda-nan"),
     pytest.param({}, ("--lambda", "inf"), id="lambda-inf"),
     pytest.param({}, ("--lambda", "nan", "--policy", "carbon-adaptive"),
@@ -287,7 +309,7 @@ def test_boundary_input_exits_1(tmp_path, capsys, files, args):
                    "--out-dir", str(tmp_path / "out"))
     err = capsys.readouterr().err
     assert code == 1
-    assert "error:" in err
+    assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "report.json").exists()
 
@@ -490,16 +512,18 @@ _VALID_INPUTS = {
 def _mutated_inputs(draw):
     """The valid inputs with up to four edits: a cell replaced by a naive
     or shifted stamp, nan, inf, a negative, empty or malformed number or
-    another row's id; a row duplicated; two rows swapped; a BOM."""
+    another row's id; a row duplicated; two rows swapped; a row cut short
+    or given an extra cell; a BOM; the file emptied."""
     files = {name: [row[:] for row in rows] for name, rows in _VALID_INPUTS.items()}
-    boms = set()
+    boms, empty = set(), set()
     for _ in range(draw(st.integers(0, 4))):
         name = draw(st.sampled_from(sorted(files)))
         rows = files[name]
         r = draw(st.integers(1, len(rows) - 1))
-        edit = draw(st.sampled_from(("cell", "duplicate", "swap", "bom")))
+        edit = draw(st.sampled_from(("cell", "duplicate", "swap", "short", "long",
+                                     "bom", "empty")))
         if edit == "cell":
-            c = draw(st.integers(0, len(rows[0]) - 1))
+            c = draw(st.integers(0, min(len(rows[0]), len(rows[r])) - 1))
             col = rows[0][c]
             if col in _STAMP_COLUMNS:
                 cell = draw(st.sampled_from((
@@ -515,10 +539,16 @@ def _mutated_inputs(draw):
         elif edit == "swap":
             r2 = draw(st.integers(1, len(rows) - 1))
             rows[r], rows[r2] = rows[r2], rows[r]
-        else:
+        elif edit == "short":
+            rows[r] = rows[r][:draw(st.integers(1, max(1, len(rows[r]) - 1)))]
+        elif edit == "long":
+            rows[r].append(draw(st.sampled_from(("", "1"))))
+        elif edit == "bom":
             boms.add(name)
-    texts = {name: ("\ufeff" if name in boms else "")
-             + "".join(",".join(row) + "\n" for row in rows)
+        else:
+            empty.add(name)
+    texts = {name: ("\ufeff" if name in boms else "") + ("" if name in empty else
+             "".join(",".join(row) + "\n" for row in rows))
              for name, rows in files.items()}
     return texts, draw(st.sampled_from(POLICIES))
 

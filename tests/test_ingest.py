@@ -236,6 +236,54 @@ class TestBinaryStreams:
         assert parse(b"\xef\xbb\xbf") == parse(b"")
 
 
+_FACTORS = "source,kgco2_per_kwh\nsolar,0.0\ngas,0.4\n"
+_MIX = ("timestamp,solar,gas\n2021-01-01T00:00:00+00:00,1,1\n"
+        "2021-01-01T00:05:00+00:00,1,1\n")
+_PARSERS = {
+    "mix": (_MIX, lambda f: ingest.parse_grid_mix(f, io.StringIO(_FACTORS))),
+    "factors": (_FACTORS, lambda f: ingest.parse_grid_mix(io.StringIO(_MIX), f)),
+    "load": ("timestamp,load_mw\n2021-01-01T00:00:00+00:00,24000\n"
+             "2021-01-01T00:05:00+00:00,24000\n", ingest.parse_load),
+    "sessions": ("id,arrival_ts,depart_ts,soc_arrival,soc_target\n"
+                 "a,2021-01-01T08:00:00+00:00,2021-01-01T12:00:00+00:00,0.2,0.6\n"
+                 "b,2021-01-01T09:00:00+00:00,2021-01-01T11:00:00+00:00,0.2,0.6\n",
+                 lambda f: ingest.parse_sessions(f, make_grid(1))),
+}
+
+
+@pytest.mark.parametrize("parser", sorted(_PARSERS))
+class TestMalformedRows:
+    """Every parser reads its file through `read_csv`: the header's cell
+    count binds every row, blank rows are skipped and not counted."""
+
+    def _parse(self, parser, text):
+        return _PARSERS[parser][1](io.StringIO(text))
+
+    @pytest.mark.parametrize("edit", [lambda row: row[:row.rindex(",")],
+                                      lambda row: row + ",1"], ids=["short", "long"])
+    def test_error_names_the_row(self, parser, edit):
+        header, first, second = _PARSERS[parser][0].splitlines()
+        self._parse(parser, "\n".join([header, first, second]) + "\n")
+        with pytest.raises(errors.MalformedRow, match="row 2: ") as exc:
+            self._parse(parser, "\n".join([header, "", first, "", edit(second)]) + "\n")
+        assert exc.value.row == 2
+
+    def test_empty_file(self, parser):
+        with pytest.raises(errors.MalformedRow, match="header: the file is empty"):
+            self._parse(parser, "")
+
+    def test_missing_or_repeated_column(self, parser):
+        header, *rows = _PARSERS[parser][0].splitlines()
+        last = header.rsplit(",", 1)[1]
+        with pytest.raises(errors.MalformedRow, match="header: a column name is repeated"):
+            self._parse(parser, "\n".join([f"{header},{last}",
+                                           *(f"{r},1" for r in rows)]) + "\n")
+        if parser != "mix":    # the mix's columns are positional
+            with pytest.raises(errors.MalformedRow, match=f"header: no column {last!r}"):
+                self._parse(parser, "\n".join(
+                    [header.rsplit(",", 1)[0], *(r.rsplit(",", 1)[0] for r in rows)]) + "\n")
+
+
 class TestSynthSessions:
     def test_count_zero(self, day_grid):
         assert ingest.synth_sessions(0, day_grid, seed=1) == []

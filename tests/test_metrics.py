@@ -4,18 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carbonsched import metrics
-from carbonsched.metrics import RunReport, compare, make_report
+from carbonsched.metrics import compare, make_report
 from carbonsched.scheduler import StationConfig, result_from_power
 
 from conftest import make_session
 
 
 def edq_station(result, sessions):
-    return make_report("p", {0: (sessions, result)}).edq_station
+    return make_report("p", {0: (sessions, result)})["edq_station"]
 
 
 def edq_session(result, sessions):
-    return make_report("p", {0: (sessions, result)}).edq_session
+    return make_report("p", {0: (sessions, result)})["edq_session"]
 
 
 def _result(sessions, delivered_soc, T=12):
@@ -111,9 +111,10 @@ class TestEdq:
 
 
 def _report(policy, emissions):
-    return RunReport(policy=policy, total_emissions_kg=emissions,
-                     emissions_per_session_kg=emissions, edq_station=1.0,
-                     edq_session=1.0, energy_delivered_kwh=10.0, n_sessions=1)
+    return {"policy": policy, "total_emissions_kg": emissions,
+            "emissions_per_session_kg": emissions, "edq_station": 1.0,
+            "edq_session": 1.0, "energy_delivered_kwh": 10.0, "n_sessions": 1,
+            "per_day": []}
 
 
 class TestCompare:
@@ -138,13 +139,12 @@ class TestMakeReport:
         sessions = _two_sessions()
         res, _ = _result(sessions, [0.2, 0.2])
         rep = make_report("test", {0: (sessions, res)})
-        assert rep.n_sessions == 2
-        assert rep.edq_station == pytest.approx(2.0 / 3.0)
-        assert rep.energy_delivered_kwh == pytest.approx(4.0)
-        assert rep.total_emissions_kg == res.emissions_kg
-        d = rep.to_dict()
-        assert d["policy"] == "test"
-        assert d["per_day"] == [{"day": 0, "n_sessions": 2,
-                                 "emissions_kg": res.emissions_kg,
-                                 "edq_station": rep.edq_station}]
-        assert "per_season" not in d
+        assert rep["n_sessions"] == 2
+        assert rep["edq_station"] == pytest.approx(2.0 / 3.0)
+        assert rep["energy_delivered_kwh"] == pytest.approx(4.0)
+        assert rep["total_emissions_kg"] == res.emissions_kg
+        assert rep["policy"] == "test"
+        assert rep["per_day"] == [{"day": 0, "n_sessions": 2,
+                                   "emissions_kg": res.emissions_kg,
+                                   "edq_station": rep["edq_station"]}]
+        assert "per_season" not in rep
