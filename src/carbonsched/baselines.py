@@ -19,12 +19,9 @@ from .scheduler import ScheduleResult, StationConfig, run_slots
 _EPS = 1e-12
 
 
-def _caps(sessions: Sequence[ChargingSession], idx: list[int],
-          soc: np.ndarray) -> list[float]:
-    """Per-EV cap of each of `idx`, or the power reaching its target if lower."""
-    return [min(sessions[i].power_max_kw,
-                max(sessions[i].soc_target - soc[i], 0.0)
-                * sessions[i].capacity_kwh / sessions[i].delta) for i in idx]
+def _cap(s: ChargingSession, soc: float) -> float:
+    """Per-EV cap of `s`, or the power reaching its target if lower."""
+    return min(s.power_max_kw, max(s.soc_target - soc, 0.0) * s.capacity_kwh / s.delta)
 
 
 def _water_fill(budget: float, caps: list[float]) -> list[float]:
@@ -53,7 +50,7 @@ def equal_sharing(sessions: Sequence[ChargingSession], config: StationConfig,
     water-filling over their per-slot caps."""
     def decide(t, active, pending, soc):
         return pending, _water_fill(config.power_cap_kw,
-                                    _caps(sessions, pending, soc))
+                                    [_cap(sessions[i], soc[i]) for i in pending])
     return run_slots(sessions, config, carbon, decide)
 
 
@@ -67,10 +64,10 @@ def earliest_deadline_first(sessions: Sequence[ChargingSession],
     def decide(t, active, pending, soc):
         order = sorted(pending, key=key.__getitem__)
         budget, alloc = config.power_cap_kw, []
-        for cap in _caps(sessions, order, soc):
+        for i in order:
             if budget <= _EPS:
                 break
-            alloc.append(min(cap, budget))
+            alloc.append(min(_cap(sessions[i], soc[i]), budget))
             budget -= alloc[-1]
         return order, alloc
     return run_slots(sessions, config, carbon, decide)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, carbon, forecast, ingest, metrics, online, scheduler
-from .errors import CarbonSchedError, NumericalFailure
+from .errors import CarbonSchedError, InsufficientHistory, NumericalFailure
 from .timegrid import TimeGrid
 
 POLICIES = ("carbon-offline", "carbon-online", "es", "edf", "tou", "carbon-adaptive")
@@ -40,9 +40,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(f"error: {message}")
 
 
+@contextlib.contextmanager
+def _input(flag: str, path: str):
+    """The file at `path`, opened for a parser; an input error found in it
+    names `flag` and `path`."""
+    with open(path, "rb") as f:
+        try:
+            yield f
+        except CarbonSchedError as exc:
+            if exc.where == path:
+                exc.where = f"{flag} {path}"
+            raise
+
+
 def _load_intensity(args) -> carbon.CarbonIntensitySeries:
     if args.mix and args.factors:
-        with open(args.mix, "rb") as mf, open(args.factors, "rb") as ff:
+        with _input("--mix", args.mix) as mf, _input("--factors", args.factors) as ff:
             mix = ingest.parse_grid_mix(mf, ff)
         if args.exclude_negative:
             mix = mix.drop_negative_sources()
@@ -60,7 +73,7 @@ def _grid_of(series: carbon.CarbonIntensitySeries) -> TimeGrid:
 
 def _load_sessions(args, grid: TimeGrid) -> list[ingest.ChargingSession]:
     if args.sessions:
-        with open(args.sessions, "rb") as f:
+        with _input("--sessions", args.sessions) as f:
             return ingest.parse_sessions(f, grid)
     n_days = max(1, int(grid.n_slots * grid.slot_minutes) // 1440)
     return ingest.synth_sessions(args.synth_sessions_per_day * n_days, grid,
@@ -70,7 +83,7 @@ def _load_sessions(args, grid: TimeGrid) -> list[ingest.ChargingSession]:
 
 def _load_load(args, timestamps) -> ingest.LoadForecastSeries:
     if args.load:
-        with open(args.load, "rb") as f:
+        with _input("--load", args.load) as f:
             return ingest.parse_load(f)
     hours = np.array([ts.hour + ts.minute / 60.0 for ts in timestamps])
     rng = np.random.default_rng(args.seed + 1)
@@ -100,12 +113,13 @@ def _day_plans(sessions, grid: TimeGrid) -> dict[int, tuple[int, int, list]]:
     return plans
 
 
-def _run_days(policy, plans, lams, args, intensity, model_forecaster=None,
+def _run_days(policy, plans, lams, args, intensity, forecasters=None,
               log=None) -> dict:
-    """Per day of `plans`: its sessions and `policy`'s schedule at `lams[day]`."""
+    """Per day of `plans`: its sessions and `policy`'s schedule at `lams[day]`.
+    `forecasters[day]`, if given, is the day's model forecaster."""
     grid = _grid_of(intensity)
 
-    def schedule(rel, off, horizon, lam):
+    def schedule(day, rel, off, horizon, lam):
         cvals = intensity.values[off:off + horizon]
         config = scheduler.StationConfig(args.power_cap_kw, grid.slot_hours,
                                          lam, horizon)
@@ -120,18 +134,15 @@ def _run_days(policy, plans, lams, args, intensity, model_forecaster=None,
         if policy in ("carbon-offline", "carbon-adaptive"):
             return scheduler.carbon_schedule(rel, cvals, config)
         if policy == "carbon-online":
-            if args.online_forecast == "model":
-                fc = online.ModelForecaster(model_forecaster[0], intensity,
-                                            model_forecaster[1], sim_start=off)
-            else:
-                fc = online.PerfectForecaster(intensity.values[off:],
-                                              1440 // grid.slot_minutes)
+            fc = (forecasters[day] if forecasters is not None else
+                  online.PerfectForecaster(intensity.values[off:],
+                                           1440 // grid.slot_minutes))
             return online.run_online(
                 rel, fc, cvals, replace(config, horizon_slots=args.horizon),
                 horizon, log_out=log, slot_offset=off)
         raise CarbonSchedError(f"unknown policy {policy!r}")
 
-    return {day: (rel, schedule(rel, off, horizon, lams[day]))
+    return {day: (rel, schedule(day, rel, off, horizon, lams[day]))
             for day, (off, horizon, rel) in plans.items()}
 
 
@@ -143,19 +154,28 @@ def _check_lambdas(flag: str, values) -> None:
 
 def cmd_simulate(args) -> int:
     _check_lambdas("--lambda", [args.lam])
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     intensity = _load_intensity(args)
     grid = _grid_of(intensity)
     timestamps = intensity.timestamps
     plans = _day_plans(_load_sessions(args, grid), grid)
 
-    model_forecaster = None
+    forecasters = None
     if args.policy == "carbon-online" and args.online_forecast == "model":
         load = _load_load(args, timestamps)
+        history_h = forecast.MA_WINDOWS_H[0]
+        for day, (off, _, _) in plans.items():
+            if off * grid.slot_minutes < 60 * history_h:
+                raise InsufficientHistory(
+                    f"day {day}: the model forecast needs {history_h:g} h of observed "
+                    f"intensity before the day starts, and the series has "
+                    f"{off * grid.slot_minutes / 60:g} h")
         model, _, _ = forecast.fit(forecast.build_features(intensity, load),
                                    seed=args.seed)
-        model_forecaster = (model, load)
+        forecasters = {day: online.ModelForecaster(model, intensity, load, sim_start=off)
+                       for day, (off, _, _) in plans.items()}
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     adaptive = args.policy == "carbon-adaptive"
     lams = {day: scheduler.select_lambda(len(rel)) if adaptive else args.lam
@@ -166,7 +186,7 @@ def cmd_simulate(args) -> int:
         if log:
             csv.writer(log).writerow(online.DECISION_LOG_HEADER)
         results = _run_days(args.policy, plans, lams, args, intensity,
-                            model_forecaster, log)
+                            forecasters, log)
     edf = (results if args.policy == "edf"
            else _run_days("edf", plans, lams, args, intensity))
 

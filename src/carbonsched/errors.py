@@ -2,7 +2,14 @@
 
 
 class CarbonSchedError(Exception):
-    """Base class for all carbonsched errors."""
+    """Base class for all carbonsched errors. `where`, when set, names the
+    input the error was found in, and the message starts with it."""
+
+    where: str | None = None
+
+    def __str__(self):
+        text = super().__str__()
+        return text if self.where is None else f"{self.where}: {text}"
 
 
 # --- ingestion ---

@@ -145,14 +145,16 @@ def predict(model: ForecastModel, X: np.ndarray) -> np.ndarray:
 
 def rollout(model: ForecastModel, observed: np.ndarray, start: int, horizon: int,
             timestamps: Sequence[datetime], load_mw: np.ndarray,
-            slot_minutes: int) -> np.ndarray:
+            slot_minutes: int, cols: np.ndarray | None = None) -> np.ndarray:
     """Recursive day-ahead rollout.
 
     Forecast slots start..start+horizon-1 given the true intensity of the
     trailing 24 h, `observed[start-w24:start]`; nothing earlier is read.
     Moving averages past the observed prefix are fed from prior
     predictions. `timestamps`/`load_mw` index the same grid; slots past
-    their end reuse the final day cyclically.
+    their end reuse the final day cyclically. `cols`, if given, is
+    `_base_columns` of the forecast slots, built beforehand; the rollout
+    then does not read `timestamps` or `load_mw`.
 
     Costs O(horizon) per call: the non-lagged terms of every slot come
     from one matrix product, and the three moving averages are running
@@ -161,7 +163,8 @@ def rollout(model: ForecastModel, observed: np.ndarray, start: int, horizon: int
     w24, w12, w1 = _ma_slots(slot_minutes)
     if start < w24:
         raise InsufficientHistory(f"rollout needs {w24} observed slots, got {start}")
-    cols = _base_columns(timestamps, load_mw, start, start + horizon, slot_minutes)
+    if cols is None:
+        cols = _base_columns(timestamps, load_mw, start, start + horizon, slot_minutes)
     beta = model.beta
     n_base = cols.shape[1]
     base = (beta[0] + cols @ beta[1:1 + n_base]).tolist()

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from typing import IO, Iterable, Iterator
@@ -20,6 +22,7 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from .errors import (
+    CarbonSchedError,
     DuplicateSessionId,
     EmptyWindow,
     InvalidSoC,
@@ -163,9 +166,12 @@ def read_csv(stream: IO, required: Iterable[str] = ()
     """A CSV file's column positions by stripped name, in header order, and
     an iterator of its numbered data rows, by this module's conventions.
     Raises MalformedRow for an empty file, a repeated or missing `required`
-    column, or a row whose cell count is not the header's."""
-    reader = (row for row in csv.reader(_text(stream)) if row)
-    header = [name.strip() for name in next(reader, ())]
+    column, or a row whose cell count is not the header's.
+
+    The rows stay lazy: one generator reads them one at a time, skipping
+    blank rows and checking each row's cell count in the same loop."""
+    reader = csv.reader(_text(stream))
+    header = [name.strip() for name in next((row for row in reader if row), ())]
     if not header:
         raise MalformedRow(0, "the file is empty")
     columns = {name: j for j, name in enumerate(header)}
@@ -175,12 +181,28 @@ def read_csv(stream: IO, required: Iterable[str] = ()
         if name not in columns:
             raise MalformedRow(0, f"no column {name!r}")
 
-    def rows():
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise MalformedRow(row_no, f"{len(row)} cells, the header has {len(header)}")
-            yield row_no, row
+    def rows(width=len(header)):
+        row_no = 0
+        for row in reader:
+            if row:
+                row_no += 1
+                if len(row) != width:
+                    raise MalformedRow(row_no, f"{len(row)} cells, the header has {width}")
+                yield row_no, row
     return columns, rows()
+
+
+@contextmanager
+def _naming(stream: IO):
+    """Let an input error raised while `stream` is read name the file, when
+    the stream has a file name (it was opened by path)."""
+    try:
+        yield
+    except CarbonSchedError as exc:
+        name = getattr(stream, "name", None)
+        if exc.where is None and isinstance(name, str):
+            exc.where = name
+        raise
 
 
 def _parse_ts(raw: str, row: int, col: str) -> datetime:
@@ -199,30 +221,43 @@ def _parse_float(raw: str, row: int, col: str) -> float:
 
 def parse_grid_mix(mix_file: IO, factors_file: IO) -> GridMixSeries:
     """Parse a fuel-mix CSV (`timestamp,<source>,...` in MW) plus a
-    per-source emission-factor CSV (`source,kgco2_per_kwh`)."""
-    columns, rows = read_csv(factors_file, ("source", "kgco2_per_kwh"))
-    name, value = columns["source"], columns["kgco2_per_kwh"]
-    factors = {row[name].strip(): _parse_float(row[value], row_no, "kgco2_per_kwh")
-               for row_no, row in rows}
+    per-source emission-factor CSV (`source,kgco2_per_kwh`). An input
+    error names the file it was found in."""
+    with _naming(factors_file):
+        columns, rows = read_csv(factors_file, ("source", "kgco2_per_kwh"))
+        name, value = columns["source"], columns["kgco2_per_kwh"]
+        factors = {row[name].strip(): _parse_float(row[value], row_no, "kgco2_per_kwh")
+                   for row_no, row in rows}
+        if not all(map(math.isfinite, factors.values())):
+            raise NonFiniteValue("emission factors")
 
-    columns, rows = read_csv(mix_file)
-    time_col, *sources = columns
-    for name in sources:
-        if name not in factors:
-            raise MissingSourceFactor(name)
+    with _naming(mix_file):
+        columns, rows = read_csv(mix_file)
+        time_col, *sources = columns
+        for name in sources:
+            if name not in factors:
+                raise MissingSourceFactor(name)
 
-    timestamps: list[datetime] = []
-    power: list[list[float]] = []
-    for row_no, row in rows:
-        timestamps.append(_parse_ts(row[0], row_no, time_col))
-        power.append([_parse_float(v, row_no, sources[j]) for j, v in enumerate(row[1:])])
+        # Whole rows convert with the builtins; the per-cell parsers run
+        # only to name the cell of a row that failed.
+        timestamps: list[datetime] = []
+        power: list[float] = []
+        for row_no, row in rows:
+            try:
+                timestamps.append(datetime.fromisoformat(row[0].strip()))
+                power.extend(map(float, row[1:]))
+            except ValueError:
+                _parse_ts(row[0], row_no, time_col)
+                for j, v in enumerate(row[1:]):
+                    _parse_float(v, row_no, sources[j])
+                raise
 
-    return GridMixSeries(
-        timestamps=tuple(timestamps),
-        sources=tuple(sources),
-        power=np.asarray(power, dtype=float).reshape(len(timestamps), len(sources)),
-        factors=np.asarray([factors[s] for s in sources], dtype=float),
-    )
+        return GridMixSeries(
+            timestamps=tuple(timestamps),
+            sources=tuple(sources),
+            power=np.asarray(power, dtype=float).reshape(len(timestamps), len(sources)),
+            factors=np.asarray([factors[s] for s in sources], dtype=float),
+        )
 
 
 def write_grid_mix(mix: GridMixSeries, mix_out: IO[str], factors_out: IO[str]) -> None:
@@ -238,14 +273,21 @@ def write_grid_mix(mix: GridMixSeries, mix_out: IO[str], factors_out: IO[str]) -
 
 
 def parse_load(load_file: IO) -> LoadForecastSeries:
-    """Parse a load-forecast CSV `timestamp,load_mw`."""
-    columns, rows = read_csv(load_file, ("timestamp", "load_mw"))
-    t, v = columns["timestamp"], columns["load_mw"]
-    timestamps, load = [], []
-    for row_no, row in rows:
-        timestamps.append(_parse_ts(row[t], row_no, "timestamp"))
-        load.append(_parse_float(row[v], row_no, "load_mw"))
-    return LoadForecastSeries(tuple(timestamps), np.asarray(load, dtype=float))
+    """Parse a load-forecast CSV `timestamp,load_mw`. An input error names
+    the file it was found in."""
+    with _naming(load_file):
+        columns, rows = read_csv(load_file, ("timestamp", "load_mw"))
+        t, v = columns["timestamp"], columns["load_mw"]
+        timestamps, load = [], []
+        for row_no, row in rows:
+            try:
+                timestamps.append(datetime.fromisoformat(row[t].strip()))
+                load.append(float(row[v]))
+            except ValueError:
+                _parse_ts(row[t], row_no, "timestamp")
+                _parse_float(row[v], row_no, "load_mw")
+                raise
+        return LoadForecastSeries(tuple(timestamps), np.asarray(load, dtype=float))
 
 
 def parse_sessions(file: IO, grid: TimeGrid) -> list[ChargingSession]:
@@ -254,47 +296,49 @@ def parse_sessions(file: IO, grid: TimeGrid) -> list[ChargingSession]:
     Arrival rounds UP to the next slot boundary and departure rounds
     DOWN, so charging never extends outside the true session window.
     Stamps must be naive exactly when the grid's are, and ids unique.
+    An input error names the file it was found in.
     """
-    columns, rows = read_csv(file, ("id", "arrival_ts", "depart_ts",
-                                    "soc_arrival", "soc_target"))
-    out: list[ChargingSession] = []
-    seen: set[str] = set()
-    for row_no, cells in rows:
-        row = dict(zip(columns, cells))
-        sid = row["id"].strip()
-        if sid in seen:
-            raise DuplicateSessionId(sid, row_no)
-        seen.add(sid)
-        arrival = _parse_ts(row["arrival_ts"], row_no, "arrival_ts")
-        depart = _parse_ts(row["depart_ts"], row_no, "depart_ts")
-        if any((ts.tzinfo is None) != (grid.start.tzinfo is None)
-               for ts in (arrival, depart)):
-            raise MixedTimezones(row_no, f"session {sid!r} against the intensity grid")
-        if not (grid.contains(arrival) and grid.contains(depart)):
-            raise SessionOutsideHorizon(sid)
+    with _naming(file):
+        columns, rows = read_csv(file, ("id", "arrival_ts", "depart_ts",
+                                        "soc_arrival", "soc_target"))
+        out: list[ChargingSession] = []
+        seen: set[str] = set()
+        for row_no, cells in rows:
+            row = dict(zip(columns, cells))
+            sid = row["id"].strip()
+            if sid in seen:
+                raise DuplicateSessionId(sid, row_no)
+            seen.add(sid)
+            arrival = _parse_ts(row["arrival_ts"], row_no, "arrival_ts")
+            depart = _parse_ts(row["depart_ts"], row_no, "depart_ts")
+            if any((ts.tzinfo is None) != (grid.start.tzinfo is None)
+                   for ts in (arrival, depart)):
+                raise MixedTimezones(row_no, f"session {sid!r} against the intensity grid")
+            if not (grid.contains(arrival) and grid.contains(depart)):
+                raise SessionOutsideHorizon(sid)
 
-        t_arrival = grid.ceil_index(arrival)
-        t_depart = grid.floor_index(depart)
-        if t_arrival >= t_depart:
-            raise EmptyWindow(sid)
+            t_arrival = grid.ceil_index(arrival)
+            t_depart = grid.floor_index(depart)
+            if t_arrival >= t_depart:
+                raise EmptyWindow(sid)
 
-        def _opt(col: str, default: float) -> float:
-            raw = (row.get(col) or "").strip()
-            return _parse_float(raw, row_no, col) if raw else default
+            def _opt(col: str, default: float) -> float:
+                raw = (row.get(col) or "").strip()
+                return _parse_float(raw, row_no, col) if raw else default
 
-        efficiency = _opt("efficiency", DEFAULT_EFFICIENCY)
-        out.append(ChargingSession(
-            id=sid,
-            t_arrival=t_arrival,
-            t_depart=t_depart,
-            soc_arrival=_parse_float(row["soc_arrival"], row_no, "soc_arrival"),
-            soc_target=_parse_float(row["soc_target"], row_no, "soc_target"),
-            capacity_kwh=_opt("capacity_kwh", DEFAULT_CAPACITY_KWH),
-            soc_max=_opt("soc_max", DEFAULT_SOC_MAX),
-            power_max_kw=_opt("power_max_kw", DEFAULT_POWER_MAX_KW),
-            delta=efficiency * grid.slot_hours,
-        ))
-    return out
+            efficiency = _opt("efficiency", DEFAULT_EFFICIENCY)
+            out.append(ChargingSession(
+                id=sid,
+                t_arrival=t_arrival,
+                t_depart=t_depart,
+                soc_arrival=_parse_float(row["soc_arrival"], row_no, "soc_arrival"),
+                soc_target=_parse_float(row["soc_target"], row_no, "soc_target"),
+                capacity_kwh=_opt("capacity_kwh", DEFAULT_CAPACITY_KWH),
+                soc_max=_opt("soc_max", DEFAULT_SOC_MAX),
+                power_max_kw=_opt("power_max_kw", DEFAULT_POWER_MAX_KW),
+                delta=efficiency * grid.slot_hours,
+            ))
+        return out
 
 
 def write_sessions(sessions: Iterable[ChargingSession], grid: TimeGrid, out: IO[str]) -> None:

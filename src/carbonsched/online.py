@@ -21,7 +21,7 @@ import numpy as np
 
 from .carbon import CarbonIntensitySeries
 from .errors import ForecastUnavailable, NumericalFailure
-from .forecast import ForecastModel, check_same_grid, rollout
+from .forecast import ForecastModel, _base_columns, check_same_grid, rollout
 from .ingest import ChargingSession, LoadForecastSeries
 from .scheduler import (ScheduleResult, StationConfig, build_lp, run_slots,
                         solve)
@@ -58,6 +58,12 @@ class ModelForecaster:
     simulation span; simulation slot k maps to grid index sim_start + k.
     Only intensity values strictly before the queried slot are read, so
     the forecaster is causal by construction.
+
+    The calendar and load columns of the rollout are built once per
+    forecaster: `_base` holds them for grid slots sim_start onward, as far
+    as a window has reached, and grows by at least one horizon at a time.
+    Each window hands `rollout` its own rows, which equal the columns the
+    rollout would build for that window.
     """
 
     def __init__(self, model: ForecastModel, carbon: CarbonIntensitySeries,
@@ -67,12 +73,22 @@ class ModelForecaster:
         self.carbon = carbon
         self.load = load
         self.sim_start = sim_start
+        self._base = _base_columns(carbon.timestamps, load.load_mw, sim_start,
+                                   sim_start, carbon.slot_minutes)
 
     def window(self, k: int, horizon: int) -> np.ndarray:
+        if k < 0:
+            raise ForecastUnavailable(k)
         start = self.sim_start + k
+        cached = self.sim_start + len(self._base)
+        if start + horizon > cached:
+            stop = cached + max(start + horizon - cached, horizon)
+            self._base = np.concatenate([self._base, _base_columns(
+                self.carbon.timestamps, self.load.load_mw, cached, stop,
+                self.carbon.slot_minutes)])
         return rollout(self.model, self.carbon.values, start, horizon,
                        self.carbon.timestamps, self.load.load_mw,
-                       self.carbon.slot_minutes)
+                       self.carbon.slot_minutes, cols=self._base[k:k + horizon])
 
 
 def lookahead_window(k: int, horizon: int, forecaster: Forecaster) -> np.ndarray:
@@ -94,7 +110,7 @@ class _Plan:
     power: np.ndarray
 
     def column(self, k: int, active: list[int],
-               sessions: Sequence[ChargingSession], soc: np.ndarray,
+               sessions: Sequence[ChargingSession], soc: Sequence[float],
                window: np.ndarray) -> np.ndarray | None:
         """Planned powers of `active` at slot k, or None when a re-solve
         at k could give a different answer: a session arrived since k0, a

@@ -273,18 +273,34 @@ def run_slots(sessions: Sequence[ChargingSession], config: StationConfig,
     At each slot with a pending session (in its window, below its target),
     `decide(t, active, pending, soc)` returns the sessions to charge and
     their powers in kW, within every limit; the stepper applies them.
+    `active` and `pending` list session indices in ascending order, and
+    `soc[i]` is session i's state of charge; `decide` changes none of them.
+
+    The active set is kept by events, not rescanned: a session enters at
+    max(t_arrival, 0) and leaves at t_depart.
     """
-    power = np.zeros((len(sessions), config.horizon_slots))
-    soc = np.array([s.soc_arrival for s in sessions])
-    for t in range(config.horizon_slots):
-        active = [i for i, s in enumerate(sessions) if s.t_arrival <= t < s.t_depart]
-        pending = [i for i in active
-                   if soc[i] < sessions[i].soc_target - PENDING_EPS]
+    T = config.horizon_slots
+    power = np.zeros((len(sessions), T))
+    soc = [s.soc_arrival for s in sessions]
+    done = [s.soc_target - PENDING_EPS for s in sessions]
+    step = [(s.delta, s.capacity_kwh) for s in sessions]
+    enter: dict[int, list[int]] = {}
+    for i, s in enumerate(sessions):
+        if max(s.t_arrival, 0) < min(s.t_depart, T):
+            enter.setdefault(max(s.t_arrival, 0), []).append(i)
+    leave = {s.t_depart for s in sessions}
+    active: list[int] = []
+    for t in range(T):
+        if t in enter or t in leave:
+            active = sorted([i for i in active if sessions[i].t_depart > t]
+                            + enter.get(t, []))
+        pending = [i for i in active if soc[i] < done[i]]
         if not pending:
             continue
         for i, u in zip(*decide(t, active, pending, soc)):
             power[i, t] = u
-            soc[i] += u * sessions[i].delta / sessions[i].capacity_kwh
+            delta, capacity = step[i]
+            soc[i] += u * delta / capacity
     return result_from_power(sessions, power, config, carbon)
 
 

@@ -33,6 +33,18 @@ OVERNIGHT_SESSIONS = (
 OVERNIGHT = ("--synth-days", "3", "--sessions", "{tmp}/sessions.csv",
              "--power-cap-kw", "7.5", "--lambda", "100")
 
+# Sessions for the fitted-model forecast, which needs a day of history and
+# two months of it to fit: none on day 0, two on day 1, and two on the last
+# of 60 days, whose lookahead windows run past the end of the series.
+MODEL_SESSIONS = (
+    "id,arrival_ts,depart_ts,soc_arrival,soc_target,capacity_kwh\n"
+    "jan-a,2021-01-02T07:00:00+00:00,2021-01-02T15:00:00+00:00,0.2,0.7,20\n"
+    "jan-b,2021-01-02T09:30:00+00:00,2021-01-02T13:00:00+00:00,0.3,0.6,20\n"
+    "mar-c,2021-03-01T08:00:00+00:00,2021-03-01T20:00:00+00:00,0.1,0.8,30\n"
+    "mar-d,2021-03-01T18:00:00+00:00,2021-03-01T23:55:00+00:00,0.4,0.9,30\n")
+MODEL = ("--synth-days", "60", "--sessions", "{tmp}/model_sessions.csv",
+         "--power-cap-kw", "7.5", "--lambda", "100", "--seed", "1")
+
 RUNS = [
     *((f"simulate-{p}", ("simulate", "--policy", p, "--lambda", "1.2", *SYNTH))
       for p in POLICIES),
@@ -42,6 +54,8 @@ RUNS = [
      ("simulate", "--policy", "carbon-adaptive", "--lambda", "7", *SYNTH)),
     *((f"overnight-{p}", ("simulate", "--policy", p, *OVERNIGHT))
       for p in ("carbon-offline", "edf", "carbon-online")),
+    ("model-carbon-online", ("simulate", "--policy", "carbon-online",
+                             "--online-forecast", "model", *MODEL)),
     ("lambda-sweep", ("lambda-sweep", "--lambdas", "0.1,1,1.2,3", *SYNTH)),
     ("forecast", ("forecast", "--synth-days", "60", "--seed", "1")),
     ("simulate-bad-lambda", ("simulate", "--policy", "edf", "--lambda", "nan")),
@@ -55,6 +69,7 @@ def sha(data: bytes) -> str:
 def digest(name: str, argv: tuple[str, ...]) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "sessions.csv").write_text(OVERNIGHT_SESSIONS)
+        (Path(tmp) / "model_sessions.csv").write_text(MODEL_SESSIONS)
         out = Path(tmp) / "out"
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):

@@ -215,16 +215,17 @@ class TestSimulate:
         assert created == {"only"}
 
     def test_model_forecast_without_warmup_exits_1(self, tmp_path, capsys):
-        # day 0 has no 24 h of observed intensity before its first session,
-        # so the model forecast cannot start there (an open defect)
+        # day 0 has no 24 h of observed intensity before it, so the model
+        # forecast cannot start there; the run stops before any output
         code = run_cli("simulate", "--policy", "carbon-online",
                        "--online-forecast", "model", "--synth-days", "60",
                        "--synth-sessions-per-day", "1",
                        "--out-dir", str(tmp_path / "out"))
         assert code == 1
         err = capsys.readouterr().err
-        assert "rollout needs 288 observed slots, got " in err
-        assert "Traceback" not in err
+        assert err == ("error: day 0: the model forecast needs 24 h of observed "
+                       "intensity before the day starts, and the series has 0 h\n")
+        assert not (tmp_path / "out").exists()
 
 
 def _session_row(sid="a", tz="+00:00", capacity="50", power="7.5"):
@@ -312,6 +313,37 @@ def test_boundary_input_exits_1(tmp_path, capsys, files, args):
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("bad,files,args,detail", [
+    pytest.param("mix.csv", {"mix.csv": _MIX.replace(",100\n", ",100,7\n", 1),
+                             "factors.csv": _FACTORS},
+                 ("--mix", "mix.csv", "--factors", "factors.csv"),
+                 "malformed CSV row 1: 3 cells, the header has 2", id="mix"),
+    pytest.param("factors.csv", {"mix.csv": _MIX, "factors.csv": _FACTORS + "solar\n"},
+                 ("--mix", "mix.csv", "--factors", "factors.csv"),
+                 "malformed CSV row 2: 1 cells, the header has 2", id="factors"),
+    pytest.param("s.csv", {"s.csv": _SESSIONS_HEADER
+                           + _session_row().replace(",7.5\n", "\n")},
+                 ("--sessions", "s.csv"),
+                 "malformed CSV row 1: 6 cells, the header has 7", id="sessions"),
+    pytest.param("load.csv", {"load.csv": _NAN_LOAD.replace(",nan\n", "\n")},
+                 ("--load", "load.csv", "--policy", "carbon-online",
+                  "--online-forecast", "model"),
+                 "malformed CSV row 101: 1 cells, the header has 2", id="load"),
+])
+def test_input_error_names_flag_and_file(tmp_path, capsys, bad, files, args, detail):
+    # --mix and --factors are read by one parser; the message still names
+    # the one of the two files that is wrong
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in args]
+    flag = args[args.index(bad) - 1]
+    code = run_cli("simulate", "--policy", "edf", "--synth-days", "1",
+                   "--synth-sessions-per-day", "3", *argv,
+                   "--out-dir", str(tmp_path / "out"))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {flag} {tmp_path / bad}: {detail}\n"
 
 
 @pytest.mark.parametrize("policy", POLICIES)

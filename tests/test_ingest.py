@@ -284,6 +284,31 @@ class TestMalformedRows:
                     [header.rsplit(",", 1)[0], *(r.rsplit(",", 1)[0] for r in rows)]) + "\n")
 
 
+    def test_error_names_the_file(self, parser, tmp_path):
+        # a file opened by path names itself; the other file of the mix
+        # parser is an unnamed stream, so the error is this file's
+        header, first, second = _PARSERS[parser][0].splitlines()
+        path = tmp_path / f"{parser}.csv"
+        path.write_text("\n".join([header, first, second + ",1"]) + "\n")
+        with open(path, "rb") as f, pytest.raises(errors.MalformedRow) as exc:
+            _PARSERS[parser][1](f)
+        assert exc.value.where == str(path)
+        assert str(exc.value).startswith(f"{path}: malformed CSV row 2: ")
+
+
+@pytest.mark.parametrize("parser,column", [
+    ("mix", "timestamp"), ("mix", "solar"), ("mix", "gas"),
+    ("factors", "kgco2_per_kwh"), ("load", "timestamp"), ("load", "load_mw"),
+    ("sessions", "arrival_ts"), ("sessions", "soc_target")])
+def test_bad_cell_names_row_and_column(parser, column):
+    header, first, second = _PARSERS[parser][0].splitlines()
+    cells = second.split(",")
+    cells[header.split(",").index(column)] = "oops"
+    with pytest.raises(errors.MalformedNumber) as exc:
+        _PARSERS[parser][1](io.StringIO("\n".join([header, first, ",".join(cells)]) + "\n"))
+    assert (exc.value.row, exc.value.col) == (2, column)
+
+
 class TestSynthSessions:
     def test_count_zero(self, day_grid):
         assert ingest.synth_sessions(0, day_grid, seed=1) == []

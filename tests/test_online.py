@@ -1,5 +1,6 @@
 import csv
 import io
+from datetime import timedelta, timezone
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carbonsched import forecast, online
+from carbonsched.carbon import CarbonIntensitySeries
 from carbonsched.errors import (ForecastUnavailable, GridMismatch,
                                 NumericalFailure)
+from carbonsched.ingest import LoadForecastSeries
 from carbonsched.online import (DECISION_LOG_HEADER, ModelForecaster,
                                 PerfectForecaster, lookahead_window,
                                 run_online)
@@ -305,3 +308,62 @@ class TestModelForecaster:
         model = forecast.ForecastModel(np.zeros(9), np.zeros(8), np.ones(8))
         with pytest.raises(GridMismatch):
             ModelForecaster(model, duck_curve(grid), load, sim_start=288)
+
+
+class TestRolloutCache:
+    """ModelForecaster builds the rollout's calendar and load columns once;
+    every window must equal the uncached `forecast.rollout` bit for bit."""
+
+    # intercept, minute, hour, weekday, month, load, then the 24 h, 12 h
+    # and 1 h moving averages; every column moves the forecast
+    BETA = np.array([0.02, 1e-5, -5e-4, 2e-4, 1e-3, 2e-6, 0.40, 0.20, 0.30])
+
+    @staticmethod
+    def _series(timestamps):
+        rng = np.random.default_rng(5)
+        n = len(timestamps)
+        hours = np.array([ts.hour + ts.minute / 60.0 for ts in timestamps])
+        load = 20000.0 + 3000.0 * np.sin(2 * np.pi * hours / 24.0) \
+            + rng.normal(0, 200.0, size=n)
+        return (CarbonIntensitySeries(tuple(timestamps), rng.uniform(0.1, 0.4, size=n)),
+                LoadForecastSeries(tuple(timestamps), load))
+
+    def _check(self, timestamps, sim_start, ks, horizon):
+        ci, load = self._series(timestamps)
+        model = forecast.ForecastModel(self.BETA.copy(), np.zeros(8), np.ones(8))
+        fc = ModelForecaster(model, ci, load, sim_start=sim_start)
+        for k in ks:
+            want = forecast.rollout(model, ci.values, sim_start + k, horizon,
+                                    ci.timestamps, load.load_mw, 5)
+            np.testing.assert_array_equal(fc.window(k, horizon), want)
+        return fc
+
+    def test_consecutive_slots(self):
+        # the online loop asks for k, k + 1, ...; the cache starts at
+        # sim_start and runs at most one horizon past the last window
+        fc = self._check(make_grid(3).timestamps(), 288, range(300), 288)
+        assert len(fc._base) <= 299 + 2 * 288
+
+    @pytest.mark.parametrize("horizon", [1, 37, 700])
+    def test_other_horizons(self, horizon):
+        self._check(make_grid(4).timestamps(), 300, [0, 1, 2, 50, 9, 400, 401],
+                    horizon)
+
+    def test_windows_past_grid_end(self):
+        # 2 days of grid from slot 288: windows from slot 400 on run past
+        # its end, where the load repeats the final day cyclically
+        self._check(make_grid(2).timestamps(), 288, range(100, 288, 7), 288)
+
+    def test_utc_offset_changes_mid_series(self):
+        # the same instants, but from slot 400 on written at +01:00, so
+        # their hour differs from the first stamp plus a multiple of 5 min
+        plus_one = timezone(timedelta(hours=1))
+        stamps = [ts if s < 400 else ts.astimezone(plus_one)
+                  for s, ts in enumerate(make_grid(3).timestamps())]
+        self._check(stamps, 288, range(0, 300, 3), 288)
+
+    def test_negative_slot_unavailable(self):
+        ci, load = self._series(make_grid(2).timestamps())
+        model = forecast.ForecastModel(self.BETA.copy(), np.zeros(8), np.ones(8))
+        with pytest.raises(ForecastUnavailable):
+            ModelForecaster(model, ci, load, sim_start=300).window(-1, 10)

@@ -1,0 +1,88 @@
+"""Edge cases of the slot loop, `scheduler.run_slots`, bit for bit against
+the self-contained loop references in oracles.py.
+
+Every case lists its sessions out of arrival order, so a loop that kept
+its active set in arrival order, not index order, would split the station
+cap in another order and round differently. The online controller is
+checked under a forecast that changes at every call, so it re-solves at
+every pending slot, exactly as the always-re-solve reference does.
+"""
+
+import numpy as np
+import pytest
+
+from carbonsched.baselines import earliest_deadline_first, equal_sharing
+from carbonsched.online import run_online
+from carbonsched.scheduler import StationConfig
+
+from conftest import make_session
+from oracles import (always_resolve_online, loop_earliest_deadline_first,
+                     loop_equal_sharing)
+from test_online import DriftingForecaster
+
+T = 12
+
+
+def _s(sid, arrival, depart, power, target=0.9, soc=0.2):
+    return make_session(sid, arrival, depart, soc, target, capacity_kwh=5.0,
+                        power_max_kw=power)
+
+
+CASES = {
+    "several-arrivals-in-one-slot": [
+        _s("a", 3, 9, 0.7), _s("b", 3, 11, 2.9), _s("c", 1, 6, 0.35),
+        _s("d", 3, 7, 5.1, target=0.25), _s("e", 3, 12, 1.9)],
+    "departure-and-arrival-in-one-slot": [
+        _s("late", 5, 10, 1.05), _s("mid", 2, 8, 0.65), _s("early", 0, 5, 0.35),
+        _s("next", 5, 6, 2.2, target=0.3), _s("first", 0, 5, 0.9)],
+    "one-slot-windows": [
+        _s("x", 7, 8, 1.7), _s("y", 4, 5, 0.3), _s("z", 4, 5, 7.5, target=0.22),
+        _s("w", 0, 12, 0.9), _s("v", 4, 5, 1.05)],
+    "windows-at-0-and-T": [
+        _s("to-T", 6, T, 1.9), _s("whole", 0, T, 0.65), _s("past-T", 9, T + 5, 2.6),
+        _s("from-0", 0, 4, 1.45, target=0.3), _s("before-0", -3, 2, 0.8)],
+    "reverse-arrival-order": [
+        _s(f"r{i}", 10 - i, 10 - i + 1 + i % 4, 0.3 + 0.37 * i,
+           target=0.2 + 0.05 * (i % 5)) for i in range(10)],
+}
+
+
+def _config(cap, horizon=T):
+    return StationConfig(power_cap_kw=cap, slot_hours=5 / 60, lam=2.0,
+                         horizon_slots=horizon)
+
+
+def _carbon():
+    return np.random.default_rng(7).uniform(0.1, 0.4, size=T)
+
+
+def _assert_bitwise(got, want):
+    np.testing.assert_array_equal(got.power, want.power)
+    np.testing.assert_array_equal(got.soc, want.soc)
+    assert got.objective == want.objective
+
+
+@pytest.mark.parametrize("cap", [1.1, 3.7, 50.0])
+@pytest.mark.parametrize("policy,reference", [
+    (equal_sharing, loop_equal_sharing),
+    (earliest_deadline_first, loop_earliest_deadline_first),
+], ids=["es", "edf"])
+@pytest.mark.parametrize("case", CASES)
+def test_baseline_matches_loop_reference(case, policy, reference, cap):
+    sessions, config, carbon = CASES[case], _config(cap), _carbon()
+    got = policy(sessions, config, carbon)
+    assert got.power.any()
+    _assert_bitwise(got, reference(sessions, config, carbon))
+
+
+@pytest.mark.parametrize("cap", [1.1, 3.7])
+@pytest.mark.parametrize("case", CASES)
+def test_online_matches_always_resolve(case, cap):
+    # a lookahead shorter than the run, so some windows are cut
+    sessions, carbon = CASES[case], _carbon()
+    config = _config(cap, horizon=5)
+    got = run_online(sessions, DriftingForecaster(carbon), carbon, config, T)
+    assert got.power.any()
+    want, _ = always_resolve_online(sessions, DriftingForecaster(carbon), carbon,
+                                    config, T)
+    _assert_bitwise(got, want)
