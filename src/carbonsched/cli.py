@@ -114,9 +114,10 @@ def _day_plans(sessions, grid: TimeGrid) -> dict[int, tuple[int, int, list]]:
 
 
 def _run_days(policy, plans, lams, args, intensity, forecasters=None,
-              log=None) -> dict:
+              decisions=None) -> dict:
     """Per day of `plans`: its sessions and `policy`'s schedule at `lams[day]`.
-    `forecasters[day]`, if given, is the day's model forecaster."""
+    `forecasters[day]`, if given, is the day's model forecaster, and
+    `decisions[day]`, if `decisions` is given, the online policy's decisions."""
     grid = _grid_of(intensity)
 
     def schedule(day, rel, off, horizon, lam):
@@ -130,7 +131,8 @@ def _run_days(policy, plans, lams, args, intensity, forecasters=None,
         if policy == "tou":
             tariff = np.array([TOU_PEAK if ts.hour >= 16 else TOU_OFFPEAK
                                for ts in intensity.timestamps[off:off + horizon]])
-            return scheduler.solve(scheduler.build_lp(rel, tariff, config), carbon=cvals)
+            power = scheduler.solve(scheduler.build_lp(rel, tariff, config)).power
+            return scheduler.result_from_power(rel, power, config, cvals)
         if policy in ("carbon-offline", "carbon-adaptive"):
             return scheduler.carbon_schedule(rel, cvals, config)
         if policy == "carbon-online":
@@ -138,12 +140,19 @@ def _run_days(policy, plans, lams, args, intensity, forecasters=None,
                   online.PerfectForecaster(intensity.values[off:],
                                            1440 // grid.slot_minutes))
             return online.run_online(
-                rel, fc, cvals, replace(config, horizon_slots=args.horizon),
-                horizon, log_out=log, slot_offset=off)
+                rel, fc, cvals, replace(config, horizon_slots=args.horizon), horizon,
+                None if decisions is None else decisions.setdefault(day, []))
         raise CarbonSchedError(f"unknown policy {policy!r}")
 
     return {day: (rel, schedule(day, rel, off, horizon, lams[day]))
             for day, (off, horizon, rel) in plans.items()}
+
+
+def _csv_cell(text: str) -> str:
+    """`text` as one cell of a CSV row, quoted as `csv.writer` quotes it."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _check_lambdas(flag: str, values) -> None:
@@ -174,19 +183,12 @@ def cmd_simulate(args) -> int:
         forecasters = {day: online.ModelForecaster(model, intensity, load, sim_start=off)
                        for day, (off, _, _) in plans.items()}
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     adaptive = args.policy == "carbon-adaptive"
     lams = {day: scheduler.select_lambda(len(rel)) if adaptive else args.lam
             for day, (_, _, rel) in plans.items()}
-    with (open(out_dir / "decisions.csv", "w", newline="")
-          if args.policy == "carbon-online"
-          else contextlib.nullcontext()) as log:
-        if log:
-            csv.writer(log).writerow(online.DECISION_LOG_HEADER)
-        results = _run_days(args.policy, plans, lams, args, intensity,
-                            forecasters, log)
+    decisions = {}
+    results = _run_days(args.policy, plans, lams, args, intensity, forecasters,
+                        decisions)
     edf = (results if args.policy == "edf"
            else _run_days("edf", plans, lams, args, intensity))
 
@@ -202,10 +204,20 @@ def cmd_simulate(args) -> int:
     else:
         report["lambda"] = args.lam
     report["seed"] = args.seed
+    report_text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
 
-    with open(out_dir / "report.json", "w") as f:
-        json.dump(report, f, sort_keys=True, indent=2, allow_nan=False)
-        f.write("\n")
+    # Every output is written after the run has succeeded.
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "report.json").write_text(report_text + "\n")
+    if args.policy == "carbon-online":
+        with open(out_dir / "decisions.csv", "w", newline="") as f:
+            log = csv.writer(f)
+            log.writerow(("slot", "session_id", "power_kw", "forecast_c", "true_c"))
+            for day, (off, _, rel) in plans.items():
+                log.writerows((off + k, rel[i].id, repr(float(u)), repr(float(c)),
+                               repr(float(intensity.values[off + k])))
+                              for k, i, u, c in decisions[day])
 
     with open(out_dir / "schedule.csv", "w", newline="") as sched, \
             open(out_dir / "shift.csv", "w", newline="") as shift:
@@ -214,8 +226,9 @@ def cmd_simulate(args) -> int:
         for day, (off, horizon, rel) in plans.items():
             res = results[day][1]
             owner, slot = scheduler.session_slots(rel, horizon)
+            ids = [_csv_cell(s.id) for s in rel]
             sched.write("".join(
-                f"{rel[i].id},{off + t},{u!r},{x!r}\n" for i, t, u, x in zip(
+                f"{ids[i]},{off + t},{u!r},{x!r}\n" for i, t, u, x in zip(
                     owner.tolist(), slot.tolist(), res.power[owner, slot].tolist(),
                     res.soc[owner, slot + 1].tolist())))
             cvals = intensity.values[off:off + horizon]
@@ -231,8 +244,6 @@ def cmd_lambda_sweep(args) -> int:
     if not args.lambdas:
         raise CarbonSchedError("empty lambda list")
     _check_lambdas("--lambdas", args.lambdas)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     intensity = _load_intensity(args)
     grid = _grid_of(intensity)
     plans = _day_plans(_load_sessions(args, grid), grid)
@@ -244,6 +255,8 @@ def cmd_lambda_sweep(args) -> int:
         rows.append((lam, report["total_emissions_kg"],
                      100.0 * (1.0 - report["edq_station"])))
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "tradeoff.csv", "w", newline="") as f:
         f.write("lambda,emissions_kg,energy_loss_pct\n")
         for lam, em, loss in rows:
@@ -252,19 +265,20 @@ def cmd_lambda_sweep(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     intensity = _load_intensity(args)
     load = _load_load(args, intensity.timestamps)
     X, y = forecast.build_features(intensity, load)
     model, mae, mse = forecast.fit((X, y), seed=args.seed)
-    with open(out_dir / "model.json", "w") as f:
-        forecast.save_model(model, f)
-        f.write("\n")
-    with open(out_dir / "forecast_metrics.json", "w") as f:
-        json.dump({"mae": mae, "mse": mse, "n_rows": len(y)}, f,
-                  sort_keys=True, indent=2, allow_nan=False)
-        f.write("\n")
+    model_text = json.dumps({"beta": model.beta.tolist(),
+                             "feature_means": model.feature_means.tolist(),
+                             "feature_stds": model.feature_stds.tolist()},
+                            sort_keys=True, allow_nan=False)
+    metrics_text = json.dumps({"mae": mae, "mse": mse, "n_rows": len(y)},
+                              sort_keys=True, indent=2, allow_nan=False)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "model.json").write_text(model_text + "\n")
+    (out_dir / "forecast_metrics.json").write_text(metrics_text + "\n")
     print(f"held-out MAE={mae:.6f} MSE={mse:.8f} over {len(y)} rows")
     return 0
 

@@ -40,6 +40,24 @@ class MalformedRow(CarbonSchedError):
         super().__init__(f"malformed CSV {f'row {row}' if row else 'header'}: {detail}")
 
 
+class TooFewRows(CarbonSchedError):
+    def __init__(self, rows: int):
+        self.rows = rows
+        super().__init__("a time series needs at least two rows to fix its "
+                         f"slot length, got {rows}")
+
+
+class UnsupportedSlotLength(CarbonSchedError):
+    def __init__(self, step):
+        self.step = step
+        super().__init__(f"rows are {step.total_seconds():g} s apart; the slot length "
+                         "must be a whole number of minutes that divides 24 h")
+
+
+class OutOfRange(CarbonSchedError):
+    """A number outside the range its column allows."""
+
+
 class NonFiniteValue(CarbonSchedError):
     def __init__(self, what: str):
         self.what = what

@@ -13,10 +13,9 @@ non-lagged columns from that one helper, so the column order lives there.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,12 +62,14 @@ def _base_columns(timestamps: Sequence[datetime], load_mw: np.ndarray,
                   start: int, stop: int, slot_minutes: int) -> np.ndarray:
     """Non-lagged feature columns of slots start..stop-1: minute, hour,
     weekday (0=Monday), month and load. Slots past the end of `timestamps`
-    continue the calendar, and their load repeats the final day cyclically."""
+    continue the calendar from the last stamp, in its UTC offset, and their
+    load repeats the final day cyclically."""
     n_known = len(timestamps)
     slots_per_day = 1440 // slot_minutes
     step = timedelta(minutes=slot_minutes)
     stamps = list(timestamps[start:min(stop, n_known)]) + [
-        timestamps[0] + s * step for s in range(max(start, n_known), stop)]
+        timestamps[-1] + (s + 1 - n_known) * step
+        for s in range(max(start, n_known), stop)]
     slots = np.arange(start, stop)
     load_idx = np.where(slots < n_known, slots,
                         n_known - slots_per_day + (slots - n_known) % slots_per_day)
@@ -184,9 +185,3 @@ def rollout(model: ForecastModel, observed: np.ndarray, start: int, horizon: int
         seq.append(pred)
     return np.asarray(seq[w24:], dtype=float)
 
-
-def save_model(model: ForecastModel, out: IO[str]) -> None:
-    json.dump({"beta": model.beta.tolist(),
-               "feature_means": model.feature_means.tolist(),
-               "feature_stds": model.feature_stds.tolist()}, out, sort_keys=True,
-              allow_nan=False)

@@ -32,7 +32,10 @@ from .errors import (
     MixedTimezones,
     NonFiniteValue,
     NonMonotonicTimestamps,
+    OutOfRange,
     SessionOutsideHorizon,
+    TooFewRows,
+    UnsupportedSlotLength,
 )
 from .timegrid import TimeGrid
 
@@ -72,12 +75,14 @@ class GridMixSeries:
         if not np.isfinite(self.factors).all():
             raise NonFiniteValue("emission factors")
         if np.any(self.factors < 0):
-            raise ValueError("emission factors must be >= 0")
+            raise OutOfRange("emission factors must be >= 0")
         _check_finite(self.power, self.sources)
         _check_uniform(self.timestamps)
         for j, name in enumerate(self.sources):
-            if name not in SIGNED_SOURCES and np.any(self.power[:, j] < 0):
-                raise ValueError(f"negative power for non-signed source {name!r}")
+            negative = np.flatnonzero(self.power[:, j] < 0)
+            if name not in SIGNED_SOURCES and negative.size:
+                raise OutOfRange(f"negative power for non-signed source {name!r} "
+                                 f"at row {negative[0] + 1}")
 
     def drop_negative_sources(self) -> "GridMixSeries":
         """Copy with negative power readings zeroed (CLI --exclude-negative)."""
@@ -95,8 +100,10 @@ class LoadForecastSeries:
         if self.load_mw.shape != (len(self.timestamps),):
             raise ValueError("load_mw length mismatch")
         _check_finite(self.load_mw[:, None], ("load_mw",))
-        if np.any(self.load_mw <= 0):
-            raise ValueError("load_mw must be positive")
+        bad = np.flatnonzero(self.load_mw <= 0)
+        if bad.size:
+            raise OutOfRange("load_mw must be positive, got "
+                             f"{float(self.load_mw[bad[0]])!r} at row {bad[0] + 1}")
         _check_uniform(self.timestamps)
 
 
@@ -141,24 +148,31 @@ def _check_finite(values: np.ndarray, columns) -> None:
 
 
 def _check_uniform(timestamps) -> None:
+    """Two or more stamps, all naive or all aware, evenly spaced by a whole
+    number of minutes that divides 24 h."""
     if len(timestamps) < 2:
-        raise ValueError("a time series needs at least two rows to fix its "
-                         f"slot length, got {len(timestamps)}")
+        raise TooFewRows(len(timestamps))
     naive = [ts.tzinfo is None for ts in timestamps]
     if any(naive) and not all(naive):
         raise MixedTimezones(naive.index(not naive[0]) + 1)
     step = timestamps[1] - timestamps[0]
     if step <= timedelta(0):
         raise NonMonotonicTimestamps(2)
+    minutes, rest = divmod(step, timedelta(minutes=1))
+    if rest or 1440 % minutes:
+        raise UnsupportedSlotLength(step)
     for k in range(1, len(timestamps)):
         if timestamps[k] - timestamps[k - 1] != step:
             raise NonMonotonicTimestamps(k + 1, "non-uniform spacing")
 
 
 def _text(stream: IO) -> IO[str]:
-    if isinstance(stream, (io.RawIOBase, io.BufferedIOBase)) or "b" in getattr(stream, "mode", ""):
-        return io.StringIO(stream.read().decode("utf-8-sig"), newline="")
-    return stream
+    """The text of `stream`, decoded as UTF-8 if it is binary, with a
+    leading BOM skipped."""
+    text = stream.read()
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    return io.StringIO(text.removeprefix("\ufeff"), newline="")
 
 
 def read_csv(stream: IO, required: Iterable[str] = ()
@@ -230,6 +244,10 @@ def parse_grid_mix(mix_file: IO, factors_file: IO) -> GridMixSeries:
                    for row_no, row in rows}
         if not all(map(math.isfinite, factors.values())):
             raise NonFiniteValue("emission factors")
+        for source, factor in factors.items():
+            if factor < 0:
+                raise OutOfRange(f"negative emission factor {factor!r} "
+                                 f"for source {source!r}")
 
     with _naming(mix_file):
         columns, rows = read_csv(mix_file)

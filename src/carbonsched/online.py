@@ -13,9 +13,8 @@ the true intensity; forecasts drive decisions only.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
-from typing import IO, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -25,8 +24,6 @@ from .forecast import ForecastModel, _base_columns, check_same_grid, rollout
 from .ingest import ChargingSession, LoadForecastSeries
 from .scheduler import (ScheduleResult, StationConfig, build_lp, run_slots,
                         solve)
-
-DECISION_LOG_HEADER = ("slot", "session_id", "power_kw", "forecast_c", "true_c")
 
 
 class Forecaster(Protocol):
@@ -130,21 +127,19 @@ class _Plan:
 
 def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
                true_carbon: np.ndarray, config: StationConfig, total_slots: int,
-               log_out: IO[str] | None = None,
-               slot_offset: int = 0) -> ScheduleResult:
+               decisions: list[tuple] | None = None) -> ScheduleResult:
     """Simulate the online loop over slots 0..total_slots-1.
 
     config.horizon_slots is the lookahead length of each re-solve; the
     returned schedule spans the full simulation and its emissions use
-    `true_carbon`. Decisions go to `log_out` as CSV rows under
-    DECISION_LOG_HEADER, which the caller writes; their `slot` is the
-    simulation slot plus `slot_offset`, the absolute slot of slot 0.
+    `true_carbon`. If `decisions` is given, each decision is appended to
+    it as (slot, session index, power_kw, forecast intensity of the slot).
+    A solver failure is re-raised with the slot it happened at.
     """
     true_carbon = np.asarray(true_carbon, dtype=float)
     if total_slots < 1 or len(true_carbon) < total_slots:
         raise ValueError("need true carbon for every simulated slot")
     T = config.horizon_slots
-    log = csv.writer(log_out) if log_out is not None else None
     plan: _Plan | None = None
 
     def decide(k, active, pending, soc):
@@ -166,13 +161,12 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
             try:
                 planned = solve(build_lp(rel, window, config)).power
             except NumericalFailure as exc:
-                raise NumericalFailure(f"slot {k}: {exc}") from exc
+                exc.where = f"slot {k}"
+                raise
             plan = _Plan(k, {i: j for j, i in enumerate(active)}, window, planned)
             step = planned[:, 0]
-        if log:
-            for i, u in zip(active, step):
-                log.writerow([slot_offset + k, sessions[i].id, repr(float(u)),
-                              repr(float(window[0])), repr(float(true_carbon[k]))])
+        if decisions is not None:
+            decisions.extend((k, i, u, window[0]) for i, u in zip(active, step))
         return active, step
 
     return run_slots(sessions, replace(config, horizon_slots=total_slots),

@@ -224,19 +224,14 @@ def solve_lp(lp: LpInstance) -> tuple[np.ndarray, float, int]:
             info.objective_function_value, info.simplex_iteration_count)
 
 
-def solve(lp: LpInstance, carbon: np.ndarray | None = None) -> ScheduleResult:
-    """Solve the LP with HiGHS and expand the solution into a schedule.
-
-    `carbon` overrides the emission-accounting signal (used when the LP
-    prices in dollars, as in the TOU variant); defaults to lp.price. The
-    objective is `result_from_power`'s, against that signal.
-    """
+def solve(lp: LpInstance) -> ScheduleResult:
+    """Solve the LP with HiGHS and expand the solution into a schedule,
+    its emissions and objective (`result_from_power`'s) against lp.price."""
     power = np.zeros((len(lp.sessions), lp.config.horizon_slots))
     if lp.sessions:
         x, _, _ = solve_lp(lp)
         power[lp.owner, lp.slot] = np.maximum(x, 0.0)
-    signal = lp.price if carbon is None else np.asarray(carbon, dtype=float)
-    return result_from_power(lp.sessions, power, lp.config, signal)
+    return result_from_power(lp.sessions, power, lp.config, lp.price)
 
 
 def carbon_schedule(sessions: Sequence[ChargingSession], carbon: np.ndarray,

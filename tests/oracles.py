@@ -18,6 +18,8 @@ bit. The CSV references write schedule.csv and shift.csv one session and
 one slot at a time; the CLI's files must match them byte for byte.
 """
 
+import csv
+import io
 import itertools
 from dataclasses import replace
 
@@ -372,15 +374,18 @@ def loop_earliest_deadline_first(sessions, config, carbon):
 
 def loop_schedule_csv(plans, results) -> str:
     """schedule.csv of a run from its day plans and per-day (sessions,
-    result) pairs, one row per session and slot of its window."""
-    out = ["session_id,slot,power_kw,soc\n"]
+    result) pairs, one row per session and slot of its window, written by
+    `csv.writer` with "\\n" line ends."""
+    out = io.StringIO()
+    rows = csv.writer(out, lineterminator="\n")
+    rows.writerow(("session_id", "slot", "power_kw", "soc"))
     for day, (rel, res) in results.items():
         off = plans[day][0]
         for i, s in enumerate(rel):
             for t in range(s.t_arrival, s.t_depart):
-                out.append(f"{s.id},{off + t},{float(res.power[i, t])!r},"
-                           f"{float(res.soc[i, t + 1])!r}\n")
-    return "".join(out)
+                rows.writerow((s.id, off + t, repr(float(res.power[i, t])),
+                               repr(float(res.soc[i, t + 1]))))
+    return out.getvalue()
 
 
 def loop_shift_csv(plans, results, edf_results, intensity, slot_hours) -> str:

@@ -4,7 +4,8 @@
 
 Each run calls `carbonsched.cli.main` in-process in a fresh temporary
 directory and prints one line per output file with its sha256, plus the
-exit code and the sha256 of stdout and stderr. Two checkouts that write
+exit code and the sha256 of stdout and stderr; an output directory left
+with no file in it gets a line of its own. Two checkouts that write
 the same bytes print the same digest, so a refactor that must keep every
 output identical is checked with one `diff` of the two digests. Pytest
 does not collect this file.
@@ -59,6 +60,12 @@ RUNS = [
     ("lambda-sweep", ("lambda-sweep", "--lambdas", "0.1,1,1.2,3", *SYNTH)),
     ("forecast", ("forecast", "--synth-days", "60", "--seed", "1")),
     ("simulate-bad-lambda", ("simulate", "--policy", "edf", "--lambda", "nan")),
+    # Runs that fail after their inputs are read: they leave no output.
+    ("simulate-horizon-0", ("simulate", "--policy", "carbon-online",
+                            "--horizon", "0", *SYNTH)),
+    ("lambda-sweep-missing-mix", ("lambda-sweep", "--lambdas", "0.3",
+                                  "--mix", "{tmp}/absent.csv",
+                                  "--factors", "{tmp}/absent.csv", *SYNTH)),
 ]
 
 
@@ -79,7 +86,7 @@ def digest(name: str, argv: tuple[str, ...]) -> list[str]:
                  f"{name} stderr {sha(stderr.getvalue().replace(tmp, '<tmp>').encode())}"]
         if out.is_dir():
             lines += [f"{name} {p.name} {sha(p.read_bytes())}"
-                      for p in sorted(out.iterdir())]
+                      for p in sorted(out.iterdir())] or [f"{name} out-dir with no files"]
     return lines
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carbonsched import cli, ingest, scheduler
+from carbonsched import cli, forecast, ingest, online, scheduler
 from carbonsched.cli import POLICIES, main
 from carbonsched.scheduler import build_lp
 
@@ -198,6 +198,25 @@ class TestSimulate:
         assert report["per_day"][0]["lambda"] == 0.35
         assert 7.0 not in list(_numbers(report))
 
+    def test_tou_emissions_accounted_against_carbon(self, tmp_path):
+        # TOU prices its LP by the tariff, but its emissions, like every
+        # policy's, are the schedule's energy times the intensity: here a
+        # constant 0.1 kg/kWh, where the tariff is 0.25 and 0.55 $/kWh
+        (tmp_path / "mix.csv").write_text("timestamp,gas\n" + "".join(
+            f"{_stamp(k)},1000\n" for k in range(DAY_SLOTS)))
+        (tmp_path / "factors.csv").write_text("source,kgco2_per_kwh\ngas,0.1\n")
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--policy", "tou", "--lambda", "5",
+                       "--mix", str(tmp_path / "mix.csv"),
+                       "--factors", str(tmp_path / "factors.csv"),
+                       "--synth-sessions-per-day", "6", "--synth-capacity-kwh", "5",
+                       "--out-dir", str(out)) == 0
+        with open(out / "schedule.csv", newline="") as f:
+            grid_kwh = sum(float(r["power_kw"]) for r in csv.DictReader(f)) * 5 / 60
+        assert grid_kwh > 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["total_emissions_kg"] == pytest.approx(0.1 * grid_kwh, rel=1e-12)
+
     def test_tou_policy_runs(self, tmp_path):
         out = tmp_path / "out"
         code = run_cli("simulate", "--policy", "tou", "--lambda", "5",
@@ -331,6 +350,41 @@ def test_boundary_input_exits_1(tmp_path, capsys, files, args):
                  ("--load", "load.csv", "--policy", "carbon-online",
                   "--online-forecast", "model"),
                  "malformed CSV row 101: 1 cells, the header has 2", id="load"),
+    pytest.param("mix.csv", {"mix.csv": _MIX.replace("00:05:00+00:00,100",
+                                                      "00:05:00+00:00,-5"),
+                             "factors.csv": _FACTORS},
+                 ("--mix", "mix.csv", "--factors", "factors.csv"),
+                 "negative power for non-signed source 'gas' at row 2",
+                 id="mix-negative-power"),
+    pytest.param("mix.csv", {"mix.csv": _ONE_ROW_MIX, "factors.csv": _FACTORS},
+                 ("--mix", "mix.csv", "--factors", "factors.csv"),
+                 "a time series needs at least two rows to fix its slot length, got 1",
+                 id="mix-one-row"),
+    pytest.param("factors.csv", {"mix.csv": _MIX,
+                                 "factors.csv": _FACTORS.replace("0.4", "-0.4")},
+                 ("--mix", "mix.csv", "--factors", "factors.csv"),
+                 "negative emission factor -0.4 for source 'gas'",
+                 id="factors-negative"),
+    pytest.param("mix.csv", {"mix.csv": _MIX.replace("00:05:00", "00:01:30"),
+                             "factors.csv": _FACTORS},
+                 ("--mix", "mix.csv", "--factors", "factors.csv"),
+                 "rows are 90 s apart; the slot length must be a whole number of "
+                 "minutes that divides 24 h", id="mix-90-s-spacing"),
+    pytest.param("mix.csv", {"mix.csv": _MIX.replace("00:05:00", "00:07:00"),
+                             "factors.csv": _FACTORS},
+                 ("--mix", "mix.csv", "--factors", "factors.csv"),
+                 "rows are 420 s apart; the slot length must be a whole number of "
+                 "minutes that divides 24 h", id="mix-7-min-spacing"),
+    pytest.param("load.csv", {"load.csv": _NAN_LOAD.replace(",nan\n", ",0\n")},
+                 ("--load", "load.csv", "--policy", "carbon-online",
+                  "--online-forecast", "model"),
+                 "load_mw must be positive, got 0.0 at row 101", id="load-zero"),
+    pytest.param("load.csv", {"load.csv": "timestamp,load_mw\n"
+                              "2021-01-01T00:00:00+00:00,24000\n"},
+                 ("--load", "load.csv", "--policy", "carbon-online",
+                  "--online-forecast", "model"),
+                 "a time series needs at least two rows to fix its slot length, got 1",
+                 id="load-one-row"),
 ])
 def test_input_error_names_flag_and_file(tmp_path, capsys, bad, files, args, detail):
     # --mix and --factors are read by one parser; the message still names
@@ -403,6 +457,129 @@ def test_solver_failure_exits_2(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_quoted_session_ids_keep_four_cells(tmp_path):
+    # schedule.csv quotes an id as csv.writer does in decisions.csv, so
+    # both parse back to the same ids and every row has its header's cells
+    (tmp_path / "sessions.csv").write_text(_QUOTED_SESSIONS)
+    out = tmp_path / "out"
+    argv = [str(tmp_path / a) if a == "sessions.csv" else a for a in _OVERNIGHT]
+    assert run_cli("simulate", "--policy", "carbon-online", *argv,
+                   "--out-dir", str(out)) == 0
+    with open(out / "schedule.csv", newline="") as f:
+        header, *rows = csv.reader(f)
+    assert all(len(row) == len(header) == 4 for row in rows)
+    assert set(_QUOTED_IDS) <= {row[0] for row in rows}
+    schedule = {(row[0], int(row[1])): float(row[2]) for row in rows}
+    with open(out / "decisions.csv", newline="") as f:
+        decisions = list(csv.DictReader(f))
+    assert set(_QUOTED_IDS) <= {r["session_id"] for r in decisions}
+    for r in decisions:
+        assert schedule[(r["session_id"], int(r["slot"]))] == float(r["power_kw"])
+
+
+def _fail_second_online_day(monkeypatch):
+    real, calls = online.run_online, []
+
+    def run_online(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            monkeypatch.setattr(online, "build_lp", lambda *a: infeasible(build_lp(*a)))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(online, "run_online", run_online)
+
+
+_TWO_DAYS = ("--synth-days", "2", "--synth-sessions-per-day", "4",
+             "--synth-capacity-kwh", "5")
+
+
+@pytest.mark.parametrize("argv,patch,code", [
+    pytest.param(("simulate", "--policy", "carbon-online", "--horizon", "0", *_TWO_DAYS),
+                 None, 1, id="simulate-horizon-0"),
+    pytest.param(("simulate", "--policy", "edf", "--power-cap-kw", "0", *_TWO_DAYS),
+                 None, 1, id="simulate-power-cap-0"),
+    pytest.param(("simulate", "--policy", "carbon-online", *_TWO_DAYS),
+                 _fail_second_online_day, 2, id="online-solver-fails-on-day-2"),
+    pytest.param(("lambda-sweep", "--lambdas", "0.3", "--mix", "absent.csv",
+                  "--factors", "absent.csv"), None, 1, id="sweep-missing-mix"),
+    pytest.param(("forecast", "--synth-days", "1"), None, 1, id="forecast-one-day"),
+])
+def test_failed_run_creates_no_out_dir(tmp_path, monkeypatch, capsys, argv, patch, code):
+    # every output is written after the run has succeeded, so a run that
+    # fails leaves no --out-dir behind, not even an empty one
+    if patch:
+        patch(monkeypatch)
+    out = tmp_path / "out"
+    argv = [str(tmp_path / a) if a == "absent.csv" else a for a in argv]
+    assert run_cli(*argv, "--out-dir", str(out)) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_horizon_sets_the_lookahead(tmp_path, monkeypatch):
+    lengths = []
+
+    def build(sessions, price, config):
+        lengths.append(len(price))
+        return build_lp(sessions, price, config)
+
+    monkeypatch.setattr(online, "build_lp", build)
+    for horizon, expected in ((("--horizon", "12"), 12), ((), 288)):
+        lengths.clear()
+        assert run_cli("simulate", "--policy", "carbon-online", *horizon, *_TWO_DAYS,
+                       "--out-dir", str(tmp_path / str(expected))) == 0
+        assert lengths and set(lengths) == {expected}
+
+
+def test_model_forecast_runs(tmp_path):
+    # 32 days span January and February, so no calendar column of the fit
+    # is constant; the sessions start on day 1, after a day of history
+    (tmp_path / "sessions.csv").write_text(
+        "id,arrival_ts,depart_ts,soc_arrival,soc_target,capacity_kwh\n"
+        "a,2021-01-02T07:00:00+00:00,2021-01-02T15:00:00+00:00,0.2,0.7,20\n"
+        "b,2021-02-01T09:30:00+00:00,2021-02-01T20:00:00+00:00,0.3,0.6,20\n")
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--policy", "carbon-online", "--online-forecast", "model",
+                   "--synth-days", "32", "--sessions", str(tmp_path / "sessions.csv"),
+                   "--lambda", "100", "--out-dir", str(out)) == 0
+    with open(out / "decisions.csv", newline="") as f:
+        decisions = list(csv.DictReader(f))
+    assert {r["session_id"] for r in decisions} == {"a", "b"}
+    # the model's forecast, not the true intensity, drove the decisions
+    assert any(r["forecast_c"] != r["true_c"] for r in decisions)
+    report = json.loads((out / "report.json").read_text())
+    assert report["edq_station"] > 0
+
+
+def test_exclude_negative_zeroes_exports(tmp_path):
+    # without the flag the midday exports make C(t) < 0 (see the test
+    # above); zeroed, every slot's intensity is positive
+    (tmp_path / "mix.csv").write_text(_NEGATIVE_MIDDAY_MIX)
+    (tmp_path / "factors.csv").write_text(
+        "source,kgco2_per_kwh\nsolar,0.0\ngas,0.42\nimports,0.30\n")
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--policy", "edf", "--exclude-negative",
+                   "--mix", str(tmp_path / "mix.csv"),
+                   "--factors", str(tmp_path / "factors.csv"),
+                   "--synth-sessions-per-day", "3", "--out-dir", str(out)) == 0
+    with open(out / "shift.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    powered = [float(r["policy_kg"]) for r in rows if float(r["policy_kg"]) != 0]
+    assert powered and min(powered) > 0
+    midday = [float(r["policy_kg"]) for r in rows if 120 <= int(r["slot"]) < 180]
+    assert any(midday)
+
+
+@pytest.mark.parametrize("flag", ["--mix", "--factors"])
+def test_mix_and_factors_go_together(tmp_path, capsys, flag):
+    (tmp_path / "f.csv").write_text(_FACTORS)
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--policy", "edf", flag, str(tmp_path / "f.csv"),
+                   "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == "error: --mix and --factors must be given together\n"
+    assert not out.exists()
+
+
 class TestLambdaSweep:
     def test_single_lambda_single_row(self, tmp_path):
         out = tmp_path / "out"
@@ -442,6 +619,20 @@ class TestForecastCommand:
         assert len(model["beta"]) == 9
         stats = json.loads((out / "forecast_metrics.json").read_text())
         assert stats["mae"] >= 0.0
+
+    def test_model_json_holds_the_fitted_model(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["forecast", "--synth-days", "60", "--seed", "7"]
+        assert run_cli(*argv, "--out-dir", str(out)) == 0
+        args = cli.build_parser().parse_args(argv)
+        intensity = cli._load_intensity(args)
+        model, _, _ = forecast.fit(forecast.build_features(
+            intensity, cli._load_load(args, intensity.timestamps)), seed=7)
+        text = (out / "model.json").read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        assert json.loads(text) == {"beta": model.beta.tolist(),
+                                    "feature_means": model.feature_means.tolist(),
+                                    "feature_stds": model.feature_stds.tolist()}
 
     def test_too_little_history_exits_1(self, tmp_path):
         # one synthetic day leaves no rows after warm-up
@@ -483,18 +674,26 @@ _OVERNIGHT_SESSIONS = (
     "night-d,2021-01-02T23:00:00+00:00,2021-01-03T07:00:00+00:00,0.3,0.8,40\n")
 
 
-@pytest.mark.parametrize("policy,args", [
-    pytest.param("carbon-offline",
-                 ("--synth-days", "3", "--sessions", "sessions.csv",
-                  "--power-cap-kw", "7.5", "--lambda", "100"),
+# The same sessions under ids that CSV must quote: a comma and a quote.
+_QUOTED_IDS = {"car,1": "night-a", 'say "hi"': "night-b"}
+_QUOTED_SESSIONS = _OVERNIGHT_SESSIONS.replace(
+    "night-a,", '"car,1",').replace("night-b,", '"say ""hi""",')
+_OVERNIGHT = ("--synth-days", "3", "--sessions", "sessions.csv",
+              "--power-cap-kw", "7.5", "--lambda", "100")
+
+
+@pytest.mark.parametrize("policy,sessions,args", [
+    pytest.param("carbon-offline", _OVERNIGHT_SESSIONS, _OVERNIGHT,
                  id="offline-3-days-overnight"),
-    pytest.param("carbon-online",
+    pytest.param("carbon-online", _OVERNIGHT_SESSIONS,
                  ("--synth-days", "2", "--synth-sessions-per-day", "4",
                   "--synth-capacity-kwh", "5", "--lambda", "2"),
                  id="online-2-days"),
+    pytest.param("carbon-online", _QUOTED_SESSIONS, _OVERNIGHT,
+                 id="online-3-days-quoted-ids"),
 ])
-def test_csv_files_match_loop_writers(tmp_path, monkeypatch, policy, args):
-    (tmp_path / "sessions.csv").write_text(_OVERNIGHT_SESSIONS)
+def test_csv_files_match_loop_writers(tmp_path, monkeypatch, policy, sessions, args):
+    (tmp_path / "sessions.csv").write_text(sessions)
     real, runs = cli._run_days, {}
 
     def spy(day_policy, plans, lams, parsed, intensity, *rest):

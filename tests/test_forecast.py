@@ -1,5 +1,3 @@
-import io
-import json
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -207,21 +205,11 @@ class TestPredict:
         np.testing.assert_allclose(forecast.predict(doubled, X[:100]),
                                    2.0 * base, rtol=1e-12)
 
-    def test_model_json_roundtrip(self, two_month):
-        _, load, ci = two_month
-        model, _, _ = forecast.fit(forecast.build_features(ci, load), seed=7)
-        buf = io.StringIO()
-        forecast.save_model(model, buf)
-        d = json.loads(buf.getvalue())
-        assert set(d) == {"beta", "feature_means", "feature_stds"}
-        np.testing.assert_array_equal(d["beta"], model.beta)
-        np.testing.assert_array_equal(d["feature_means"], model.feature_means)
-        np.testing.assert_array_equal(d["feature_stds"], model.feature_stds)
-
 
 def _hand_rollout(beta, ci, load, start, horizon):
     """Independent step-by-step rollout over the whole observed prefix;
-    past the data end the calendar runs on and load repeats the final day."""
+    past the data end the calendar runs on from the last stamp and load
+    repeats the final day."""
     n = len(ci.values)
     buf = list(ci.values[:start])
     out = []
@@ -229,7 +217,7 @@ def _hand_rollout(beta, ci, load, start, horizon):
         if s < n:
             ts, ld = ci.timestamps[s], float(load.load_mw[s])
         else:
-            ts = ci.timestamps[0] + timedelta(minutes=5 * s)
+            ts = ci.timestamps[-1] + timedelta(minutes=5 * (s + 1 - n))
             ld = float(load.load_mw[n - W24 + (s - n) % W24])
         x = _features_at(ts, ld, buf)
         v = max(beta[0] + float(x @ beta[1:]), 0.0)
@@ -299,6 +287,29 @@ class TestRollout:
         assert got.shape == (1,)
         assert got[0] == pytest.approx(forecast.predict(model, X)[start - W24],
                                        rel=1e-12, abs=1e-12)
+
+    def test_calendar_continues_from_last_stamp(self):
+        # two days of local time across the spring-forward change: stamps
+        # read -08:00 before 2021-03-14T10:00Z and -07:00 from then on, and
+        # the last one is 23:55 local, so the continued slots are 00:00 and
+        # 00:05 of the next day, in the last stamp's offset
+        pst, pdt = timezone(timedelta(hours=-8)), timezone(timedelta(hours=-7))
+        change = datetime(2021, 3, 14, 10, tzinfo=UTC)
+        grid = make_grid(2, start=datetime(2021, 3, 13, 7, tzinfo=UTC))
+        stamps = tuple(ts.astimezone(pst if ts < change else pdt)
+                       for ts in grid.timestamps())
+        n = len(stamps)
+        assert stamps[-1].isoformat() == "2021-03-14T23:55:00-07:00"
+        load = LoadForecastSeries(stamps, _load_series(grid).load_mw)
+        cols = forecast._base_columns(stamps, load.load_mw, n - 2, n + 2, 5)
+        assert cols[:, 1].tolist() == [23, 23, 0, 0]
+        assert cols[:, 0].tolist() == [50, 55, 0, 5]
+        assert cols[:, 2].tolist() == [6, 6, 0, 0]    # Sunday, then Monday
+        ci = CarbonIntensitySeries(stamps, 0.2 + 0.01 * np.sin(np.arange(n) / 30.0))
+        model = forecast.ForecastModel(DRIFTING.copy(), np.zeros(8), np.ones(8))
+        got = forecast.rollout(model, ci.values, n - 40, 288, stamps, load.load_mw, 5)
+        np.testing.assert_allclose(got, _hand_rollout(DRIFTING, ci, load, n - 40, 288),
+                                   rtol=1e-12)
 
     def test_requires_warmup(self, two_month):
         _, load, ci = two_month

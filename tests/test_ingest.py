@@ -74,7 +74,8 @@ class TestParseGridMix:
 
     def test_negative_power_needs_signed_source(self):
         rows = ["2021-01-01T00:00:00+00:00,-5,1", "2021-01-01T00:05:00+00:00,-5,1"]
-        with pytest.raises(ValueError, match="non-signed source 'solar'"):
+        with pytest.raises(errors.OutOfRange,
+                           match="negative power for non-signed source 'solar' at row 1"):
             ingest.parse_grid_mix(
                 _mix_csv(rows), _factors_csv([("solar", 0.0), ("gas", 0.4)]))
         # imports may legitimately go negative (exports)
@@ -112,9 +113,37 @@ class TestParseLoad:
 
     def test_one_row_rejected(self):
         # one stamp fixes no slot length
-        with pytest.raises(ValueError, match="at least two rows"):
+        with pytest.raises(errors.TooFewRows, match="at least two rows"):
             ingest.parse_load(io.StringIO(
                 "timestamp,load_mw\n2021-01-01T00:00:00+00:00,24000\n"))
+
+
+@pytest.mark.parametrize("parser", ["mix", "load"])
+class TestSlotLength:
+    """A series' spacing is its slot length, so it must be a whole number
+    of minutes that divides 24 h: 90 s would give 2-minute slots (every
+    kWh off by a third) and 7 minutes 205-slot days of 23 h 55 min."""
+
+    @staticmethod
+    def _parse(parser, second):
+        rows = ["2021-01-01T00:00:00+00:00,1,1", f"2021-01-01T{second}+00:00,1,1"]
+        if parser == "mix":
+            return ingest.parse_grid_mix(
+                _mix_csv(rows), _factors_csv([("solar", 0.0), ("gas", 0.4)]))
+        return ingest.parse_load(io.StringIO(
+            "timestamp,load_mw\n" + "".join(r.rsplit(",", 1)[0] + "\n" for r in rows)))
+
+    @pytest.mark.parametrize("second,seconds", [("00:01:30", 90), ("00:07:00", 420),
+                                                ("00:00:30", 30), ("16:00:00", 57600)])
+    def test_rejected(self, parser, second, seconds):
+        with pytest.raises(errors.UnsupportedSlotLength,
+                           match=f"rows are {seconds} s apart") as exc:
+            self._parse(parser, second)
+        assert exc.value.step.total_seconds() == seconds
+
+    @pytest.mark.parametrize("second", ["00:01:00", "00:05:00", "00:15:00", "01:00:00"])
+    def test_accepted(self, parser, second):
+        self._parse(parser, second)
 
 
 class TestParseSessions:
@@ -225,15 +254,19 @@ class TestBinaryStreams:
                         "0.2,0.6\n",
         }
 
-        def parse(bom):
-            f = {k: io.BytesIO(bom + v.encode()) for k, v in texts.items()}
+        def parse(stream):
+            f = {k: stream(v) for k, v in texts.items()}
             mix = ingest.parse_grid_mix(f["mix"], f["factors"])
             load = ingest.parse_load(f["load"])
             return (mix.timestamps, mix.sources, mix.power.tolist(),
                     mix.factors.tolist(), load.timestamps, load.load_mw.tolist(),
                     ingest.parse_sessions(f["sessions"], make_grid(1)))
 
-        assert parse(b"\xef\xbb\xbf") == parse(b"")
+        plain = parse(lambda text: io.BytesIO(text.encode()))
+        assert parse(lambda text: io.BytesIO(b"\xef\xbb\xbf" + text.encode())) == plain
+        # a text stream, as from open(path) without "b", keeps the BOM as
+        # a character of its first line
+        assert parse(lambda text: io.StringIO("\ufeff" + text)) == plain
 
 
 _FACTORS = "source,kgco2_per_kwh\nsolar,0.0\ngas,0.4\n"

@@ -1,5 +1,3 @@
-import csv
-import io
 from datetime import timedelta, timezone
 
 import numpy as np
@@ -12,9 +10,8 @@ from carbonsched.carbon import CarbonIntensitySeries
 from carbonsched.errors import (ForecastUnavailable, GridMismatch,
                                 NumericalFailure)
 from carbonsched.ingest import LoadForecastSeries
-from carbonsched.online import (DECISION_LOG_HEADER, ModelForecaster,
-                                PerfectForecaster, lookahead_window,
-                                run_online)
+from carbonsched.online import (ModelForecaster, PerfectForecaster,
+                                lookahead_window, run_online)
 from carbonsched.scheduler import (StationConfig, build_lp, carbon_schedule,
                                    max_constraint_violation)
 
@@ -78,9 +75,12 @@ class TestRunOnline:
         _, ci = day
         monkeypatch.setattr(online, "build_lp",
                             lambda *a: infeasible(build_lp(*a)))
-        with pytest.raises(NumericalFailure, match=r"slot 5: .*Infeasible"):
+        with pytest.raises(NumericalFailure) as info:
             run_online([make_session(t_arrival=5, t_depart=100)],
                        PerfectForecaster(ci.values), ci.values, _config(), 288)
+        assert str(info.value) == \
+            "slot 5: LP solver failed: Infeasible (after 0 iterations)"
+        assert info.value.iterations == 0
 
     def test_no_power_before_arrival(self, day):
         _, ci = day
@@ -127,17 +127,15 @@ class TestRunOnline:
     def test_decision_log_consistent_with_emissions(self, day):
         grid, ci = day
         sessions = flexible_sessions(grid, 4, seed=31)
-        # run_online writes data rows only; the caller writes the header
-        log = io.StringIO()
-        csv.writer(log).writerow(DECISION_LOG_HEADER)
+        decisions = []
         res = run_online(sessions, PerfectForecaster(ci.values), ci.values,
-                         _config(), 288, log_out=log)
-        lines = log.getvalue().strip().splitlines()
-        assert lines[0] == "slot,session_id,power_kw,forecast_c,true_c"
+                         _config(), 288, decisions)
+        assert decisions
         total = 0.0
-        for line in lines[1:]:
-            _, _, p, _, c = line.split(",")
-            total += float(p) * float(c) * (5 / 60)
+        for k, i, p, c in decisions:
+            assert res.power[i, k] == p
+            assert c == ci.values[k]     # a perfect forecast
+            total += p * ci.values[k] * (5 / 60)
         assert total == pytest.approx(res.emissions_kg, abs=1e-9)
 
 
@@ -261,14 +259,13 @@ class TestPlanReuse:
         carbon = rng.uniform(0.05, 0.5, size=total)
         config = _config(T=T, cap=data.draw(st.floats(2.0, 30.0)),
                          lam=data.draw(st.floats(0.0, 5.0)))
-        log = io.StringIO()
+        decisions = []
         res = run_online(sessions, PerfectForecaster(carbon, slots_per_day=T),
-                         carbon, config, total, log_out=log)
+                         carbon, config, total, decisions)
         full = StationConfig(config.power_cap_kw, config.slot_hours,
                              config.lam, total)
         assert max_constraint_violation(res, sessions, full) <= 1e-8
-        logged = sum(float(p) * float(c) * config.slot_hours
-                     for _, _, p, _, c in csv.reader(io.StringIO(log.getvalue())))
+        logged = sum(p * carbon[k] * config.slot_hours for k, _, p, _ in decisions)
         assert logged == pytest.approx(res.emissions_kg, abs=1e-9)
 
 

@@ -279,14 +279,6 @@ class TestTouSchedule:
         assert terminal_gaps(res, [s])[0] <= 1e-7
         assert np.all(res.power[0, 16 * 12:] <= 1e-8)
 
-    def test_emissions_accounted_against_carbon(self):
-        s = make_session(t_arrival=0, t_depart=6, capacity_kwh=5.0, delta=1.0)
-        carbon = np.full(6, 0.1)
-        res = solve(build_lp([s], np.full(6, 0.3), _config(lam=10.0)),
-                    carbon=carbon)
-        delivered_grid_kwh = res.power.sum() * 1.0
-        assert res.emissions_kg == pytest.approx(0.1 * delivered_grid_kwh)
-
 
 class TestSelectLambda:
     @pytest.mark.parametrize("n,expected", [
