@@ -37,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse's default 2, which is reserved for solver failures.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(f"error: {message}")
+        self.exit(1, f"error: {message}\n")
 
 
 @contextlib.contextmanager
@@ -131,7 +131,7 @@ def _run_days(policy, plans, lams, args, intensity, forecasters=None,
         if policy == "tou":
             tariff = np.array([TOU_PEAK if ts.hour >= 16 else TOU_OFFPEAK
                                for ts in intensity.timestamps[off:off + horizon]])
-            power = scheduler.solve(scheduler.build_lp(rel, tariff, config)).power
+            power = scheduler.solve(scheduler.build_lp(rel, tariff, config))
             return scheduler.result_from_power(rel, power, config, cvals)
         if policy in ("carbon-offline", "carbon-adaptive"):
             return scheduler.carbon_schedule(rel, cvals, config)
@@ -139,9 +139,13 @@ def _run_days(policy, plans, lams, args, intensity, forecasters=None,
             fc = (forecasters[day] if forecasters is not None else
                   online.PerfectForecaster(intensity.values[off:],
                                            1440 // grid.slot_minutes))
-            return online.run_online(
-                rel, fc, cvals, replace(config, horizon_slots=args.horizon), horizon,
-                None if decisions is None else decisions.setdefault(day, []))
+            try:
+                return online.run_online(
+                    rel, fc, cvals, replace(config, horizon_slots=args.horizon), horizon,
+                    None if decisions is None else decisions.setdefault(day, []))
+            except NumericalFailure as exc:    # the run's slot, not the day's
+                exc.where = f"slot {off + exc.slot}"
+                raise
         raise CarbonSchedError(f"unknown policy {policy!r}")
 
     return {day: (rel, schedule(day, rel, off, horizon, lams[day]))
@@ -155,14 +159,22 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-def _check_lambdas(flag: str, values) -> None:
-    for lam in values:
-        if not 0 <= lam < np.inf:
-            raise CarbonSchedError(f"{flag} must be finite and >= 0, got {lam!r}")
+def _number(flag: str, kind: type, low: float, strict: bool = False):
+    """The argparse type of a numeric flag: the text as `kind`, which must
+    be finite and >= `low` (> with `strict`), or an input error naming
+    `flag`, raised while the command line is parsed."""
+    def parse(text: str):
+        v = kind(text)
+        if not (low < v if strict else low <= v) or not v < np.inf:
+            raise CarbonSchedError(
+                f"{flag} must be {'finite and ' if kind is float else ''}"
+                f"{'>' if strict else '>='} {low}, got {v!r}")
+        return v
+    parse.__name__ = kind.__name__    # argparse's "invalid int value"
+    return parse
 
 
 def cmd_simulate(args) -> int:
-    _check_lambdas("--lambda", [args.lam])
     intensity = _load_intensity(args)
     grid = _grid_of(intensity)
     timestamps = intensity.timestamps
@@ -243,7 +255,6 @@ def cmd_simulate(args) -> int:
 def cmd_lambda_sweep(args) -> int:
     if not args.lambdas:
         raise CarbonSchedError("empty lambda list")
-    _check_lambdas("--lambdas", args.lambdas)
     intensity = _load_intensity(args)
     grid = _grid_of(intensity)
     plans = _day_plans(_load_sessions(args, grid), grid)
@@ -283,63 +294,62 @@ def cmd_forecast(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mix", help="fuel-mix CSV (timestamp,<source>,... in MW)")
-    p.add_argument("--factors", help="emission-factor CSV (source,kgco2_per_kwh)")
-    p.add_argument("--sessions", help="charging sessions CSV")
-    p.add_argument("--load", help="load-forecast CSV (timestamp,load_mw)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", default="out")
-    p.add_argument("--power-cap-kw", type=float, default=180.0)
-    p.add_argument("--exclude-negative", action="store_true",
-                   help="zero out negative generation readings")
-    p.add_argument("--synth-days", type=int, default=1,
-                   help="days of synthetic data when --mix is omitted")
-    p.add_argument("--synth-sessions-per-day", type=int, default=20)
-    p.add_argument("--synth-capacity-kwh", type=float,
-                   default=ingest.DEFAULT_CAPACITY_KWH)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="carbon-sched",
                      description="Carbon-aware EV charging scheduler")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each subcommand takes only the flags it reads: `grid`'s all three,
+    # `station`'s the two that schedule, `load`'s the two that may fit.
+    grid, station, load = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    grid.add_argument("--mix", help="fuel-mix CSV (timestamp,<source>,... in MW)")
+    grid.add_argument("--factors", help="emission-factor CSV (source,kgco2_per_kwh)")
+    grid.add_argument("--seed", type=_number("--seed", int, 0), default=0)
+    grid.add_argument("--out-dir", default="out")
+    grid.add_argument("--exclude-negative", action="store_true",
+                      help="zero out negative generation readings")
+    grid.add_argument("--synth-days", type=_number("--synth-days", int, 1), default=1,
+                      help="days of synthetic data when --mix is omitted")
+    station.add_argument("--sessions", help="charging sessions CSV")
+    station.add_argument("--power-cap-kw", default=180.0,
+                         type=_number("--power-cap-kw", float, 0, strict=True))
+    station.add_argument("--synth-sessions-per-day", default=20,
+                         type=_number("--synth-sessions-per-day", int, 0))
+    station.add_argument("--synth-capacity-kwh", default=ingest.DEFAULT_CAPACITY_KWH,
+                         type=_number("--synth-capacity-kwh", float, 0, strict=True))
+    load.add_argument("--load", help="load-forecast CSV (timestamp,load_mw)")
 
-    sim = sub.add_parser("simulate", help="run one policy day by day")
-    _add_common(sim)
+    sim = sub.add_parser("simulate", parents=[grid, station, load],
+                         help="run one policy day by day")
     sim.add_argument("--policy", choices=POLICIES, required=True)
-    sim.add_argument("--lambda", dest="lam", type=float, default=0.3,
+    sim.add_argument("--lambda", dest="lam", default=0.3,
+                     type=_number("--lambda", float, 0),
                      help="balanced factor trading emissions vs delivery")
-    sim.add_argument("--horizon", type=int, default=288,
+    sim.add_argument("--horizon", type=_number("--horizon", int, 1), default=288,
                      help="online lookahead length in slots")
     sim.add_argument("--online-forecast", choices=("perfect", "model"),
                      default="perfect")
 
-    sweep = sub.add_parser("lambda-sweep", help="emissions/energy trade-off")
-    _add_common(sweep)
-    sweep.add_argument("--lambdas", type=lambda s: [float(x) for x in s.split(",") if x],
+    sweep = sub.add_parser("lambda-sweep", parents=[grid, station],
+                           help="emissions/energy trade-off")
+    lam = _number("--lambdas", float, 0)
+    sweep.add_argument("--lambdas", type=lambda s: [lam(x) for x in s.split(",") if x],
                        required=True, help="comma-separated balanced factors")
 
-    fc = sub.add_parser("forecast", help="fit the day-ahead intensity model")
-    _add_common(fc)
+    sub.add_parser("forecast", parents=[grid, load],
+                   help="fit the day-ahead intensity model")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 1
-        return 0 if exc.code in (0, None) else 1
-    try:
+        args = build_parser().parse_args(argv)
         if args.command == "simulate":
             return cmd_simulate(args)
         if args.command == "lambda-sweep":
             return cmd_lambda_sweep(args)
         return cmd_forecast(args)
+    except SystemExit as exc:    # --help exits 0, a usage error 1
+        return exc.code
     except NumericalFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -127,11 +127,9 @@ class ForecastUnavailable(CarbonSchedError):
 
 # --- scheduling ---
 
-class EmptyHorizon(CarbonSchedError):
-    pass
-
-
 class NumericalFailure(CarbonSchedError):
+    slot: int | None = None  # the online controller's slot, when it failed in one
+
     def __init__(self, detail: str, iterations: int | None = None):
         self.iterations = iterations
         msg = f"LP solver failed: {detail}"

@@ -134,7 +134,7 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
     returned schedule spans the full simulation and its emissions use
     `true_carbon`. If `decisions` is given, each decision is appended to
     it as (slot, session index, power_kw, forecast intensity of the slot).
-    A solver failure is re-raised with the slot it happened at.
+    A solver failure is re-raised with the slot it happened at as `slot`.
     """
     true_carbon = np.asarray(true_carbon, dtype=float)
     if total_slots < 1 or len(true_carbon) < total_slots:
@@ -159,9 +159,9 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
                                    soc_arrival=x,
                                    soc_target=min(max(s.soc_target, x), s.soc_max)))
             try:
-                planned = solve(build_lp(rel, window, config)).power
+                planned = solve(build_lp(rel, window, config))
             except NumericalFailure as exc:
-                exc.where = f"slot {k}"
+                exc.slot, exc.where = k, f"slot {k}"
                 raise
             plan = _Plan(k, {i: j for j, i in enumerate(active)}, window, planned)
             step = planned[:, 0]
@@ -169,5 +169,4 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
             decisions.extend((k, i, u, window[0]) for i, u in zip(active, step))
         return active, step
 
-    return run_slots(sessions, replace(config, horizon_slots=total_slots),
-                     true_carbon[:total_slots], decide)
+    return run_slots(sessions, config, true_carbon[:total_slots], decide)

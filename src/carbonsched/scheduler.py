@@ -25,8 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (EmptyHorizon, NonFiniteValue, NumericalFailure,
-                     SessionOutsideHorizon)
+from .errors import NonFiniteValue, NumericalFailure, SessionOutsideHorizon
 from .ingest import ChargingSession
 
 
@@ -75,7 +74,7 @@ _HIGHS_OPTIONS.dual_feasibility_tolerance = 1e-9
 @dataclass(frozen=True)
 class StationConfig:
     """Station-level parameters: power cap (kW), slot length (hours),
-    terminal-gap weight `lam`, and horizon length in slots."""
+    terminal-gap weight `lam`, and the online lookahead in slots."""
 
     power_cap_kw: float
     slot_hours: float
@@ -88,7 +87,7 @@ class StationConfig:
         if not 0 <= self.lam < np.inf:
             raise ValueError("lam must be finite and >= 0")
         if self.horizon_slots < 1:
-            raise EmptyHorizon("horizon_slots must be >= 1")
+            raise ValueError("horizon_slots must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -140,15 +139,13 @@ class LpInstance:
     finite: the owning session's power limit.
     """
 
-    sessions: tuple[ChargingSession, ...]
-    config: StationConfig
-    price: np.ndarray
     c: np.ndarray
     a_ub: CscMatrix
     b_ub: np.ndarray
     upper: np.ndarray  # per-variable upper bound
     owner: np.ndarray
     slot: np.ndarray
+    shape: tuple[int, int]  # of the power matrix: (sessions, slots)
 
 
 def session_slots(sessions: Sequence[ChargingSession],
@@ -168,12 +165,9 @@ def session_slots(sessions: Sequence[ChargingSession],
 
 def build_lp(sessions: Sequence[ChargingSession], price: np.ndarray,
              config: StationConfig) -> LpInstance:
-    """Assemble the sparse LP for the given sessions and price signal."""
-    T = config.horizon_slots
+    """Assemble the sparse LP for the sessions over the slots of `price`."""
     price = np.asarray(price, dtype=float)
-    if price.shape != (T,):
-        raise EmptyHorizon(f"price length {price.shape} != horizon {T}")
-
+    T = len(price)
     owner, slot = session_slots(sessions, T)
     n, n_u = len(sessions), len(owner)
     g = np.array([s.delta / s.capacity_kwh for s in sessions], dtype=float)[owner]
@@ -191,10 +185,8 @@ def build_lp(sessions: Sequence[ChargingSession], price: np.ndarray,
                      indptr=np.arange(0, 2 * n_u + 1, 2, dtype=np.int32),
                      shape=(n + T, n_u))
     b = np.concatenate([request, np.full(T, float(config.power_cap_kw))])
-    return LpInstance(
-        sessions=tuple(sessions), config=config, price=price,
-        c=c, a_ub=a_ub, b_ub=b, upper=power_max[owner], owner=owner, slot=slot,
-    )
+    return LpInstance(c=c, a_ub=a_ub, b_ub=b, upper=power_max[owner],
+                      owner=owner, slot=slot, shape=(n, T))
 
 
 def solve_lp(lp: LpInstance) -> tuple[np.ndarray, float, int]:
@@ -224,20 +216,20 @@ def solve_lp(lp: LpInstance) -> tuple[np.ndarray, float, int]:
             info.objective_function_value, info.simplex_iteration_count)
 
 
-def solve(lp: LpInstance) -> ScheduleResult:
-    """Solve the LP with HiGHS and expand the solution into a schedule,
-    its emissions and objective (`result_from_power`'s) against lp.price."""
-    power = np.zeros((len(lp.sessions), lp.config.horizon_slots))
-    if lp.sessions:
+def solve(lp: LpInstance) -> np.ndarray:
+    """Solve the LP with HiGHS: the power matrix, kW per (session, slot)."""
+    power = np.zeros(lp.shape)
+    if lp.c.size:
         x, _, _ = solve_lp(lp)
         power[lp.owner, lp.slot] = np.maximum(x, 0.0)
-    return result_from_power(lp.sessions, power, lp.config, lp.price)
+    return power
 
 
 def carbon_schedule(sessions: Sequence[ChargingSession], carbon: np.ndarray,
                     config: StationConfig) -> ScheduleResult:
-    """Offline carbon-aware schedule: build and solve in one call."""
-    return solve(build_lp(sessions, carbon, config))
+    """Offline carbon-aware schedule: build, solve and expand in one call."""
+    return result_from_power(sessions, solve(build_lp(sessions, carbon, config)),
+                             config, carbon)
 
 
 def result_from_power(sessions: Sequence[ChargingSession], power: np.ndarray,
@@ -271,10 +263,10 @@ def run_slots(sessions: Sequence[ChargingSession], config: StationConfig,
     `active` and `pending` list session indices in ascending order, and
     `soc[i]` is session i's state of charge; `decide` changes none of them.
 
-    The active set is kept by events, not rescanned: a session enters at
-    max(t_arrival, 0) and leaves at t_depart.
+    The horizon is as long as `carbon`. The active set is kept by events:
+    a session enters at max(t_arrival, 0) and leaves at t_depart.
     """
-    T = config.horizon_slots
+    T = len(carbon)
     power = np.zeros((len(sessions), T))
     soc = [s.soc_arrival for s in sessions]
     done = [s.soc_target - PENDING_EPS for s in sessions]
@@ -318,7 +310,7 @@ def max_constraint_violation(result: ScheduleResult,
     Checks SoC dynamics consistency, SoC bounds, per-EV power bounds, the
     station cap, and zero power outside each session's window.
     """
-    T = config.horizon_slots
+    T = result.power.shape[1]
     v = 0.0
     for i, s in enumerate(sessions):
         g = s.delta / s.capacity_kwh

@@ -29,8 +29,8 @@ from scipy.optimize import linprog
 
 from carbonsched.ingest import ChargingSession
 from carbonsched.online import lookahead_window
-from carbonsched.scheduler import (StationConfig, build_lp, result_from_power,
-                                   solve)
+from carbonsched.scheduler import (PENDING_EPS, StationConfig, build_lp,
+                                   result_from_power, solve)
 
 FEAS_EPS = 1e-9
 
@@ -275,7 +275,8 @@ def always_resolve_online(sessions, forecaster, true_carbon, config,
     for k in range(total_slots):
         active = [i for i, s in enumerate(sessions)
                   if s.t_arrival <= k and s.t_depart > k]
-        pending = [i for i in active if soc[i] < sessions[i].soc_target - 1e-9]
+        pending = [i for i in active
+                   if soc[i] < sessions[i].soc_target - PENDING_EPS]
         if not pending:
             continue
         window = lookahead_window(k, T, forecaster)
@@ -289,7 +290,7 @@ def always_resolve_online(sessions, forecaster, true_carbon, config,
         step = solve(build_lp(rel, window, config))
         solves += 1
         for j, i in enumerate(active):
-            u = float(step.power[j, 0])
+            u = float(step[j, 0])
             power[i, k] = u
             soc[i] += u * sessions[i].delta / sessions[i].capacity_kwh
     final = StationConfig(config.power_cap_kw, config.slot_hours, config.lam,
@@ -308,7 +309,7 @@ def _need_power_kw(session: ChargingSession, soc: float) -> float:
 
 def _active(sessions, soc: np.ndarray, t: int) -> list[int]:
     return [i for i, s in enumerate(sessions)
-            if s.t_arrival <= t < s.t_depart and soc[i] < s.soc_target - _EPS]
+            if s.t_arrival <= t < s.t_depart and soc[i] < s.soc_target - PENDING_EPS]
 
 
 def _water_fill(budget: float, caps: list[float]) -> list[float]:

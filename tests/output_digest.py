@@ -34,6 +34,17 @@ OVERNIGHT_SESSIONS = (
 OVERNIGHT = ("--synth-days", "3", "--sessions", "{tmp}/sessions.csv",
              "--power-cap-kw", "7.5", "--lambda", "100")
 
+# Two days of generation in MW, read through --mix and --factors: solar
+# peaks at 13:00 and the imports turn to exports from 10:00 to 15:00.
+MIX = "timestamp,solar,gas,imports\n" + "".join(
+    f"2021-06-0{1 + k // 288}T{k % 288 // 12:02d}:{5 * (k % 12):02d}:00+00:00,"
+    f"{max(0, 9000 - 80 * abs(k % 288 - 156))},{1000 + 10 * (k % 7)},"
+    f"{-3000 if 120 <= k % 288 < 180 else 1800}\n" for k in range(576))
+FACTORS = "source,kgco2_per_kwh\nsolar,0.0\ngas,0.42\nimports,0.30\n"
+FILES = ("--mix", "{tmp}/mix.csv", "--factors", "{tmp}/factors.csv",
+         "--synth-sessions-per-day", "8", "--synth-capacity-kwh", "5",
+         "--power-cap-kw", "20", "--lambda", "1.2", "--seed", "1")
+
 # Sessions for the fitted-model forecast, which needs a day of history and
 # two months of it to fit: none on day 0, two on day 1, and two on the last
 # of 60 days, whose lookahead windows run past the end of the series.
@@ -54,7 +65,11 @@ RUNS = [
     ("simulate-carbon-adaptive-lambda-7",
      ("simulate", "--policy", "carbon-adaptive", "--lambda", "7", *SYNTH)),
     *((f"overnight-{p}", ("simulate", "--policy", p, *OVERNIGHT))
-      for p in ("carbon-offline", "edf", "carbon-online")),
+      for p in POLICIES),
+    ("mix-files-carbon-offline",
+     ("simulate", "--policy", "carbon-offline", *FILES)),
+    ("mix-files-carbon-offline-exclude-negative",
+     ("simulate", "--policy", "carbon-offline", "--exclude-negative", *FILES)),
     ("model-carbon-online", ("simulate", "--policy", "carbon-online",
                              "--online-forecast", "model", *MODEL)),
     ("lambda-sweep", ("lambda-sweep", "--lambdas", "0.1,1,1.2,3", *SYNTH)),
@@ -77,6 +92,8 @@ def digest(name: str, argv: tuple[str, ...]) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "sessions.csv").write_text(OVERNIGHT_SESSIONS)
         (Path(tmp) / "model_sessions.csv").write_text(MODEL_SESSIONS)
+        (Path(tmp) / "mix.csv").write_text(MIX)
+        (Path(tmp) / "factors.csv").write_text(FACTORS)
         out = Path(tmp) / "out"
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):

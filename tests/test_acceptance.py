@@ -17,8 +17,8 @@ from carbonsched.forecast import build_features, fit
 from carbonsched.ingest import GridMixSeries
 from carbonsched.metrics import make_report
 from carbonsched.online import PerfectForecaster, run_online
-from carbonsched.scheduler import (StationConfig, build_lp, carbon_schedule,
-                                   max_constraint_violation, solve)
+from carbonsched.scheduler import (StationConfig, carbon_schedule,
+                                   max_constraint_violation)
 
 from conftest import duck_curve, flexible_sessions, make_grid, make_session
 from oracles import (brute_force_objective, random_instance, resolution_bound,
@@ -42,7 +42,7 @@ def test_criterion_1_solver_matches_enumeration_oracle():
     t0 = time.perf_counter()
     for _ in range(50):
         sessions, price, config = random_instance(rng, 2, 6)
-        res = solve(build_lp(sessions, price, config))
+        res = carbon_schedule(sessions, price, config)
         enum = brute_force_objective(sessions, price, config)
         assert res.objective <= enum + 1e-7
         assert res.objective >= enum - resolution_bound(sessions, config) - 1e-7
@@ -77,12 +77,12 @@ def test_criterion_2_constraint_satisfaction_and_scale():
     *small, (sessions, price, config) = criterion_2_instances()
     worst = 0.0
     for s, p, c in small:
-        res = solve(build_lp(s, p, c))
+        res = carbon_schedule(s, p, c)
         worst = max(worst, max_constraint_violation(res, s, c))
     assert worst <= 1e-8
 
     t0 = time.perf_counter()
-    res = solve(build_lp(sessions, price, config))
+    res = carbon_schedule(sessions, price, config)
     elapsed = time.perf_counter() - t0
     assert max_constraint_violation(res, sessions, config) <= 1e-8
     assert elapsed < 10.0

@@ -133,12 +133,16 @@ class TestSharedProperties:
     (earliest_deadline_first, loop_earliest_deadline_first),
 ])
 def test_bitwise_equal_to_slot_loop_reference(policy, reference):
-    # 600 random instances; a third have a station cap below every EV's limit
+    # 600 random instances; a third have a station cap below every EV's
+    # limit. Then one session that arrives 5e-10 below its target, inside
+    # the band where the slot loop counts a session as finished.
     rng = np.random.default_rng(2024)
-    for k in range(600):
-        cap = (float(rng.uniform(0.2, 2.0)), float(rng.uniform(2.0, 12.0)),
-               None)[k % 3]
-        sessions, price, config = random_instance(rng, 10, 48, power_cap=cap)
+    instances = [random_instance(rng, 10, 48, power_cap=(
+        float(rng.uniform(0.2, 2.0)), float(rng.uniform(2.0, 12.0)), None)[k % 3])
+        for k in range(600)]
+    near = make_session("near", 0, 12, soc_arrival=0.6 - 5e-10, soc_target=0.6)
+    instances.append(([near], np.full(12, 0.2), _config(T=12, cap=10.0)))
+    for k, (sessions, price, config) in enumerate(instances):
         got = policy(sessions, config, price)
         want = reference(sessions, config, price)
         assert np.array_equal(got.power, want.power), k

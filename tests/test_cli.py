@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -513,6 +514,78 @@ def test_failed_run_creates_no_out_dir(tmp_path, monkeypatch, capsys, argv, patc
     argv = [str(tmp_path / a) if a == "absent.csv" else a for a in argv]
     assert run_cli(*argv, "--out-dir", str(out)) == code
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_online_solver_error_names_the_run_slot(tmp_path, monkeypatch, capsys):
+    # day 1 fails at its slot 82, which decisions.csv and schedule.csv
+    # number 288 + 82
+    _fail_second_online_day(monkeypatch)
+    assert run_cli("simulate", "--policy", "carbon-online", *_TWO_DAYS,
+                   "--out-dir", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == \
+        "error: slot 370: LP solver failed: Infeasible (after 0 iterations)\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("simulate", "--policy", "carbon-online", "--horizon", "0"),
+     "--horizon must be >= 1, got 0"),
+    (("simulate", "--policy", "edf", "--power-cap-kw", "nan"),
+     "--power-cap-kw must be finite and > 0, got nan"),
+    (("lambda-sweep", "--lambdas", "0.3", "--power-cap-kw", "0"),
+     "--power-cap-kw must be finite and > 0, got 0.0"),
+    (("forecast", "--seed", "-1"), "--seed must be >= 0, got -1"),
+    (("simulate", "--policy", "edf", "--synth-days", "0"),
+     "--synth-days must be >= 1, got 0"),
+    (("simulate", "--policy", "es", "--synth-sessions-per-day", "-1"),
+     "--synth-sessions-per-day must be >= 0, got -1"),
+    (("simulate", "--policy", "edf", "--synth-capacity-kwh", "0"),
+     "--synth-capacity-kwh must be finite and > 0, got 0.0"),
+    (("simulate", "--policy", "tou", "--lambda", "-0.5"),
+     "--lambda must be finite and >= 0, got -0.5"),
+    (("lambda-sweep", "--lambdas", "0.1,inf"),
+     "--lambdas must be finite and >= 0, got inf"),
+])
+def test_numeric_flag_out_of_range_names_the_flag(tmp_path, capsys, argv, message):
+    # the flags are checked before any input is read: the --mix and
+    # --factors files named here do not exist
+    absent = str(tmp_path / "absent.csv")
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--mix", absent, "--factors", absent,
+                   "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {a.option_strings[0] for a in p._actions if a.dest != "help"}
+             for name, p in sub.choices.items()}
+    grid = {"--mix", "--factors", "--seed", "--out-dir", "--exclude-negative",
+            "--synth-days"}
+    station = {"--sessions", "--power-cap-kw", "--synth-sessions-per-day",
+               "--synth-capacity-kwh"}
+    assert flags == {
+        "simulate": grid | station | {"--load", "--policy", "--lambda", "--horizon",
+                                      "--online-forecast"},
+        "lambda-sweep": grid | station | {"--lambdas"},
+        "forecast": grid | {"--load"},
+    }
+    assert sum(map(len, flags.values())) == 33
+
+
+@pytest.mark.parametrize("argv", [
+    ("forecast", "--sessions", "s.csv"), ("forecast", "--power-cap-kw", "20"),
+    ("forecast", "--synth-sessions-per-day", "4"),
+    ("forecast", "--synth-capacity-kwh", "5"),
+    ("lambda-sweep", "--lambdas", "0.3", "--load", "load.csv"),
+])
+def test_flag_a_subcommand_never_reads_exits_1(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err.endswith(
+        f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
     assert not out.exists()
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carbonsched import forecast, online
+from carbonsched import forecast, online, scheduler
 from carbonsched.carbon import CarbonIntensitySeries
 from carbonsched.errors import (ForecastUnavailable, GridMismatch,
                                 NumericalFailure)
@@ -123,6 +123,22 @@ class TestRunOnline:
         assert np.all(res.station_power <= 20.0 + 1e-8)
         for i, s in enumerate(sessions):
             assert np.all(res.soc[i] <= s.soc_max + 1e-8)
+
+    def test_builds_one_schedule_record(self, day, monkeypatch):
+        # every re-solve hands back its power matrix; only the whole run
+        # is expanded into a ScheduleResult
+        grid, ci = day
+        real, records = scheduler.result_from_power, []
+
+        def counting(*args):
+            records.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(scheduler, "result_from_power", counting)
+        fc = DriftingForecaster(ci.values)
+        run_online(flexible_sessions(grid, 4, seed=31), fc, ci.values, _config(), 288)
+        assert fc.calls > 1
+        assert len(records) == 1
 
     def test_decision_log_consistent_with_emissions(self, day):
         grid, ci = day
@@ -262,9 +278,7 @@ class TestPlanReuse:
         decisions = []
         res = run_online(sessions, PerfectForecaster(carbon, slots_per_day=T),
                          carbon, config, total, decisions)
-        full = StationConfig(config.power_cap_kw, config.slot_hours,
-                             config.lam, total)
-        assert max_constraint_violation(res, sessions, full) <= 1e-8
+        assert max_constraint_violation(res, sessions, config) <= 1e-8
         logged = sum(p * carbon[k] * config.slot_hours for k, _, p, _ in decisions)
         assert logged == pytest.approx(res.emissions_kg, abs=1e-9)
 

@@ -94,11 +94,6 @@ class TestBuildLp:
         np.testing.assert_array_equal(scipy_matrix(lp.a_ub).toarray(), a)
         np.testing.assert_array_equal(lp.b_ub, b)
 
-    def test_price_length_mismatch(self):
-        s = make_session(t_arrival=0, t_depart=4)
-        with pytest.raises(errors.EmptyHorizon):
-            build_lp([s], np.full(5, 0.2), _config(T=6))
-
     def test_session_outside_horizon(self):
         s = make_session(t_arrival=10, t_depart=12)
         with pytest.raises(errors.SessionOutsideHorizon):
@@ -112,7 +107,7 @@ class TestSolve:
         s = make_session(t_arrival=0, t_depart=6, soc_arrival=0.2,
                          soc_target=0.7, capacity_kwh=20.0, power_max_kw=5.0,
                          delta=1.0)
-        res = solve(build_lp([s], np.full(6, 0.2), _config(lam=10.0)))
+        res = carbon_schedule([s], np.full(6, 0.2), _config(lam=10.0))
         assert res.delivered_kwh([s]) == pytest.approx(10.0, abs=1e-7)
         assert res.objective == pytest.approx(0.2 * 10.0, abs=1e-6)
         assert terminal_gaps(res, [s])[0] <= 1e-8
@@ -121,24 +116,24 @@ class TestSolve:
         s = make_session(t_arrival=0, t_depart=2, soc_arrival=0.3,
                          soc_target=0.5, capacity_kwh=10.0, power_max_kw=5.0,
                          delta=1.0)
-        res = solve(build_lp([s], np.array([0.4, 0.1]), _config(T=2)))
+        res = carbon_schedule([s], np.array([0.4, 0.1]), _config(T=2))
         assert res.power[0, 0] == pytest.approx(0.0, abs=1e-8)
         assert res.power[0, 1] == pytest.approx(2.0, abs=1e-7)
 
     def test_lambda_zero_no_charging(self):
         s = make_session(t_arrival=0, t_depart=6, capacity_kwh=20.0, delta=1.0)
-        res = solve(build_lp([s], np.full(6, 0.2), _config(lam=0.0)))
+        res = carbon_schedule([s], np.full(6, 0.2), _config(lam=0.0))
         assert res.objective == pytest.approx(0.0, abs=1e-9)
         assert res.delivered_kwh([s]) <= 1e-7
 
     def test_disjoint_windows_station_rows_slack(self):
         a = make_session("a", 0, 3, capacity_kwh=20.0, delta=1.0)
         b = make_session("b", 3, 6, capacity_kwh=20.0, delta=1.0)
-        res = solve(build_lp([a, b], np.full(6, 0.1), _config(cap=100.0)))
+        res = carbon_schedule([a, b], np.full(6, 0.1), _config(cap=100.0))
         assert np.all(res.station_power <= min(100.0, 7.5) + 1e-8)
 
     def test_zero_sessions(self):
-        res = solve(build_lp([], np.full(6, 0.2), _config()))
+        res = carbon_schedule([], np.full(6, 0.2), _config())
         assert res.power.shape == (0, 6)
         assert res.emissions_kg == 0.0
 
@@ -151,7 +146,7 @@ class TestSolve:
                          power_max_kw=3.0, delta=0.5),
         ]
         config = _config(cap=5.0, lam=1.2)
-        res = solve(build_lp(sessions, price, config))
+        res = carbon_schedule(sessions, price, config)
         enum = brute_force_objective(sessions, price, config)
         assert res.objective <= enum + 1e-7
         assert res.objective >= enum - resolution_bound(sessions, config) - 1e-7
@@ -162,7 +157,7 @@ class TestSolve:
         for _ in range(200):
             sessions, price, config = random_instance(
                 rng, 6, int(rng.choice([6, 24, 48])))
-            res = solve(build_lp(sessions, price, config))
+            res = carbon_schedule(sessions, price, config)
             ref = epigraph_optimum(sessions, price, config)
             assert res.objective == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
@@ -170,7 +165,7 @@ class TestSolve:
         rng = np.random.default_rng(2024)
         for _ in range(100):
             sessions, price, config = random_instance(rng, 6, 48)
-            res = solve(build_lp(sessions, price, config))
+            res = carbon_schedule(sessions, price, config)
             assert max_constraint_violation(res, sessions, config) <= 1e-8
 
     def test_lambda_monotonicity(self):
@@ -181,7 +176,7 @@ class TestSolve:
         for lam in np.arange(0.05, 0.501, 0.05):
             cfg = StationConfig(config.power_cap_kw, config.slot_hours,
                                 float(lam), config.horizon_slots)
-            res = solve(build_lp(sessions, price, cfg))
+            res = carbon_schedule(sessions, price, cfg)
             gap = float(terminal_gaps(res, sessions).sum())
             assert res.emissions_kg >= prev_em - 1e-7
             assert gap <= prev_gap + 1e-7
@@ -191,17 +186,17 @@ class TestSolve:
         rng = np.random.default_rng(13)
         sessions, price, config = random_instance(rng, 4, 24, lam=0.4)
         alpha = 3.7
-        base = solve(build_lp(sessions, price, config))
+        base = carbon_schedule(sessions, price, config)
         scaled_cfg = StationConfig(config.power_cap_kw, config.slot_hours,
                                    config.lam * alpha, config.horizon_slots)
-        scaled = solve(build_lp(sessions, price * alpha, scaled_cfg))
+        scaled = carbon_schedule(sessions, price * alpha, scaled_cfg)
         assert scaled.objective == pytest.approx(alpha * base.objective,
                                                  rel=1e-7, abs=1e-9)
 
     def test_zero_demand_session_idle(self):
         s = make_session(soc_arrival=0.5, soc_target=0.5, t_depart=6,
                          capacity_kwh=20.0, delta=1.0)
-        res = solve(build_lp([s], np.full(6, 0.2), _config(lam=1.0)))
+        res = carbon_schedule([s], np.full(6, 0.2), _config(lam=1.0))
         assert res.delivered_kwh([s]) <= 1e-8
 
 
@@ -263,7 +258,9 @@ class TestTouSchedule:
         sessions = [make_session("a", 0, 6, capacity_kwh=5.0, delta=1.0),
                     make_session("b", 2, 6, capacity_kwh=5.0, delta=1.0)]
         config = _config(lam=10.0)
-        by_tou = solve(build_lp(sessions, np.full(6, 0.3), config))
+        tariff = np.full(6, 0.3)
+        by_tou = result_from_power(sessions, solve(build_lp(sessions, tariff, config)),
+                                   config, tariff)
         by_carbon = carbon_schedule(sessions, np.full(6, 0.3), config)
         assert by_tou.delivered_kwh(sessions) \
             == pytest.approx(by_carbon.delivered_kwh(sessions), abs=1e-7)
@@ -275,9 +272,24 @@ class TestTouSchedule:
         s = make_session(t_arrival=14 * 12, t_depart=20 * 12, soc_arrival=0.2,
                          soc_target=0.6, capacity_kwh=2.0, delta=0.075)
         config = StationConfig(180.0, 5 / 60, 1.0, T)
-        res = solve(build_lp([s], price, config))
+        res = carbon_schedule([s], price, config)
         assert terminal_gaps(res, [s])[0] <= 1e-7
         assert np.all(res.power[0, 16 * 12:] <= 1e-8)
+
+
+class TestMaxConstraintViolation:
+    def test_power_past_departure_fails(self):
+        # the schedule's length is read off its power matrix, not the config
+        s = make_session(t_arrival=1, t_depart=4, capacity_kwh=20.0, delta=1.0)
+        price = np.full(6, 0.2)
+        power = np.zeros((1, 6))
+        power[0, 1:4] = 1.0
+        config = _config(T=1)
+        inside = result_from_power([s], power, config, price)
+        assert max_constraint_violation(inside, [s], config) <= 1e-12
+        power[0, 4] = 1.0
+        late = result_from_power([s], power, config, price)
+        assert max_constraint_violation(late, [s], config) == 1.0
 
 
 class TestSelectLambda:
