@@ -113,6 +113,30 @@ def _day_plans(sessions, grid: TimeGrid) -> dict[int, tuple[int, int, list]]:
     return plans
 
 
+def _tou_price(tariff: np.ndarray, sessions, lam: float,
+               slot_hours: float) -> np.ndarray:
+    """`tariff` plus a term that rises by slot, so that among slots of
+    equal tariff the LP charges the earlier first.
+
+    Session i's column in slot t costs h (p_t - lam g_i / h) (`build_lp`),
+    so two columns of one session differ in cost as their tariffs do, and
+    a column's cost has the sign of p_t - lam g_i / h. Let m be the least
+    non-zero gap between two tariff levels, or between a level and some
+    lam g_i / h. The term m t / (2 T) adds less than m / 2 to every price:
+    it neither reorders two unequal costs of a session nor flips the sign
+    of a non-zero cost, and it orders equal ones by slot. Each slot adds
+    h m / (2 T) to a cost; HiGHS tells that from a tie when it is above
+    its dual feasibility tolerance, 1e-9, which with 5-minute slots over
+    a day holds for m above 6.9e-6 $/kWh.
+    """
+    levels = np.unique(tariff)
+    g = np.array([s.delta / s.capacity_kwh for s in sessions])
+    gaps = np.abs(np.concatenate([np.diff(levels),
+                                  (levels[:, None] - lam * g / slot_hours).ravel()]))
+    m = gaps[gaps > 0].min(initial=1.0)    # no non-zero gap: any m will do
+    return tariff + m * np.arange(len(tariff)) / (2 * len(tariff))
+
+
 def _run_days(policy, plans, lams, args, intensity, forecasters=None,
               decisions=None) -> dict:
     """Per day of `plans`: its sessions and `policy`'s schedule at `lams[day]`.
@@ -131,7 +155,8 @@ def _run_days(policy, plans, lams, args, intensity, forecasters=None,
         if policy == "tou":
             tariff = np.array([TOU_PEAK if ts.hour >= 16 else TOU_OFFPEAK
                                for ts in intensity.timestamps[off:off + horizon]])
-            power = scheduler.solve(scheduler.build_lp(rel, tariff, config))
+            power = scheduler.solve(scheduler.build_lp(
+                rel, _tou_price(tariff, rel, lam, grid.slot_hours), config))
             return scheduler.result_from_power(rel, power, config, cvals)
         if policy in ("carbon-offline", "carbon-adaptive"):
             return scheduler.carbon_schedule(rel, cvals, config)
@@ -320,7 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", parents=[grid, station, load],
                          help="run one policy day by day")
-    sim.add_argument("--policy", choices=POLICIES, required=True)
+    sim.add_argument("--policy", choices=POLICIES, required=True,
+                     help="tou minimises the tariff cost and, among slots of "
+                          "equal tariff, charges the earlier slot first")
     sim.add_argument("--lambda", dest="lam", default=0.3,
                      type=_number("--lambda", float, 0),
                      help="balanced factor trading emissions vs delivery")

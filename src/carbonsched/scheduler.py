@@ -9,6 +9,13 @@ gap is the shortfall target - x_i(T) >= 0 and enters the cost linearly.
 With every price >= 0 this changes no optimum: scaling down a schedule
 that overshoots a target raises neither term.
 
+`solve` first tries a screen: without its station rows the LP is one
+fractional knapsack per session, and a greedy fill (cheapest columns
+first, the earlier slot on a tie) solves it exactly. When that fill keeps
+every slot within the cap, it is the LP's optimum and HiGHS does not run;
+when the cap would bind, or a request is negative, HiGHS solves the LP.
+On tied costs the two can return different optimal vertices.
+
 `session_slots` maps LP columns to (session, slot) pairs for the LP, its
 solution and the CLI's schedule.csv. Every ScheduleResult comes from
 `result_from_power`, so every policy's objective is the formula above
@@ -189,15 +196,12 @@ def build_lp(sessions: Sequence[ChargingSession], price: np.ndarray,
                       owner=owner, slot=slot, shape=(n, T))
 
 
-def solve_lp(lp: LpInstance) -> tuple[np.ndarray, float, int]:
-    """Solve the LP with HiGHS: (x, objective, simplex iterations).
-
-    Raises NonFiniteValue on a non-finite cost, matrix entry, right-hand
-    side or upper bound, and NumericalFailure on any status other than
-    optimal.
-    """
+def _require_finite(lp: LpInstance) -> None:
     if not all(np.isfinite(v).all() for v in (lp.c, lp.a_ub.data, lp.b_ub, lp.upper)):
         raise NonFiniteValue("LP cost, constraint or bound")
+
+
+def _run_highs(lp: LpInstance) -> tuple[np.ndarray, float, int]:
     a = lp.a_ub
     m, n = a.shape
     solver = highs._Highs()
@@ -216,11 +220,58 @@ def solve_lp(lp: LpInstance) -> tuple[np.ndarray, float, int]:
             info.objective_function_value, info.simplex_iteration_count)
 
 
+def solve_lp(lp: LpInstance) -> tuple[np.ndarray, float, int]:
+    """Solve the LP with HiGHS: (x, objective, simplex iterations).
+
+    Raises NonFiniteValue on a non-finite cost, matrix entry, right-hand
+    side or upper bound, and NumericalFailure on any status other than
+    optimal.
+    """
+    _require_finite(lp)
+    return _run_highs(lp)
+
+
+def _screen(lp: LpInstance) -> np.ndarray | None:
+    """The LP's optimal x when the station cap cannot bind, else None.
+
+    Without its station rows the LP is one fractional knapsack per
+    session: fill the columns with c < 0 in ascending c (ties: the
+    earlier slot first), each up to min(upper, what is left of the
+    request), which is optimal. If every slot's sum is then within its
+    cap, compared exactly, that x is feasible for the whole LP and so
+    optimal for it. Needs every request >= 0 and every g > 0.
+    """
+    n, T = lp.shape
+    g = lp.a_ub.data[::2]    # column k's SoC-row entry
+    if not ((lp.b_ub[:n] >= 0).all() and (g > 0).all()):
+        return None
+    k = np.flatnonzero(lp.c < 0)
+    k = k[np.lexsort((lp.slot[k], lp.c[k], lp.owner[k]))]
+    owner, upper = lp.owner[k], lp.upper[k]
+    # Power the session's earlier columns in this order take when full: a
+    # cumsum restarted at each session's first column (it never falls).
+    before = np.cumsum(upper) - upper
+    before -= np.maximum.accumulate(np.where(np.diff(owner, prepend=-1) != 0, before, 0.0))
+    x = np.zeros(len(lp.c))
+    x[k] = np.clip(lp.b_ub[owner] / g[k] - before, 0.0, upper)
+    if (np.bincount(lp.slot, weights=x, minlength=T) <= lp.b_ub[n:]).all():
+        return x
+    return None
+
+
 def solve(lp: LpInstance) -> np.ndarray:
-    """Solve the LP with HiGHS: the power matrix, kW per (session, slot)."""
+    """Solve the LP: the power matrix, kW per (session, slot).
+
+    `_screen` answers when the station cap cannot bind; otherwise HiGHS
+    runs, as in `solve_lp`. On tied costs the two may return different
+    optimal vertices. Raises as `solve_lp` does.
+    """
     power = np.zeros(lp.shape)
     if lp.c.size:
-        x, _, _ = solve_lp(lp)
+        _require_finite(lp)
+        x = _screen(lp)
+        if x is None:
+            x, _, _ = _run_highs(lp)
         power[lp.owner, lp.slot] = np.maximum(x, 0.0)
     return power
 

@@ -3,6 +3,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
+from carbonsched import scheduler
 from carbonsched.carbon import CarbonIntensitySeries
 from carbonsched.ingest import ChargingSession
 from carbonsched.timegrid import TimeGrid
@@ -14,6 +15,26 @@ DAY_SLOTS = 288
 @pytest.fixture
 def day_grid():
     return TimeGrid(datetime(2021, 4, 1, tzinfo=UTC), 5, DAY_SLOTS)
+
+
+@pytest.fixture
+def highs_only(monkeypatch):
+    """Every `scheduler.solve` goes to HiGHS: the screen declines."""
+    monkeypatch.setattr(scheduler, "_screen", lambda lp: None)
+
+
+@pytest.fixture
+def highs_runs(monkeypatch):
+    """A list that gets one entry per HiGHS run, from `solve` or `solve_lp`."""
+    runs = []
+    run = scheduler._run_highs
+
+    def counting(lp):
+        runs.append(lp)
+        return run(lp)
+
+    monkeypatch.setattr(scheduler, "_run_highs", counting)
+    return runs
 
 
 def make_grid(n_days: int, start=datetime(2021, 1, 1, tzinfo=UTC),

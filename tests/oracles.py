@@ -29,8 +29,8 @@ from scipy.optimize import linprog
 
 from carbonsched.ingest import ChargingSession
 from carbonsched.online import lookahead_window
-from carbonsched.scheduler import (PENDING_EPS, StationConfig, build_lp,
-                                   result_from_power, solve)
+from carbonsched.scheduler import (_HIGHS_OPTIONS, PENDING_EPS, StationConfig,
+                                   build_lp, result_from_power, solve)
 
 FEAS_EPS = 1e-9
 
@@ -227,6 +227,39 @@ def epigraph_optimum(sessions, price, config) -> float:
     return float(res.fun)
 
 
+def objective_slack(lp, lam: float) -> float:
+    """How far the objective of a schedule of `lp` that HiGHS, the screen
+    or a baseline returns may lie from the LP's optimum OPT, derived from
+    the library's HiGHS tolerances (eps_p primal, eps_d dual) and float
+    rounding. With N columns, T slots, n sessions and C = max |c|:
+
+    - above OPT: HiGHS's x is optimal for costs within eps_d of c over the
+      LP with each row and bound loosened by eps_p, and an optimum of the
+      LP is feasible there, so c.x <= OPT + eps_d * sum(upper + eps_p);
+    - below OPT: clip x into its bounds (<= eps_p kW per column); a SoC
+      row is then over by <= eps_p (1 + g N_i), which scaling the
+      session's columns down removes with <= eps_p (1/g_i + N_i) kW; a
+      slot is over its cap by <= eps_p (1 + N_t) kW, removed likewise. The
+      result is feasible, so c.x >= OPT - C eps_p (3N + T + sum 1/g_i);
+    - `solve` clips x at 0 (<= C eps_p N), and a session past its target
+      by s counts lam s in the objective instead of -lam s, with
+      s <= eps_p (1 + g N_i): together 2 lam eps_p (n + sum over columns of g);
+    - rounding: each of the N columns' values and products is exact to
+      about N float steps of C sum(upper).
+    """
+    eps_p = _HIGHS_OPTIONS.primal_feasibility_tolerance
+    eps_d = _HIGHS_OPTIONS.dual_feasibility_tolerance
+    n, T = lp.shape
+    N = len(lp.c)
+    g = lp.a_ub.data[::2]
+    C = float(np.abs(lp.c).max(initial=0.0))
+    inv_g = float(np.sum(1.0 / g[np.diff(lp.owner, prepend=-1) != 0]))  # sum 1/g_i
+    return (eps_d * float(np.sum(lp.upper + eps_p))
+            + C * eps_p * (4 * N + T + inv_g)
+            + 2 * lam * eps_p * (n + float(g.sum()))
+            + 4 * N * np.finfo(float).eps * C * float(lp.upper.sum()))
+
+
 def scipy_matrix(a):
     """The scipy.sparse matrix of a `scheduler.CscMatrix`, from its arrays
     as they are."""
@@ -371,6 +404,29 @@ def loop_earliest_deadline_first(sessions, config, carbon):
             soc[i] += u * sessions[i].delta / sessions[i].capacity_kwh
             budget -= u
     return result_from_power(sessions, power, config, carbon)
+
+
+def cheapest_first_then_capped(sessions, price, config):
+    """A schedule feasible for the LP of `price`, built one session and one
+    slot at a time: each session charges at full power in the slots where a
+    kW lowers the LP's cost, cheapest first (ties: earlier slot), until it
+    reaches its target; then every slot over the cap is scaled down to it.
+    Without the cap this is the LP's optimum, so it judges the optimum."""
+    T = len(price)
+    power = np.zeros((len(sessions), T))
+    for i, s in enumerate(sessions):
+        g = s.delta / s.capacity_kwh
+        left = s.soc_target - s.soc_arrival
+        window = range(max(0, s.t_arrival), min(T, s.t_depart))
+        for t in sorted(window, key=lambda t: (price[t], t)):
+            if price[t] * config.slot_hours - config.lam * g >= 0 or left <= 0:
+                break
+            power[i, t] = min(s.power_max_kw, left / g)
+            left -= power[i, t] * g
+    total = power.sum(axis=0)
+    over = total > config.power_cap_kw
+    power[:, over] *= config.power_cap_kw / total[over]
+    return result_from_power(sessions, power, config, price)
 
 
 def loop_schedule_csv(plans, results) -> str:

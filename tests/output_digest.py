@@ -5,15 +5,18 @@
 Each run calls `carbonsched.cli.main` in-process in a fresh temporary
 directory and prints one line per output file with its sha256, plus the
 exit code and the sha256 of stdout and stderr; an output directory left
-with no file in it gets a line of its own. Two checkouts that write
-the same bytes print the same digest, so a refactor that must keep every
-output identical is checked with one `diff` of the two digests. Pytest
-does not collect this file.
+with no file in it gets a line of its own. A run that writes report.json
+also gets one line for each of its figures in `FIGURES`, to 9 significant
+digits. Two checkouts that write the same bytes print the same digest, so
+a refactor that must keep every output identical is checked with one
+`diff` of the two digests, and where a change moves a report the figure
+lines show by how much. Pytest does not collect this file.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -84,6 +87,9 @@ RUNS = [
 ]
 
 
+FIGURES = ("total_emissions_kg", "energy_delivered_kwh", "edq_station")
+
+
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -104,6 +110,9 @@ def digest(name: str, argv: tuple[str, ...]) -> list[str]:
         if out.is_dir():
             lines += [f"{name} {p.name} {sha(p.read_bytes())}"
                       for p in sorted(out.iterdir())] or [f"{name} out-dir with no files"]
+            if (out / "report.json").is_file():
+                report = json.loads((out / "report.json").read_text())
+                lines += [f"{name} {key} {report[key]:.9g}" for key in FIGURES]
     return lines
 
 

@@ -51,6 +51,12 @@ def test_criterion_1_solver_matches_enumeration_oracle():
     _ok(1, f"50 instances bracketed by enumeration in {elapsed:.2f}s")
 
 
+def test_criterion_1_on_the_highs_path(highs_only):
+    """Criterion 1 with every LP solved by HiGHS: the station cap of most
+    of its instances cannot bind, so the screen answers them otherwise."""
+    test_criterion_1_solver_matches_enumeration_oracle()
+
+
 def criterion_2_instances():
     """Criterion 2's 1,000 random instances, then its 60 EV x 288 slot one,
     as (sessions, price, config)."""
@@ -87,6 +93,11 @@ def test_criterion_2_constraint_satisfaction_and_scale():
     assert max_constraint_violation(res, sessions, config) <= 1e-8
     assert elapsed < 10.0
     _ok(2, f"worst violation {worst:.2e}; 60x288 solved in {elapsed:.2f}s")
+
+
+def test_criterion_2_on_the_highs_path(highs_only):
+    """Criterion 2 with every LP solved by HiGHS."""
+    test_criterion_2_constraint_satisfaction_and_scale()
 
 
 def test_criterion_3_lambda_tradeoff_monotone():

@@ -10,6 +10,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ from carbonsched.cli import POLICIES, main
 from carbonsched.scheduler import build_lp
 
 from conftest import DAY_SLOTS, make_grid, make_session
-from oracles import loop_schedule_csv, loop_shift_csv
+from oracles import loop_schedule_csv, loop_shift_csv, objective_slack
 from test_scheduler import infeasible
 
 
@@ -681,6 +682,80 @@ class TestLambdaSweep:
         losses = [float(r[2]) for r in rows]
         assert all(b >= a - 1e-7 for a, b in zip(emissions, emissions[1:]))
         assert all(b <= a + 1e-7 for a, b in zip(losses, losses[1:]))
+
+
+    def test_rows_keep_the_trade_off_order(self, tmp_path):
+        # Per day, as in test_scheduler.TestSolverFreeJudges,
+        # (lam2 - lam1)(D2 - D1) >= -(s1 + s2) and E2 - E1 >= lam1 (D2 - D1) - s1,
+        # with s each LP's `objective_slack`; the rows sum the days. D is the
+        # delivered SoC and energy_loss_pct is 100 (1 - D / requested SoC).
+        argv = ["lambda-sweep", "--lambdas", "0,0.5,1.2,3,8", "--synth-days", "2",
+                "--synth-sessions-per-day", "8", "--synth-capacity-kwh", "5",
+                "--power-cap-kw", "20", "--seed", "3"]
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out-dir", str(out)) == 0
+        rows = [[float(v) for v in line.split(",")] for line in
+                (out / "tradeoff.csv").read_text().splitlines()[1:]]
+        args = cli.build_parser().parse_args(argv)
+        intensity = cli._load_intensity(args)
+        grid = cli._grid_of(intensity)
+        plans = cli._day_plans(cli._load_sessions(args, grid), grid)
+        requested = sum(s.soc_target - s.soc_arrival
+                        for _, _, rel in plans.values() for s in rel)
+
+        def slack(lam):
+            return sum(objective_slack(build_lp(
+                rel, intensity.values[off:off + horizon], scheduler.StationConfig(
+                    args.power_cap_kw, grid.slot_hours, lam, horizon)), lam)
+                for off, horizon, rel in plans.values())
+
+        assert [r[0] for r in rows] == args.lambdas
+        for (lam1, e1, loss1), (lam2, e2, loss2) in zip(rows, rows[1:]):
+            s1, s2 = slack(lam1), slack(lam2)
+            d_tol = (s1 + s2) / (lam2 - lam1)
+            assert loss2 <= loss1 + 100 * d_tol / requested
+            assert e2 >= e1 - lam1 * d_tol - s1
+        assert rows[-1][1] > rows[0][1]
+
+
+class TestTouTieBreak:
+    def test_flat_tariff_charges_earliest_slots_on_both_paths(self, monkeypatch,
+                                                             highs_runs):
+        sessions = [make_session("a", 2, 20, 0.2, 0.6), make_session("b", 0, 12, 0.3, 0.5)]
+        T, h, lam = 24, 5 / 60, 8.0
+        lp = build_lp(sessions, cli._tou_price(np.full(T, 0.3), sessions, lam, h),
+                      scheduler.StationConfig(20.0, h, lam, T))
+        expected = np.zeros((2, T))
+        for i, s in enumerate(sessions):
+            need = (s.soc_target - s.soc_arrival) * s.capacity_kwh / s.delta  # kW-slots
+            expected[i, s.t_arrival:s.t_depart] = np.clip(
+                need - 7.5 * np.arange(s.t_depart - s.t_arrival), 0.0, 7.5)
+        # a SoC row within eps_p of its bound moves a column by eps_p / g kW
+        atol = scheduler._HIGHS_OPTIONS.primal_feasibility_tolerance \
+            * max(s.capacity_kwh / s.delta for s in sessions)
+        by_screen = scheduler.solve(lp)
+        assert highs_runs == []
+        monkeypatch.setattr(scheduler, "_screen", lambda lp: None)
+        by_highs = scheduler.solve(lp)
+        assert len(highs_runs) == 1
+        np.testing.assert_allclose(by_screen, expected, rtol=0, atol=atol)
+        np.testing.assert_allclose(by_highs, expected, rtol=0, atol=atol)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.0, 20.0),
+           st.lists(st.floats(2.0, 60.0), min_size=1, max_size=4))
+    def test_term_keeps_each_sessions_cost_order_and_sign(self, lam, capacities):
+        h, T = 5 / 60, DAY_SLOTS
+        tariff = np.where(np.arange(T) < 16 * 12, cli.TOU_OFFPEAK, cli.TOU_PEAK)
+        sessions = [make_session(f"s{i}", capacity_kwh=c) for i, c in enumerate(capacities)]
+        price = cli._tou_price(tariff, sessions, lam, h)
+        earlier = np.arange(T)[:, None] < np.arange(T)[None, :]
+        for s in sessions:
+            g = s.delta / s.capacity_kwh
+            c, tied = tariff * h - lam * g, price * h - lam * g
+            assert np.all(np.sign(tied[c != 0]) == np.sign(c[c != 0]))
+            below = (c[:, None] < c[None, :]) | ((c[:, None] == c[None, :]) & earlier)
+            assert np.all((tied[:, None] < tied[None, :])[below])
 
 
 class TestForecastCommand:

@@ -124,6 +124,16 @@ class TestRunOnline:
         for i, s in enumerate(sessions):
             assert np.all(res.soc[i] <= s.soc_max + 1e-8)
 
+    def test_perfect_forecast_under_loose_cap_never_runs_highs(self, day, highs_runs):
+        # five sessions of 7.5 kW each under a 37.5 kW cap: every re-plan
+        # is answered by the screen
+        grid, ci = day
+        sessions = flexible_sessions(grid, 5, seed=500)
+        res = run_online(sessions, PerfectForecaster(ci.values), ci.values,
+                         _config(cap=5 * 7.5), 288)
+        assert highs_runs == []
+        assert res.delivered_kwh(sessions) > 0
+
     def test_builds_one_schedule_record(self, day, monkeypatch):
         # every re-solve hands back its power matrix; only the whole run
         # is expanded into a ScheduleResult

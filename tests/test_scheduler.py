@@ -2,18 +2,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from carbonsched import errors, scheduler
+from carbonsched.baselines import earliest_deadline_first, equal_sharing
 from carbonsched.ingest import ChargingSession
+from carbonsched.online import PerfectForecaster, run_online
 from carbonsched.scheduler import (StationConfig, build_lp, carbon_schedule,
                                    max_constraint_violation, result_from_power,
                                    select_lambda, solve, solve_lp)
 
 from conftest import make_session
-from oracles import (brute_force_objective, epigraph_optimum, linprog_solve,
-                     loop_soc_and_gaps, naive_dense_lp, random_instance,
+from oracles import (brute_force_objective, cheapest_first_then_capped,
+                     epigraph_optimum, linprog_solve, loop_soc_and_gaps,
+                     naive_dense_lp, objective_slack, random_instance,
                      resolution_bound, scipy_matrix, terminal_gaps)
 from test_acceptance import criterion_2_instances
 
@@ -198,6 +201,145 @@ class TestSolve:
                          capacity_kwh=20.0, delta=1.0)
         res = carbon_schedule([s], np.full(6, 0.2), _config(lam=1.0))
         assert res.delivered_kwh([s]) <= 1e-8
+
+
+@pytest.mark.usefixtures("highs_only")
+class TestSolveOnHighsPath(TestSolve):
+    """TestSolve with every LP solved by HiGHS: most of its instances
+    leave the station cap slack, so the screen answers them otherwise."""
+
+
+# Two sessions whose power limits sum to 7 kW, both cheapest in slots 2-3.
+SCREEN_SESSIONS = [
+    make_session("a", 0, 6, 0.2, 0.8, capacity_kwh=3.0, power_max_kw=4.0, delta=0.5),
+    make_session("b", 1, 5, 0.1, 0.9, capacity_kwh=2.0, power_max_kw=3.0, delta=0.5),
+]
+SCREEN_PRICE = np.array([0.4, 0.3, 0.1, 0.1, 0.3, 0.4])
+
+
+class TestScreen:
+    def test_loose_cap_skips_highs(self, highs_runs):
+        lp = build_lp(SCREEN_SESSIONS, SCREEN_PRICE, _config(cap=7.0, lam=1.2))
+        x = solve(lp)[lp.owner, lp.slot]
+        assert highs_runs == []
+        assert x.sum() > 0
+        _, objective, _ = solve_lp(lp)
+        assert len(highs_runs) == 1
+        assert abs(float(lp.c @ x) - objective) <= objective_slack(lp, 1.2)
+
+    def test_binding_cap_runs_highs(self, highs_runs):
+        # in slot 2, a takes 3.6 kW and b 3 kW: over a 5 kW cap
+        lp = build_lp(SCREEN_SESSIONS, SCREEN_PRICE, _config(cap=5.0, lam=1.2))
+        assert scheduler._screen(lp) is None
+        power = solve(lp)
+        assert len(highs_runs) == 1
+        assert power.sum(axis=0).max() <= 5.0 + 1e-9
+
+    def test_negative_request_goes_to_highs(self, highs_runs):
+        lp = infeasible(build_lp(SCREEN_SESSIONS, SCREEN_PRICE, _config(cap=7.0)))
+        with pytest.raises(errors.NumericalFailure, match="Infeasible"):
+            solve(lp)
+        assert len(highs_runs) == 1
+
+    def test_nan_cost_under_loose_cap_raises(self, highs_runs):
+        lp = build_lp(SCREEN_SESSIONS, SCREEN_PRICE, _config(cap=7.0))
+        assert scheduler._screen(lp) is not None
+        c = lp.c.copy()
+        c[3] = np.nan
+        with pytest.raises(errors.NonFiniteValue):
+            solve(replace(lp, c=c))
+        assert highs_runs == []
+
+    def test_matches_the_loop_reference_when_the_cap_is_slack(self):
+        rng = np.random.default_rng(77)
+        answered = 0
+        for _ in range(200):
+            sessions, price, config = random_instance(rng, 6, int(rng.choice([6, 24, 48])))
+            lp = build_lp(sessions, price, config)
+            if scheduler._screen(lp) is None:
+                continue
+            answered += 1
+            # each power is a difference of sums of at most N column powers
+            atol = len(lp.c) * np.finfo(float).eps * lp.upper.sum()
+            np.testing.assert_allclose(
+                solve(lp), cheapest_first_then_capped(sessions, price, config).power,
+                rtol=0, atol=atol)
+        assert answered >= 100
+
+    @pytest.mark.parametrize("cap", [7.0, 5.0])
+    def test_finiteness_checked_once(self, monkeypatch, cap):
+        calls = []
+        check = scheduler._require_finite
+        monkeypatch.setattr(scheduler, "_require_finite",
+                            lambda lp: calls.append(lp) or check(lp))
+        solve(build_lp(SCREEN_SESSIONS, SCREEN_PRICE, _config(cap=cap)))
+        assert len(calls) == 1
+
+
+JUDGE_SETTINGS = settings(max_examples=60, deadline=None,
+                          suppress_health_check=[HealthCheck.function_scoped_fixture])
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+def _judged_instance(seed):
+    rng = np.random.default_rng(seed)
+    return random_instance(rng, 6, int(rng.choice([6, 24, 48])))
+
+
+@pytest.fixture(params=["screen", "highs"])
+def solver_path(request, monkeypatch):
+    """Run a test as it is, then with every LP solved by HiGHS."""
+    if request.param == "highs":
+        monkeypatch.setattr(scheduler, "_screen", lambda lp: None)
+
+
+@pytest.mark.usefixtures("solver_path")
+class TestSolverFreeJudges:
+    """Two facts of every optimum, judged without a solver of their own.
+
+    Dominance: ES, EDF, perfect-forecast `run_online`, the `tou` schedule
+    and `cheapest_first_then_capped` never pass a target or the cap, so
+    each is feasible for the carbon LP and its objective is at least the
+    optimum. Monotone
+    trade-off: adding the optimality inequalities at lam1 < lam2 gives
+    (lam2 - lam1)(D2 - D1) >= 0 and E2 - E1 >= lam1 (D2 - D1) >= 0, with D
+    the delivered SoC and E the emissions. `objective_slack` bounds how far
+    each computed objective may miss its optimum, and enters each bound
+    as those inequalities carry it."""
+
+    @JUDGE_SETTINGS
+    @given(seeds)
+    def test_carbon_lp_dominates_every_other_policy(self, seed):
+        sessions, carbon, config = _judged_instance(seed)
+        T = len(carbon)
+        best = carbon_schedule(sessions, carbon, config)
+        tariff = np.where(np.arange(T) < 2 * T // 3, 0.25, 0.55)
+        others = {
+            "es": equal_sharing(sessions, config, carbon),
+            "edf": earliest_deadline_first(sessions, config, carbon),
+            "online": run_online(sessions, PerfectForecaster(carbon), carbon, config, T),
+            "tou": result_from_power(sessions, solve(build_lp(sessions, tariff, config)),
+                                     config, carbon),
+            "cheapest first": cheapest_first_then_capped(sessions, carbon, config),
+        }
+        slack = objective_slack(build_lp(sessions, carbon, config), config.lam)
+        for name, other in others.items():
+            assert best.objective <= other.objective + slack, name
+
+    @JUDGE_SETTINGS
+    @given(seeds)
+    def test_delivery_and_emissions_never_fall_as_lambda_rises(self, seed):
+        sessions, carbon, config = _judged_instance(seed)
+        runs = []
+        for lam in (0.0, 0.1, 0.3, 1.0, 3.0):
+            cfg = replace(config, lam=lam)
+            res = carbon_schedule(sessions, carbon, cfg)
+            runs.append((lam, res.emissions_kg, float(np.sum(res.soc[:, -1] - res.soc[:, 0])),
+                         objective_slack(build_lp(sessions, carbon, cfg), lam)))
+        for (lam1, e1, d1, s1), (lam2, e2, d2, s2) in zip(runs, runs[1:]):
+            d_tol = (s1 + s2) / (lam2 - lam1)
+            assert d2 >= d1 - d_tol
+            assert e2 >= e1 - lam1 * d_tol - s1
 
 
 def infeasible(lp):
