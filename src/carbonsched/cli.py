@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import sys
 from dataclasses import replace
@@ -161,12 +160,13 @@ def _run_days(policy, plans, lams, args, intensity, forecasters=None,
         if policy in ("carbon-offline", "carbon-adaptive"):
             return scheduler.carbon_schedule(rel, cvals, config)
         if policy == "carbon-online":
+            day_slots = 1440 // grid.slot_minutes
             fc = (forecasters[day] if forecasters is not None else
-                  online.PerfectForecaster(intensity.values[off:],
-                                           1440 // grid.slot_minutes))
+                  online.PerfectForecaster(intensity.values[off:], day_slots))
+            lookahead = replace(config, horizon_slots=args.horizon or day_slots)
             try:
                 return online.run_online(
-                    rel, fc, cvals, replace(config, horizon_slots=args.horizon), horizon,
+                    rel, fc, cvals, lookahead, horizon,
                     None if decisions is None else decisions.setdefault(day, []))
             except NumericalFailure as exc:    # the run's slot, not the day's
                 exc.where = f"slot {off + exc.slot}"
@@ -248,13 +248,13 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report_text + "\n")
     if args.policy == "carbon-online":
-        with open(out_dir / "decisions.csv", "w", newline="") as f:
-            log = csv.writer(f)
-            log.writerow(("slot", "session_id", "power_kw", "forecast_c", "true_c"))
+        with open(out_dir / "decisions.csv", "w", newline="") as log:
+            log.write("slot,session_id,power_kw,forecast_c,true_c\n")
             for day, (off, _, rel) in plans.items():
-                log.writerows((off + k, rel[i].id, repr(float(u)), repr(float(c)),
-                               repr(float(intensity.values[off + k])))
-                              for k, i, u, c in decisions[day])
+                log.write("".join(
+                    f"{off + k},{_csv_cell(rel[i].id)},{float(u)!r},{float(c)!r},"
+                    f"{float(intensity.values[off + k])!r}\n"
+                    for k, i, u, c in decisions[day]))
 
     with open(out_dir / "schedule.csv", "w", newline="") as sched, \
             open(out_dir / "shift.csv", "w", newline="") as shift:
@@ -351,8 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--lambda", dest="lam", default=0.3,
                      type=_number("--lambda", float, 0),
                      help="balanced factor trading emissions vs delivery")
-    sim.add_argument("--horizon", type=_number("--horizon", int, 1), default=288,
-                     help="online lookahead length in slots")
+    sim.add_argument("--horizon", type=_number("--horizon", int, 1),
+                     help="online lookahead length in slots "
+                          "(default: one day of the input grid's slots)")
     sim.add_argument("--online-forecast", choices=("perfect", "model"),
                      default="perfect")
 

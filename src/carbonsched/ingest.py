@@ -335,11 +335,6 @@ def parse_sessions(file: IO, grid: TimeGrid) -> list[ChargingSession]:
             if not (grid.contains(arrival) and grid.contains(depart)):
                 raise SessionOutsideHorizon(sid)
 
-            t_arrival = grid.ceil_index(arrival)
-            t_depart = grid.floor_index(depart)
-            if t_arrival >= t_depart:
-                raise EmptyWindow(sid)
-
             def _opt(col: str, default: float) -> float:
                 raw = (row.get(col) or "").strip()
                 return _parse_float(raw, row_no, col) if raw else default
@@ -347,8 +342,8 @@ def parse_sessions(file: IO, grid: TimeGrid) -> list[ChargingSession]:
             efficiency = _opt("efficiency", DEFAULT_EFFICIENCY)
             out.append(ChargingSession(
                 id=sid,
-                t_arrival=t_arrival,
-                t_depart=t_depart,
+                t_arrival=grid.ceil_index(arrival),
+                t_depart=grid.floor_index(depart),
                 soc_arrival=_parse_float(row["soc_arrival"], row_no, "soc_arrival"),
                 soc_target=_parse_float(row["soc_target"], row_no, "soc_target"),
                 capacity_kwh=_opt("capacity_kwh", DEFAULT_CAPACITY_KWH),

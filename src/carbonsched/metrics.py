@@ -1,4 +1,4 @@
-"""Energy-delivery-quality and emission metrics, plus policy comparison.
+"""Energy-delivery-quality and emission metrics.
 
 `make_report` builds every figure of a run's report, as the dict that
 report.json holds; a session's delivery quality is its delivered SoC over
@@ -82,24 +82,3 @@ def make_report(policy: str,
             for name, b in sorted(seasons.items())}
     return report
 
-
-def compare(reports: Sequence[dict], base: dict) -> list[dict]:
-    """Per-policy comparison rows of `make_report` dicts, with percent
-    deltas vs the `base` report.
-
-    Deltas are 100*(base - x)/base, computed from unrounded values, so a
-    positive emissions delta is a reduction.
-    """
-    def pct(key: str, r: dict) -> float:
-        b = base[key]
-        return 100.0 * (b - r[key]) / b if abs(b) > _EPS else 0.0
-
-    return [{
-        "policy": r["policy"],
-        "emissions_per_session_kg": r["emissions_per_session_kg"],
-        "total_emissions_kg": r["total_emissions_kg"],
-        "edq_station": r["edq_station"],
-        "edq_session": r["edq_session"],
-        "emissions_reduction_pct": pct("total_emissions_kg", r),
-        "edq_station_change_pct": pct("edq_station", r),
-    } for r in reports]

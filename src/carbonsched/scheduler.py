@@ -202,6 +202,8 @@ def _require_finite(lp: LpInstance) -> None:
 
 
 def _run_highs(lp: LpInstance) -> tuple[np.ndarray, float, int]:
+    """Solve a finite LP with HiGHS: (x, objective, simplex iterations).
+    Raises NumericalFailure on any status other than optimal."""
     a = lp.a_ub
     m, n = a.shape
     solver = highs._Highs()
@@ -218,17 +220,6 @@ def _run_highs(lp: LpInstance) -> tuple[np.ndarray, float, int]:
                                info.simplex_iteration_count)
     return (np.array(solver.getSolution().col_value),
             info.objective_function_value, info.simplex_iteration_count)
-
-
-def solve_lp(lp: LpInstance) -> tuple[np.ndarray, float, int]:
-    """Solve the LP with HiGHS: (x, objective, simplex iterations).
-
-    Raises NonFiniteValue on a non-finite cost, matrix entry, right-hand
-    side or upper bound, and NumericalFailure on any status other than
-    optimal.
-    """
-    _require_finite(lp)
-    return _run_highs(lp)
 
 
 def _screen(lp: LpInstance) -> np.ndarray | None:
@@ -263,8 +254,10 @@ def solve(lp: LpInstance) -> np.ndarray:
     """Solve the LP: the power matrix, kW per (session, slot).
 
     `_screen` answers when the station cap cannot bind; otherwise HiGHS
-    runs, as in `solve_lp`. On tied costs the two may return different
-    optimal vertices. Raises as `solve_lp` does.
+    runs. On tied costs the two may return different optimal vertices.
+    Raises NonFiniteValue on a non-finite cost, matrix entry, right-hand
+    side or upper bound, and NumericalFailure when HiGHS ends in any
+    status other than optimal.
     """
     power = np.zeros(lp.shape)
     if lp.c.size:

@@ -25,7 +25,7 @@ def highs_only(monkeypatch):
 
 @pytest.fixture
 def highs_runs(monkeypatch):
-    """A list that gets one entry per HiGHS run, from `solve` or `solve_lp`."""
+    """A list that gets one entry per HiGHS run, `scheduler._run_highs`."""
     runs = []
     run = scheduler._run_highs
 

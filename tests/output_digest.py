@@ -48,6 +48,24 @@ FILES = ("--mix", "{tmp}/mix.csv", "--factors", "{tmp}/factors.csv",
          "--synth-sessions-per-day", "8", "--synth-capacity-kwh", "5",
          "--power-cap-kw", "20", "--lambda", "1.2", "--seed", "1")
 
+# The same kind of mix at 15-minute spacing, where one day is 96 slots, and
+# three sessions on it. The second day exports more at midday, so its
+# intensity is lower then; the second session stays 31 h, and a lookahead
+# of one day does not see that second midday when the session arrives.
+MIX_15 = "timestamp,solar,gas,imports\n" + "".join(
+    f"2021-06-0{1 + k // 96}T{k % 96 // 4:02d}:{15 * (k % 4):02d}:00+00:00,"
+    f"{max(0, 9000 - 320 * abs(k % 96 - 52))},{1000 + 10 * (k % 7)},"
+    f"{-3000 - 1500 * (k // 96) if 40 <= k % 96 < 60 else 1800}\n"
+    for k in range(2 * 96))
+SESSIONS_15 = (
+    "id,arrival_ts,depart_ts,soc_arrival,soc_target,capacity_kwh\n"
+    "q-a,2021-06-01T07:10:00+00:00,2021-06-01T16:00:00+00:00,0.2,0.8,30\n"
+    "q-b,2021-06-01T08:00:00+00:00,2021-06-02T15:00:00+00:00,0.1,0.7,40\n"
+    "q-c,2021-06-02T10:05:00+00:00,2021-06-02T18:40:00+00:00,0.3,0.9,20\n")
+FILES_15 = ("--mix", "{tmp}/mix15.csv", "--factors", "{tmp}/factors.csv",
+            "--sessions", "{tmp}/sessions15.csv", "--power-cap-kw", "7.5",
+            "--lambda", "100", "--seed", "1")
+
 # Sessions for the fitted-model forecast, which needs a day of history and
 # two months of it to fit: none on day 0, two on day 1, and two on the last
 # of 60 days, whose lookahead windows run past the end of the series.
@@ -73,6 +91,7 @@ RUNS = [
      ("simulate", "--policy", "carbon-offline", *FILES)),
     ("mix-files-carbon-offline-exclude-negative",
      ("simulate", "--policy", "carbon-offline", "--exclude-negative", *FILES)),
+    ("mix-15-min-carbon-online", ("simulate", "--policy", "carbon-online", *FILES_15)),
     ("model-carbon-online", ("simulate", "--policy", "carbon-online",
                              "--online-forecast", "model", *MODEL)),
     ("lambda-sweep", ("lambda-sweep", "--lambdas", "0.1,1,1.2,3", *SYNTH)),
@@ -100,6 +119,8 @@ def digest(name: str, argv: tuple[str, ...]) -> list[str]:
         (Path(tmp) / "model_sessions.csv").write_text(MODEL_SESSIONS)
         (Path(tmp) / "mix.csv").write_text(MIX)
         (Path(tmp) / "factors.csv").write_text(FACTORS)
+        (Path(tmp) / "mix15.csv").write_text(MIX_15)
+        (Path(tmp) / "sessions15.csv").write_text(SESSIONS_15)
         out = Path(tmp) / "out"
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):

@@ -98,6 +98,23 @@ class TestSimulate:
             assert schedule[(r["session_id"], int(r["slot"]))] \
                 == float(r["power_kw"]), r
 
+    def test_csv_outputs_end_lines_in_lf(self, tmp_path):
+        # an id with a comma is quoted alike in decisions.csv and schedule.csv
+        (tmp_path / "s.csv").write_text(
+            _SESSIONS_HEADER + _session_row('"car,1"') + _session_row("b"))
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--policy", "carbon-online", "--lambda", "100",
+                       "--synth-days", "1", "--sessions", str(tmp_path / "s.csv"),
+                       "--out-dir", str(out)) == 0
+        for name in ("decisions.csv", "schedule.csv", "shift.csv"):
+            assert b"\r" not in (out / name).read_bytes(), name
+        with open(out / "schedule.csv", newline="") as f:
+            schedule = {(r["session_id"], r["slot"]) for r in csv.DictReader(f)}
+        with open(out / "decisions.csv", newline="") as f:
+            decisions = {(r["session_id"], r["slot"]) for r in csv.DictReader(f)}
+        assert {sid for sid, _ in decisions} == {"car,1", "b"}
+        assert decisions <= schedule
+
     def test_zero_demand_reports_full_delivery(self, tmp_path):
         grid = make_grid(1)
         path = tmp_path / "sessions.csv"
@@ -348,6 +365,11 @@ def test_boundary_input_exits_1(tmp_path, capsys, files, args):
                            + _session_row().replace(",7.5\n", "\n")},
                  ("--sessions", "s.csv"),
                  "malformed CSV row 1: 6 cells, the header has 7", id="sessions"),
+    pytest.param("s.csv", {"s.csv": _SESSIONS_HEADER + _session_row().replace(
+                               "08:00:00", "08:02:00").replace("12:00:00", "08:04:00")},
+                 ("--sessions", "s.csv"),
+                 "session 'a' has an empty charging window after snapping",
+                 id="sessions-empty-window"),
     pytest.param("load.csv", {"load.csv": _NAN_LOAD.replace(",nan\n", "\n")},
                  ("--load", "load.csv", "--policy", "carbon-online",
                   "--online-forecast", "model"),
@@ -598,9 +620,15 @@ def test_horizon_sets_the_lookahead(tmp_path, monkeypatch):
         return build_lp(sessions, price, config)
 
     monkeypatch.setattr(online, "build_lp", build)
-    for horizon, expected in ((("--horizon", "12"), 12), ((), 288)):
+    # by default, one day of the grid's slots: 288 of 5 minutes, 96 of 15
+    (tmp_path / "mix.csv").write_text("timestamp,gas\n" + "".join(
+        f"2021-01-0{1 + k // 96}T{k % 96 // 4:02d}:{15 * (k % 4):02d}:00+00:00,1000\n"
+        for k in range(2 * 96)))
+    (tmp_path / "factors.csv").write_text("source,kgco2_per_kwh\ngas,0.01\n")
+    mix = ("--mix", str(tmp_path / "mix.csv"), "--factors", str(tmp_path / "factors.csv"))
+    for argv, expected in ((("--horizon", "12"), 12), ((), 288), (mix, 96)):
         lengths.clear()
-        assert run_cli("simulate", "--policy", "carbon-online", *horizon, *_TWO_DAYS,
+        assert run_cli("simulate", "--policy", "carbon-online", *argv, *_TWO_DAYS,
                        "--out-dir", str(tmp_path / str(expected))) == 0
         assert lengths and set(lengths) == {expected}
 

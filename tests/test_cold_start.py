@@ -28,8 +28,8 @@ def run_fresh(*parts: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-# Solves a few random LPs with solve_lp and with linprog; prints whether
-# every pair is equal bit for bit.
+# Solves a few random LPs with scheduler._run_highs and with linprog;
+# prints whether every pair is equal bit for bit.
 BITWISE = """
     import numpy as np
     from oracles import linprog_solve, random_instance
@@ -37,7 +37,7 @@ BITWISE = """
     equal = []
     for horizon in HORIZONS:
         lp = scheduler.build_lp(*random_instance(rng, 8, horizon))
-        x, objective, nit = scheduler.solve_lp(lp)
+        x, objective, nit = scheduler._run_highs(lp)
         ref_x, ref_objective, ref_nit = linprog_solve(lp)
         equal.append(bool(np.array_equal(x, ref_x)) and objective == ref_objective
                       and nit == ref_nit)

@@ -177,10 +177,12 @@ class TestParseSessions:
                  "0.2,0.6,50,1.0,7.5,0.9"]), day_grid)
 
     def test_depart_before_arrival(self, day_grid):
-        with pytest.raises((errors.EmptyWindow, errors.InvalidSoC)):
-            ingest.parse_sessions(_sessions_csv(
-                ["a,2021-04-01T12:00:00+00:00,2021-04-01T08:00:00+00:00,"
-                 "0.2,0.6,50,1.0,7.5,0.9"]), day_grid)
+        # 08:02 -> 08:04 snaps to 08:05 -> 08:00, an empty window too
+        for arrival, depart in (("12:00", "08:00"), ("08:02", "08:04")):
+            with pytest.raises(errors.EmptyWindow, match="empty charging window"):
+                ingest.parse_sessions(_sessions_csv(
+                    [f"a,2021-04-01T{arrival}:00+00:00,2021-04-01T{depart}:00+00:00,"
+                     "0.2,0.6,50,1.0,7.5,0.9"]), day_grid)
 
     def test_invalid_soc(self, day_grid):
         with pytest.raises(errors.InvalidSoC):

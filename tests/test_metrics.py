@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carbonsched import metrics
-from carbonsched.metrics import compare, make_report
+from carbonsched.metrics import make_report
 from carbonsched.scheduler import StationConfig, result_from_power
 
 from conftest import make_session
@@ -108,30 +107,6 @@ class TestEdq:
         res2, _ = _result(shuffled, [delivered[i] for i in order])
         assert edq_station(res2, shuffled) == pytest.approx(st_val)
         assert edq_session(res2, shuffled) == pytest.approx(se_val)
-
-
-def _report(policy, emissions):
-    return {"policy": policy, "total_emissions_kg": emissions,
-            "emissions_per_session_kg": emissions, "edq_station": 1.0,
-            "edq_session": 1.0, "energy_delivered_kwh": 10.0, "n_sessions": 1,
-            "per_day": []}
-
-
-class TestCompare:
-    def test_percentage_reductions(self):
-        edf = _report("edf", 2.913)
-        rows = compare([edf, _report("offline-0.4", 2.798),
-                        _report("offline-0.3", 2.195)], edf)
-        by = {r["policy"]: r for r in rows}
-        assert by["offline-0.4"]["emissions_reduction_pct"] \
-            == pytest.approx(3.948, abs=0.001)
-        assert by["offline-0.3"]["emissions_reduction_pct"] \
-            == pytest.approx(24.648, abs=0.001)
-
-    def test_identical_reports_zero_delta(self):
-        a = _report("a", 2.0)
-        rows = compare([a, _report("b", 2.0)], a)
-        assert rows[1]["emissions_reduction_pct"] == 0.0
 
 
 class TestMakeReport:

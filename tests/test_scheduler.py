@@ -11,7 +11,7 @@ from carbonsched.ingest import ChargingSession
 from carbonsched.online import PerfectForecaster, run_online
 from carbonsched.scheduler import (StationConfig, build_lp, carbon_schedule,
                                    max_constraint_violation, result_from_power,
-                                   select_lambda, solve, solve_lp)
+                                   select_lambda, solve)
 
 from conftest import make_session
 from oracles import (brute_force_objective, cheapest_first_then_capped,
@@ -223,7 +223,7 @@ class TestScreen:
         x = solve(lp)[lp.owner, lp.slot]
         assert highs_runs == []
         assert x.sum() > 0
-        _, objective, _ = solve_lp(lp)
+        _, objective, _ = scheduler._run_highs(lp)
         assert len(highs_runs) == 1
         assert abs(float(lp.c @ x) - objective) <= objective_slack(lp, 1.2)
 
@@ -351,10 +351,13 @@ def infeasible(lp):
 
 
 class TestSolveLp:
+    """The HiGHS call, `_run_highs`, against `linprog`, and the errors
+    `solve` raises before and after it."""
+
     def test_bitwise_equal_to_linprog_on_criterion_2_instances(self):
         for sessions, price, config in criterion_2_instances():
             lp = build_lp(sessions, price, config)
-            x, objective, nit = solve_lp(lp)
+            x, objective, nit = scheduler._run_highs(lp)
             ref_x, ref_objective, ref_nit = linprog_solve(lp)
             assert np.array_equal(x, ref_x)
             assert objective == ref_objective
