@@ -92,22 +92,26 @@ def _load_load(args, timestamps) -> ingest.LoadForecastSeries:
 
 
 def _day_plans(sessions, grid: TimeGrid) -> dict[int, tuple[int, int, list]]:
-    """Per day with arrivals: its first absolute slot, its horizon and its
-    sessions relative to that slot, ordered by arrival then id. Sessions
-    may run past midnight; the horizon extends to cover them."""
+    """Per block of days with arrivals, keyed by its first day: its first
+    slot, its horizon and its sessions relative to that slot, ordered by
+    arrival then id. A day joins the block before it when a session of that
+    block departs after the day starts. The horizon runs to the latest
+    departure, at least one day and at most to the end of the series."""
     slots_per_day = 1440 // grid.slot_minutes
-    days: dict[int, list] = {}
-    for s in sessions:
-        days.setdefault(s.t_arrival // slots_per_day, []).append(s)
+    blocks: dict[int, list] = {}
+    end = 0    # the latest departure so far
+    for s in sorted(sessions, key=lambda s: (s.t_arrival, s.id)):
+        day = s.t_arrival // slots_per_day
+        if day * slots_per_day >= end:
+            block = blocks.setdefault(day, [])
+        block.append(s)
+        end = max(end, s.t_depart)
     plans = {}
-    for day in sorted(days):
-        sess = sorted(days[day], key=lambda s: (s.t_arrival, s.id))
+    for day, sess in blocks.items():
         off = day * slots_per_day
         horizon = max(slots_per_day, max(s.t_depart for s in sess) - off)
-        horizon = min(horizon, grid.n_slots - off)
-        plans[day] = off, horizon, [
-            replace(s, t_arrival=s.t_arrival - off,
-                    t_depart=min(s.t_depart - off, horizon))
+        plans[day] = off, min(horizon, grid.n_slots - off), [
+            replace(s, t_arrival=s.t_arrival - off, t_depart=s.t_depart - off)
             for s in sess]
     return plans
 
@@ -346,8 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", parents=[grid, station, load],
                          help="run one policy day by day")
     sim.add_argument("--policy", choices=POLICIES, required=True,
-                     help="tou minimises the tariff cost and, among slots of "
-                          "equal tariff, charges the earlier slot first")
+                     help="days a session links across midnight are planned as "
+                          "one block, which counts as one day: carbon-adaptive's "
+                          "factor is from its session count, and its per_day row "
+                          "is keyed by its first day. tou minimises the tariff "
+                          "cost and, among slots of equal tariff, charges the "
+                          "earlier slot first")
     sim.add_argument("--lambda", dest="lam", default=0.3,
                      type=_number("--lambda", float, 0),
                      help="balanced factor trading emissions vs delivery")

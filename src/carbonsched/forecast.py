@@ -7,7 +7,7 @@ are fed recursively from the model's own predictions.
 
 Features are one matrix, one row per slot: the calendar and load
 columns of `_base_columns`, then the three moving averages in
-`MA_WINDOWS_H` order. `build_features` and `rollout` both take the
+`MA_WINDOWS_H` order. `build_features` and `ModelForecaster` take the
 non-lagged columns from that one helper, so the column order lives there.
 """
 
@@ -104,11 +104,9 @@ def fit(data: tuple[np.ndarray, np.ndarray], seed: int = 0,
     """OLS of `build_features`' (X, y) on a random 80% split; returns
     (model, held-out MAE, held-out MSE).
 
-    Features are z-scored before solving the normal equations (Cholesky on
-    the Gram matrix) and the coefficients are mapped back to raw space.
+    Features are z-scored before the normal equations are solved with
+    `numpy.linalg`, and the coefficients are mapped back to raw space.
     """
-    import scipy.linalg  # about 0.2 s to import; only fitting needs it
-
     X, y = data
     if len(y) < 10:
         raise InsufficientHistory("need at least 10 feature rows")
@@ -128,7 +126,7 @@ def fit(data: tuple[np.ndarray, np.ndarray], seed: int = 0,
     evals = np.linalg.eigvalsh(G)
     if evals[0] <= _PIVOT_EPS * max(evals[-1], 1.0):
         raise RankDeficient("design matrix is rank deficient after standardization")
-    bz = scipy.linalg.cho_solve(scipy.linalg.cho_factor(G), Z.T @ y[train])
+    bz = np.linalg.solve(G, Z.T @ y[train])
 
     beta = np.empty(9)
     beta[1:] = bz[1:] / stds
@@ -144,39 +142,29 @@ def predict(model: ForecastModel, X: np.ndarray) -> np.ndarray:
     return np.maximum(model.beta[0] + X @ model.beta[1:], 0.0)
 
 
-def rollout(model: ForecastModel, observed: np.ndarray, start: int, horizon: int,
-            timestamps: Sequence[datetime], load_mw: np.ndarray,
-            slot_minutes: int, cols: np.ndarray | None = None) -> np.ndarray:
-    """Recursive day-ahead rollout.
+def rollout(model: ForecastModel, observed: np.ndarray, cols: np.ndarray,
+            slot_minutes: int) -> np.ndarray:
+    """Recursive day-ahead rollout: forecast the `len(cols)` slots that
+    follow `observed`, from its last 24 h; nothing earlier is read. `cols`
+    holds `_base_columns` of those slots, and moving averages past
+    `observed` are fed from prior predictions.
 
-    Forecast slots start..start+horizon-1 given the true intensity of the
-    trailing 24 h, `observed[start-w24:start]`; nothing earlier is read.
-    Moving averages past the observed prefix are fed from prior
-    predictions. `timestamps`/`load_mw` index the same grid; slots past
-    their end reuse the final day cyclically. `cols`, if given, is
-    `_base_columns` of the forecast slots, built beforehand; the rollout
-    then does not read `timestamps` or `load_mw`.
-
-    Costs O(horizon) per call: the non-lagged terms of every slot come
+    Costs O(len(cols)) per call: the non-lagged terms of every slot come
     from one matrix product, and the three moving averages are running
     sums slid forward as predictions are appended.
     """
     w24, w12, w1 = _ma_slots(slot_minutes)
-    if start < w24:
-        raise InsufficientHistory(f"rollout needs {w24} observed slots, got {start}")
-    if cols is None:
-        cols = _base_columns(timestamps, load_mw, start, start + horizon, slot_minutes)
+    # seq[w24 + j] is the prediction for the j-th forecast slot.
+    seq = np.asarray(observed[-w24:], dtype=float).tolist()
+    if len(seq) < w24:
+        raise InsufficientHistory(f"rollout needs {w24} observed slots, got {len(seq)}")
     beta = model.beta
     n_base = cols.shape[1]
     base = (beta[0] + cols @ beta[1:1 + n_base]).tolist()
     k24, k12, k1 = (float(b) for b in beta[1 + n_base:])
 
-    # seq[w24 + j] is the prediction for slot start + j.
-    seq = np.asarray(observed[:start][-w24:], dtype=float).tolist()
-    if len(seq) < w24:
-        raise InsufficientHistory(f"rollout needs {w24} observed slots, got {len(seq)}")
     s24, s12, s1 = sum(seq), sum(seq[-w12:]), sum(seq[-w1:])
-    for j in range(horizon):
+    for j in range(len(cols)):
         pred = max(base[j] + k24 * (s24 / w24) + k12 * (s12 / w12) + k1 * (s1 / w1), 0.0)
         pos = w24 + j
         s24 += pred - seq[pos - w24]
@@ -184,4 +172,3 @@ def rollout(model: ForecastModel, observed: np.ndarray, start: int, horizon: int
         s1 += pred - seq[pos - w1]
         seq.append(pred)
     return np.asarray(seq[w24:], dtype=float)
-

@@ -59,8 +59,8 @@ class ModelForecaster:
     The calendar and load columns of the rollout are built once per
     forecaster: `_base` holds them for grid slots sim_start onward, as far
     as a window has reached, and grows by at least one horizon at a time.
-    Each window hands `rollout` its own rows, which equal the columns the
-    rollout would build for that window.
+    Each window hands `rollout` its own rows of `_base` and the intensity
+    observed before the window starts.
     """
 
     def __init__(self, model: ForecastModel, carbon: CarbonIntensitySeries,
@@ -83,9 +83,8 @@ class ModelForecaster:
             self._base = np.concatenate([self._base, _base_columns(
                 self.carbon.timestamps, self.load.load_mw, cached, stop,
                 self.carbon.slot_minutes)])
-        return rollout(self.model, self.carbon.values, start, horizon,
-                       self.carbon.timestamps, self.load.load_mw,
-                       self.carbon.slot_minutes, cols=self._base[k:k + horizon])
+        return rollout(self.model, self.carbon.values[:start],
+                       self._base[k:k + horizon], self.carbon.slot_minutes)
 
 
 def lookahead_window(k: int, horizon: int, forecaster: Forecaster) -> np.ndarray:

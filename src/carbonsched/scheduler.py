@@ -65,9 +65,9 @@ def _load_highs():
 
 highs = _load_highs()
 
-# HiGHS is called through scipy's bundled binding, with the options that
-# scipy's own HiGHS front end sets and tighter feasibility tolerances; the
-# tests check the result bit for bit against that front end.
+# HiGHS is called through that binding, with the options that
+# `linprog(method="highs")` sets and tighter feasibility tolerances; the
+# tests check the result bit for bit against `linprog`.
 _HIGHS_OPTIONS = highs.HighsOptions()
 _HIGHS_OPTIONS.output_flag = False
 _HIGHS_OPTIONS.log_to_console = False

@@ -7,17 +7,22 @@ directory and prints one line per output file with its sha256, plus the
 exit code and the sha256 of stdout and stderr; an output directory left
 with no file in it gets a line of its own. A run that writes report.json
 also gets one line for each of its figures in `FIGURES`, to 9 significant
-digits. Two checkouts that write the same bytes print the same digest, so
+digits, and a run that writes schedule.csv one `max_slot_kw` line: the
+largest sum of `power_kw` over the rows of one slot, to 9 significant
+digits, which a run that keeps its station cap holds at or below the cap.
+Two checkouts that write the same bytes print the same digest, so
 a refactor that must keep every output identical is checked with one
 `diff` of the two digests, and where a change moves a report the figure
 lines show by how much. Pytest does not collect this file.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
 import tempfile
+from collections import defaultdict
 from pathlib import Path
 
 from carbonsched.cli import POLICIES, main
@@ -113,6 +118,15 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def max_slot_kw(path: Path) -> float:
+    """The largest per-slot sum of `power_kw` in a schedule.csv."""
+    station = defaultdict(float)
+    with open(path, newline="") as f:
+        for row in csv.DictReader(f):
+            station[int(row["slot"])] += float(row["power_kw"])
+    return max(station.values(), default=0.0)
+
+
 def digest(name: str, argv: tuple[str, ...]) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "sessions.csv").write_text(OVERNIGHT_SESSIONS)
@@ -134,6 +148,8 @@ def digest(name: str, argv: tuple[str, ...]) -> list[str]:
             if (out / "report.json").is_file():
                 report = json.loads((out / "report.json").read_text())
                 lines += [f"{name} {key} {report[key]:.9g}" for key in FIGURES]
+            if (out / "schedule.csv").is_file():
+                lines.append(f"{name} max_slot_kw {max_slot_kw(out / 'schedule.csv'):.9g}")
     return lines
 
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from carbonsched import cli, forecast, ingest, online, scheduler
 from carbonsched.cli import POLICIES, main
 from carbonsched.scheduler import build_lp
 
-from conftest import DAY_SLOTS, make_grid, make_session
+from conftest import DAY_SLOTS, duck_curve, make_grid, make_session
 from oracles import loop_schedule_csv, loop_shift_csv, objective_slack
 from test_scheduler import infeasible
 
@@ -891,6 +892,75 @@ def test_csv_files_match_loop_writers(tmp_path, monkeypatch, policy, sessions, a
     assert (out / "shift.csv").read_bytes() == loop_shift_csv(
         plans, runs[policy], runs["edf"], intensity,
         cli._grid_of(intensity).slot_hours).encode()
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_station_cap_holds_across_midnight(tmp_path, policy):
+    # night-a and night-d link the three days into one block, so every slot
+    # is planned once: the stitched schedule keeps the cap and shift.csv
+    # has one row per slot.
+    (tmp_path / "sessions.csv").write_text(_OVERNIGHT_SESSIONS)
+    argv = [str(tmp_path / a) if a == "sessions.csv" else a for a in _OVERNIGHT]
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--policy", policy, *argv, "--out-dir", str(out)) == 0
+    station = defaultdict(float)
+    with open(out / "schedule.csv", newline="") as f:
+        for row in csv.DictReader(f):
+            station[int(row["slot"])] += float(row["power_kw"])
+    assert max(station.values()) <= 7.5 + 1e-8
+    slots = [line.split(",")[0]
+             for line in (out / "shift.csv").read_text().splitlines()[1:]]
+    assert len(slots) == len(set(slots))
+
+
+def test_day_plans_join_days_that_a_session_links():
+    D = DAY_SLOTS
+    grid = make_grid(5)
+    sessions = [
+        make_session("e", 4 * D + 10, 4 * D + 100),
+        make_session("d", 3 * D + 100, 4 * D),           # departs at midnight
+        make_session("c", 2 * D + 20, 2 * D + 200),
+        make_session("b", D + 100, 2 * D + 10),           # into day 2
+        make_session("b0", D + 100, D + 200),
+        make_session("a", 100, D + 50),                   # into day 1
+    ]
+    plans = cli._day_plans(sessions, grid)
+    assert {day: (off, horizon) for day, (off, horizon, _) in plans.items()} \
+        == {0: (0, 2 * D + 200), 3: (3 * D, D), 4: (4 * D, D)}
+    assert [(s.id, s.t_arrival, s.t_depart) for s in plans[0][2]] == [
+        ("a", 100, D + 50), ("b", D + 100, 2 * D + 10), ("b0", D + 100, D + 200),
+        ("c", 2 * D + 20, 2 * D + 200)]
+    assert [(s.id, s.t_arrival, s.t_depart) for s in plans[3][2]] == [("d", 100, D)]
+    assert [(s.id, s.t_arrival, s.t_depart) for s in plans[4][2]] == [("e", 10, 100)]
+
+
+@st.composite
+def _overnight_sessions(draw):
+    """Up to six sessions on a 3-day grid; the first arrives late in the
+    evening of day 0 or 1 and stays past midnight."""
+    D = DAY_SLOTS
+    day = draw(st.integers(0, 1))
+    spans = [(day * D + draw(st.integers(D - 60, D - 1)), draw(st.integers(61, 360)))]
+    spans += draw(st.lists(st.tuples(st.integers(0, 3 * D - 1), st.integers(1, 360)),
+                           max_size=5))
+    return [make_session(f"s{i}", a, min(a + stay, 3 * D), 0.1, 0.9, capacity_kwh=20.0)
+            for i, (a, stay) in enumerate(spans)]
+
+
+@settings(max_examples=10, deadline=None)
+@given(sessions=_overnight_sessions(), cap=st.sampled_from([7.5, 10.0]))
+def test_stitched_schedule_keeps_the_cap(sessions, cap):
+    grid = make_grid(3)
+    intensity = duck_curve(grid)
+    plans = cli._day_plans(sessions, grid)
+    args = argparse.Namespace(power_cap_kw=cap, horizon=None)
+    for policy in ("es", "edf", "carbon-offline"):
+        station = np.zeros(grid.n_slots)
+        for day, (_, res) in cli._run_days(policy, plans, dict.fromkeys(plans, 100.0),
+                                           args, intensity).items():
+            off = plans[day][0]
+            station[off:off + len(res.station_power)] += res.station_power
+        assert station.max() <= cap + 1e-8, policy
 
 
 _STAMP_COLUMNS = {"timestamp", "arrival_ts", "depart_ts"}

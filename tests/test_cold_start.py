@@ -1,5 +1,6 @@
-"""Start-up imports: `import carbonsched.cli` loads numpy and scipy's
-HiGHS extension, not scipy.optimize, scipy.sparse or scipy.linalg.
+"""Start-up and run imports: `import carbonsched.cli`, and a CLI run after
+it, load numpy and scipy's HiGHS extension and no other scipy module:
+not scipy itself, scipy.optimize, scipy.sparse or scipy.linalg.
 
 Each check runs in a fresh interpreter, since this process has imported
 all of scipy already.
@@ -52,6 +53,31 @@ def test_cli_import_leaves_heavy_scipy_modules_out():
                           if m in sys.modules]))
     """)
     assert loaded == []
+
+
+def test_cli_runs_load_no_scipy_module_but_the_highs_extension(tmp_path):
+    # One run of each subcommand, the fitted-model forecast included.
+    out = run_fresh(f"""
+        import json, sys
+        from pathlib import Path
+        from carbonsched.cli import main
+        from output_digest import MODEL, MODEL_SESSIONS
+        tmp = Path({str(tmp_path)!r})
+        (tmp / "model_sessions.csv").write_text(MODEL_SESSIONS)
+        codes = [
+            main(["forecast", "--synth-days", "60", "--out-dir", str(tmp / "forecast")]),
+            main(["simulate", "--policy", "carbon-online", "--online-forecast", "model",
+                  *(a.format(tmp=tmp) for a in MODEL), "--out-dir", str(tmp / "model")]),
+            main(["lambda-sweep", "--lambdas", "0.1,1", "--out-dir", str(tmp / "sweep")]),
+        ]
+        print(json.dumps({{"codes": codes, "scipy": sorted(
+            m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}}))
+    """)
+    assert out["codes"] == [0, 0, 0]
+    # The extension registers its own submodules (`cb`, `simplex_constants`),
+    # built from the same file, under its name.
+    core = "scipy.optimize._highspy._core"
+    assert all(m == core or m.startswith(core + ".") for m in out["scipy"]), out["scipy"]
 
 
 def test_scipy_imported_after_carbonsched_shares_the_binding():

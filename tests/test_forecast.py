@@ -235,8 +235,8 @@ class TestRollout:
         _, load, ci = two_month
         model = forecast.ForecastModel(PLANTED.copy(), np.zeros(8), np.ones(8))
         start, horizon = 600, 3
-        got = forecast.rollout(model, ci.values, start, horizon,
-                               ci.timestamps, load.load_mw, 5)
+        got = forecast.rollout(model, ci.values[:start], forecast._base_columns(
+            ci.timestamps, load.load_mw, start, start + horizon, 5), 5)
         expected = _hand_rollout(PLANTED, ci, load, start, horizon)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
@@ -246,8 +246,8 @@ class TestRollout:
     def test_full_horizon_matches_hand_recursion(self, two_month, beta, start):
         _, load, ci = two_month
         model = forecast.ForecastModel(beta.copy(), np.zeros(8), np.ones(8))
-        got = forecast.rollout(model, ci.values, start, 288,
-                               ci.timestamps, load.load_mw, 5)
+        got = forecast.rollout(model, ci.values[:start], forecast._base_columns(
+            ci.timestamps, load.load_mw, start, start + 288, 5), 5)
         expected = _hand_rollout(beta, ci, load, start, 288)
         assert got.shape == (288,)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
@@ -258,10 +258,9 @@ class TestRollout:
         start = 3 * 288 + 40
         stale = ci.values.copy()
         stale[:start - W24] = np.nan
-        clean = forecast.rollout(model, ci.values, start, 288,
-                                 ci.timestamps, load.load_mw, 5)
-        got = forecast.rollout(model, stale, start, 288,
-                               ci.timestamps, load.load_mw, 5)
+        cols = forecast._base_columns(ci.timestamps, load.load_mw, start, start + 288, 5)
+        clean = forecast.rollout(model, ci.values[:start], cols, 5)
+        got = forecast.rollout(model, stale[:start], cols, 5)
         assert np.all(np.isfinite(got))
         np.testing.assert_array_equal(got, clean)
 
@@ -271,8 +270,8 @@ class TestRollout:
         grid, load, ci = two_month
         model = forecast.ForecastModel(PLANTED.copy(), np.zeros(8), np.ones(8))
         start = 5 * 288
-        got = forecast.rollout(model, ci.values, start, 288,
-                               ci.timestamps, load.load_mw, 5)
+        got = forecast.rollout(model, ci.values[:start], forecast._base_columns(
+            ci.timestamps, load.load_mw, start, start + 288, 5), 5)
         np.testing.assert_allclose(got, ci.values[start:start + 288], atol=1e-10)
 
     @pytest.mark.parametrize("start", [W24, 600, 20 * 288 + 7, 60 * 288 - 1])
@@ -282,8 +281,8 @@ class TestRollout:
         _, load, ci = two_month
         model = forecast.ForecastModel(DRIFTING.copy(), np.zeros(8), np.ones(8))
         X, _ = forecast.build_features(ci, load)
-        got = forecast.rollout(model, ci.values, start, 1,
-                               ci.timestamps, load.load_mw, 5)
+        got = forecast.rollout(model, ci.values[:start], forecast._base_columns(
+            ci.timestamps, load.load_mw, start, start + 1, 5), 5)
         assert got.shape == (1,)
         assert got[0] == pytest.approx(forecast.predict(model, X)[start - W24],
                                        rel=1e-12, abs=1e-12)
@@ -307,7 +306,8 @@ class TestRollout:
         assert cols[:, 2].tolist() == [6, 6, 0, 0]    # Sunday, then Monday
         ci = CarbonIntensitySeries(stamps, 0.2 + 0.01 * np.sin(np.arange(n) / 30.0))
         model = forecast.ForecastModel(DRIFTING.copy(), np.zeros(8), np.ones(8))
-        got = forecast.rollout(model, ci.values, n - 40, 288, stamps, load.load_mw, 5)
+        got = forecast.rollout(model, ci.values[:n - 40], forecast._base_columns(
+            stamps, load.load_mw, n - 40, n + 248, 5), 5)
         np.testing.assert_allclose(got, _hand_rollout(DRIFTING, ci, load, n - 40, 288),
                                    rtol=1e-12)
 
@@ -315,5 +315,5 @@ class TestRollout:
         _, load, ci = two_month
         model = forecast.ForecastModel(PLANTED.copy(), np.zeros(8), np.ones(8))
         with pytest.raises(errors.InsufficientHistory):
-            forecast.rollout(model, ci.values, 100, 3, ci.timestamps,
-                             load.load_mw, 5)
+            forecast.rollout(model, ci.values[:100], forecast._base_columns(
+                ci.timestamps, load.load_mw, 100, 103, 5), 5)

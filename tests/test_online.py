@@ -333,7 +333,8 @@ class TestModelForecaster:
 
 class TestRolloutCache:
     """ModelForecaster builds the rollout's calendar and load columns once;
-    every window must equal the uncached `forecast.rollout` bit for bit."""
+    every window must equal `forecast.rollout` on columns built for that
+    window alone, bit for bit."""
 
     # intercept, minute, hour, weekday, month, load, then the 24 h, 12 h
     # and 1 h moving averages; every column moves the forecast
@@ -354,8 +355,9 @@ class TestRolloutCache:
         model = forecast.ForecastModel(self.BETA.copy(), np.zeros(8), np.ones(8))
         fc = ModelForecaster(model, ci, load, sim_start=sim_start)
         for k in ks:
-            want = forecast.rollout(model, ci.values, sim_start + k, horizon,
-                                    ci.timestamps, load.load_mw, 5)
+            start = sim_start + k
+            want = forecast.rollout(model, ci.values[:start], forecast._base_columns(
+                ci.timestamps, load.load_mw, start, start + horizon, 5), 5)
             np.testing.assert_array_equal(fc.window(k, horizon), want)
         return fc
 
