@@ -57,7 +57,7 @@ def _load_intensity(args) -> carbon.CarbonIntensitySeries:
         with _input("--mix", args.mix) as mf, _input("--factors", args.factors) as ff:
             mix = ingest.parse_grid_mix(mf, ff)
         if args.exclude_negative:
-            mix = mix.drop_negative_sources()
+            mix = replace(mix, power=np.maximum(mix.power, 0.0))
         return carbon.compute_intensity(mix)
     if args.mix or args.factors:
         raise CarbonSchedError("--mix and --factors must be given together")

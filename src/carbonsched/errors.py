@@ -85,10 +85,9 @@ class SessionOutsideHorizon(CarbonSchedError):
 
 
 class InvalidSoC(CarbonSchedError):
-    def __init__(self, session_id: str, detail: str = ""):
+    def __init__(self, session_id: str, detail: str):
         self.session_id = session_id
-        super().__init__(f"session {session_id!r} violates SoC invariants"
-                         + (f": {detail}" if detail else ""))
+        super().__init__(f"session {session_id!r} violates SoC invariants: {detail}")
 
 
 class EmptyWindow(CarbonSchedError):
@@ -130,9 +129,6 @@ class ForecastUnavailable(CarbonSchedError):
 class NumericalFailure(CarbonSchedError):
     slot: int | None = None  # the online controller's slot, when it failed in one
 
-    def __init__(self, detail: str, iterations: int | None = None):
+    def __init__(self, detail: str, iterations: int):
         self.iterations = iterations
-        msg = f"LP solver failed: {detail}"
-        if iterations is not None:
-            msg += f" (after {iterations} iterations)"
-        super().__init__(msg)
+        super().__init__(f"LP solver failed: {detail} (after {iterations} iterations)")

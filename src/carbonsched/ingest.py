@@ -15,7 +15,7 @@ import csv
 import io
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import IO, Iterable, Iterator
 
@@ -83,10 +83,6 @@ class GridMixSeries:
             if name not in SIGNED_SOURCES and negative.size:
                 raise OutOfRange(f"negative power for non-signed source {name!r} "
                                  f"at row {negative[0] + 1}")
-
-    def drop_negative_sources(self) -> "GridMixSeries":
-        """Copy with negative power readings zeroed (CLI --exclude-negative)."""
-        return replace(self, power=np.maximum(self.power, 0.0))
 
 
 @dataclass(frozen=True)
@@ -168,10 +164,14 @@ def _check_uniform(timestamps) -> None:
 
 def _text(stream: IO) -> IO[str]:
     """The text of `stream`, decoded as UTF-8 if it is binary, with a
-    leading BOM skipped."""
+    leading BOM skipped; bytes that are not UTF-8 are an input error."""
     text = stream.read()
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CarbonSchedError(f"not UTF-8: byte {exc.start} is "
+                                   f"0x{text[exc.start]:02x}") from None
     return io.StringIO(text.removeprefix("\ufeff"), newline="")
 
 
@@ -228,9 +228,12 @@ def _parse_ts(raw: str, row: int, col: str) -> datetime:
 
 def _parse_float(raw: str, row: int, col: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise MalformedNumber(row, col) from None
+    if not math.isfinite(value):
+        raise NonFiniteValue(f"row {row}, column {col!r}")
+    return value
 
 
 def parse_grid_mix(mix_file: IO, factors_file: IO) -> GridMixSeries:
@@ -242,8 +245,6 @@ def parse_grid_mix(mix_file: IO, factors_file: IO) -> GridMixSeries:
         name, value = columns["source"], columns["kgco2_per_kwh"]
         factors = {row[name].strip(): _parse_float(row[value], row_no, "kgco2_per_kwh")
                    for row_no, row in rows}
-        if not all(map(math.isfinite, factors.values())):
-            raise NonFiniteValue("emission factors")
         for source, factor in factors.items():
             if factor < 0:
                 raise OutOfRange(f"negative emission factor {factor!r} "

@@ -87,14 +87,6 @@ class ModelForecaster:
                        self._base[k:k + horizon], self.carbon.slot_minutes)
 
 
-def lookahead_window(k: int, horizon: int, forecaster: Forecaster) -> np.ndarray:
-    """Fetch the length-`horizon` forecast window starting at slot k."""
-    w = np.asarray(forecaster.window(k, horizon), dtype=float)
-    if w.shape != (horizon,):
-        raise ForecastUnavailable(k)
-    return w
-
-
 @dataclass(frozen=True)
 class _Plan:
     """The last solve: its slot, the plan row of each session it covered,
@@ -133,7 +125,8 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
     returned schedule spans the full simulation and its emissions use
     `true_carbon`. If `decisions` is given, each decision is appended to
     it as (slot, session index, power_kw, forecast intensity of the slot).
-    A solver failure is re-raised with the slot it happened at as `slot`.
+    A forecast window of another length raises ForecastUnavailable for its
+    slot; a solver failure is re-raised with the slot it happened at as `slot`.
     """
     true_carbon = np.asarray(true_carbon, dtype=float)
     if total_slots < 1 or len(true_carbon) < total_slots:
@@ -143,7 +136,9 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
 
     def decide(k, active, pending, soc):
         nonlocal plan
-        window = lookahead_window(k, T, forecaster)
+        window = np.asarray(forecaster.window(k, T), dtype=float)
+        if window.shape != (T,):
+            raise ForecastUnavailable(k)
         step = (plan.column(k, active, sessions, soc, window)
                 if plan is not None else None)
         if step is None:

@@ -21,14 +21,15 @@ one slot at a time; the CLI's files must match them byte for byte.
 import csv
 import io
 import itertools
+import math
 from dataclasses import replace
 
+import networkx as nx
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from carbonsched.ingest import ChargingSession
-from carbonsched.online import lookahead_window
 from carbonsched.scheduler import (_HIGHS_OPTIONS, PENDING_EPS, StationConfig,
                                    build_lp, result_from_power, solve)
 
@@ -260,6 +261,74 @@ def objective_slack(lp, lam: float) -> float:
             + 4 * N * np.finfo(float).eps * C * float(lp.upper.sum()))
 
 
+def flow_optimum(sessions, price, config, scale=2 ** 40):
+    """The carbon LP's optimal objective from a min-cost flow, built from
+    the definitions alone: (objective, tolerance), with the LP's optimum
+    OPT in [objective - tolerance, objective].
+
+    Divide each session's SoC row by its g = delta / capacity_kwh and every
+    matrix entry is 1: the LP is a transportation problem. Source ->
+    session i has capacity R_i = (soc_target - soc_arrival) / g_i kW;
+    session i -> slot t, for each slot of its window, capacity power_max_i
+    and cost c = price_t * slot_hours - lam * g_i per kW; slot t -> sink
+    capacity power_cap_kw; a free source -> sink bypass carries the rest.
+    The objective is the flow's cost plus lam * sum_i (soc_target -
+    soc_arrival), the shortfall of a schedule that charges nothing.
+
+    `networkx.network_simplex` takes integers, so capacities are floored
+    to units of 1/scale kW and costs rounded to units of 1/scale per kW.
+    Flooring only shrinks the feasible set, so the flow found is feasible
+    for the LP and its cost in the true c is >= OPT. It is above OPT by at
+    most the sum of:
+    - flooring: the capacity floored away times max |c|. Cutting an LP
+      optimum back into the floored capacities, arc by arc, removes at
+      most that much flow, each kW changing the cost by at most max |c|;
+    - cost rounding: 0.5/scale per kW of two flows, the one found and that
+      cut-back optimum (the found flow is optimal for the rounded costs,
+      and the network's integer flows reach its optimum), each at most
+      F = sum_i min(R_i, power_max_i L_i) kW with L_i the window's length.
+    """
+    T = config.horizon_slots
+    h, lam, cap = config.slot_hours, config.lam, config.power_cap_kw
+    graph = nx.DiGraph()
+    lost = 0.0
+    flow_bound = 0.0
+    cost = {}
+    supply = 0
+
+    def floored(kw):
+        nonlocal lost
+        units = math.floor(kw * scale)
+        lost += kw - units / scale
+        return units
+
+    for t in range(T):
+        graph.add_edge(("slot", t), "sink", capacity=floored(cap), weight=0)
+    for i, s in enumerate(sessions):
+        g = s.delta / s.capacity_kwh
+        request = (s.soc_target - s.soc_arrival) / g
+        window = range(max(0, s.t_arrival), min(T, s.t_depart))
+        flow_bound += min(request, s.power_max_kw * len(window))
+        units = floored(request)
+        supply += units
+        graph.add_edge("source", ("session", i), capacity=units, weight=0)
+        for t in window:
+            cost[i, t] = price[t] * h - lam * g
+            graph.add_edge(("session", i), ("slot", t),
+                           capacity=floored(s.power_max_kw),
+                           weight=round(cost[i, t] * scale))
+    graph.add_edge("source", "sink", capacity=supply, weight=0)
+    graph.nodes["source"]["demand"] = -supply
+    graph.nodes["sink"]["demand"] = supply
+
+    _, flow = nx.network_simplex(graph)
+    charged = math.fsum(cost[i, t] * flow[("session", i)][("slot", t)] / scale
+                        for i, t in cost)
+    objective = charged + lam * math.fsum(s.soc_target - s.soc_arrival for s in sessions)
+    c_max = max((abs(c) for c in cost.values()), default=0.0)
+    return objective, flow_bound / scale + lost * c_max
+
+
 def scipy_matrix(a):
     """The scipy.sparse matrix of a `scheduler.CscMatrix`, from its arrays
     as they are."""
@@ -312,7 +381,7 @@ def always_resolve_online(sessions, forecaster, true_carbon, config,
                    if soc[i] < sessions[i].soc_target - PENDING_EPS]
         if not pending:
             continue
-        window = lookahead_window(k, T, forecaster)
+        window = np.asarray(forecaster.window(k, T), dtype=float)
         rel = []
         for i in active:
             s = sessions[i]

@@ -410,12 +410,28 @@ def test_boundary_input_exits_1(tmp_path, capsys, files, args):
                   "--online-forecast", "model"),
                  "a time series needs at least two rows to fix its slot length, got 1",
                  id="load-one-row"),
+    pytest.param("s.csv", {"s.csv": (_SESSIONS_HEADER + _session_row()).encode()
+                           .replace(b"a,", b"\xff,", 1)},
+                 ("--sessions", "s.csv"), "not UTF-8: byte 73 is 0xff", id="sessions-not-utf8"),
+    pytest.param("s.csv", {"s.csv": _SESSIONS_HEADER + _session_row().replace(",0.2,", ",nan,")},
+                 ("--sessions", "s.csv"),
+                 "non-finite value in row 1, column 'soc_arrival'", id="soc-nan"),
+    pytest.param("s.csv", {"s.csv": _SESSIONS_HEADER + _session_row(capacity="inf")},
+                 ("--sessions", "s.csv"),
+                 "non-finite value in row 1, column 'capacity_kwh'", id="capacity-inf"),
+    pytest.param("s.csv", {"s.csv": _SESSIONS_HEADER + _session_row(power="nan")},
+                 ("--sessions", "s.csv"),
+                 "non-finite value in row 1, column 'power_max_kw'", id="power-max-nan"),
+    pytest.param("factors.csv", {"mix.csv": _MIX,
+                                 "factors.csv": _FACTORS.replace("0.4", "1e400")},
+                 ("--mix", "mix.csv", "--factors", "factors.csv"),
+                 "non-finite value in row 1, column 'kgco2_per_kwh'", id="factors-1e400"),
 ])
 def test_input_error_names_flag_and_file(tmp_path, capsys, bad, files, args, detail):
     # --mix and --factors are read by one parser; the message still names
     # the one of the two files that is wrong
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     argv = [str(tmp_path / a) if a in files else a for a in args]
     flag = args[args.index(bad) - 1]
     code = run_cli("simulate", "--policy", "edf", "--synth-days", "1",
@@ -816,6 +832,20 @@ class TestForecastCommand:
         code = run_cli("forecast", "--synth-days", "1",
                        "--out-dir", str(tmp_path / "out"))
         assert code == 1
+
+    def test_grid_coarser_than_the_1_h_average_exits_1(self, tmp_path, capsys):
+        # 2 h slots divide a day, but the 1 h moving average spans no slot
+        (tmp_path / "mix.csv").write_text("timestamp,gas\n" + "".join(
+            f"2021-01-{1 + k // 12:02d}T{2 * (k % 12):02d}:00:00+00:00,100\n"
+            for k in range(12 * 3)))
+        (tmp_path / "factors.csv").write_text(_FACTORS)
+        code = run_cli("forecast", "--mix", str(tmp_path / "mix.csv"),
+                       "--factors", str(tmp_path / "factors.csv"),
+                       "--out-dir", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: slot length too coarse for a 1 h moving average\n"
+        assert not (tmp_path / "out").exists()
 
 
 def test_console_entry_point():

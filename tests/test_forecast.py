@@ -148,6 +148,16 @@ class TestFit:
         with pytest.raises(errors.RankDeficient):
             forecast.fit(rows)
 
+    def test_rank_deficient_collinear_features(self, two_month):
+        # no column is constant, but the load column is an affine function
+        # of the hour column, so the z-scored columns are linearly dependent
+        _, load, ci = two_month
+        X, y = forecast.build_features(ci, load)
+        X = X.copy()
+        X[:, 4] = 3.0 * X[:, 1] + 7.0
+        with pytest.raises(errors.RankDeficient, match="after standardization"):
+            forecast.fit((X, y))
+
     def test_too_few_rows(self, two_month):
         _, load, ci = two_month
         X, y = forecast.build_features(ci, load)

@@ -67,7 +67,8 @@ class TestParseGridMix:
                 _factors_csv([("solar", 0.0), ("gas", 0.4)]))
 
     def test_non_finite_factor_rejected(self):
-        with pytest.raises(errors.NonFiniteValue, match="emission factors"):
+        with pytest.raises(errors.NonFiniteValue,
+                           match="row 2, column 'kgco2_per_kwh'"):
             ingest.parse_grid_mix(
                 _mix_csv(["2021-01-01T00:00:00+00:00,1,1"]),
                 _factors_csv([("solar", 0.0), ("gas", "nan")]))
@@ -189,6 +190,18 @@ class TestParseSessions:
             ingest.parse_sessions(_sessions_csv(
                 ["a,2021-04-01T08:00:00+00:00,2021-04-01T12:00:00+00:00,"
                  "0.7,0.6,50,1.0,7.5,0.9"]), day_grid)
+
+    @pytest.mark.parametrize("column", ["capacity_kwh", "soc_max", "power_max_kw",
+                                        "efficiency"])
+    def test_non_finite_optional_cell_names_row_and_column(self, day_grid, column):
+        header = ("id,arrival_ts,depart_ts,soc_arrival,soc_target,"
+                  "capacity_kwh,soc_max,power_max_kw,efficiency")
+        cells = ("a,2021-04-01T08:00:00+00:00,2021-04-01T12:00:00+00:00,"
+                 "0.2,0.6,50,1.0,7.5,0.9").split(",")
+        cells[header.split(",").index(column)] = "inf"
+        with pytest.raises(errors.NonFiniteValue,
+                           match=f"^non-finite value in row 1, column '{column}'$"):
+            ingest.parse_sessions(_sessions_csv([",".join(cells)]), day_grid)
 
     def test_defaults_for_optional_columns(self, day_grid):
         sess = ingest.parse_sessions(_sessions_csv(
@@ -342,6 +355,29 @@ def test_bad_cell_names_row_and_column(parser, column):
     with pytest.raises(errors.MalformedNumber) as exc:
         _PARSERS[parser][1](io.StringIO("\n".join([header, first, ",".join(cells)]) + "\n"))
     assert (exc.value.row, exc.value.col) == (2, column)
+
+
+@pytest.mark.parametrize("parser,column", [
+    ("mix", "gas"), ("factors", "kgco2_per_kwh"), ("load", "load_mw"),
+    ("sessions", "soc_arrival"), ("sessions", "soc_target")])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_cell_names_row_and_column(parser, column, cell):
+    header, first, second = _PARSERS[parser][0].splitlines()
+    cells = second.split(",")
+    cells[header.split(",").index(column)] = cell
+    with pytest.raises(errors.NonFiniteValue) as exc:
+        _PARSERS[parser][1](io.StringIO("\n".join([header, first, ",".join(cells)]) + "\n"))
+    assert str(exc.value) == f"non-finite value in row 2, column {column!r}"
+
+
+@pytest.mark.parametrize("parser", sorted(_PARSERS))
+def test_bytes_that_are_not_utf8_name_the_byte(parser):
+    text = _PARSERS[parser][0].encode()
+    at = text.index(b"\n") + 1    # the first byte of the first data row
+    with pytest.raises(errors.CarbonSchedError) as exc:
+        _PARSERS[parser][1](io.BytesIO(text[:at] + b"\xff" + text[at + 1:]))
+    assert type(exc.value) is errors.CarbonSchedError
+    assert str(exc.value) == f"not UTF-8: byte {at} is 0xff"
 
 
 class TestSynthSessions:

@@ -10,8 +10,7 @@ from carbonsched.carbon import CarbonIntensitySeries
 from carbonsched.errors import (ForecastUnavailable, GridMismatch,
                                 NumericalFailure)
 from carbonsched.ingest import LoadForecastSeries
-from carbonsched.online import (ModelForecaster, PerfectForecaster,
-                                lookahead_window, run_online)
+from carbonsched.online import ModelForecaster, PerfectForecaster, run_online
 from carbonsched.scheduler import (StationConfig, build_lp, carbon_schedule,
                                    max_constraint_violation)
 
@@ -35,32 +34,32 @@ class TestLookaheadWindow:
     def test_singleton(self, day):
         _, ci = day
         fc = PerfectForecaster(ci.values)
-        w = lookahead_window(5, 1, fc)
+        w = fc.window(5, 1)
         assert w.shape == (1,)
         assert w[0] == ci.values[5]
 
     def test_constant_forecaster(self):
         fc = PerfectForecaster(np.full(288, 0.3))
-        np.testing.assert_allclose(lookahead_window(0, 50, fc), 0.3)
+        np.testing.assert_allclose(fc.window(0, 50), 0.3)
 
     def test_padding_past_series_end(self, day):
         _, ci = day
         fc = PerfectForecaster(ci.values, slots_per_day=288)
-        w = lookahead_window(280, 288, fc)
+        w = fc.window(280, 288)
         assert w.shape == (288,)
         np.testing.assert_array_equal(w[:8], ci.values[280:])
         # padding repeats the final day from its start
         np.testing.assert_array_equal(w[8:20], ci.values[:12])
         # and wraps again when the window outruns a whole day
         values = np.arange(100, dtype=float)
-        w = lookahead_window(90, 288, PerfectForecaster(values, slots_per_day=100))
+        w = PerfectForecaster(values, slots_per_day=100).window(90, 288)
         np.testing.assert_array_equal(
             w, np.concatenate([values[90:], values, values, values[:78]]))
 
     def test_unavailable(self, day):
         _, ci = day
         with pytest.raises(ForecastUnavailable):
-            lookahead_window(len(ci.values), 4, PerfectForecaster(ci.values))
+            PerfectForecaster(ci.values).window(len(ci.values), 4)
 
 
 class TestRunOnline:
@@ -81,6 +80,18 @@ class TestRunOnline:
         assert str(info.value) == \
             "slot 5: LP solver failed: Infeasible (after 0 iterations)"
         assert info.value.iterations == 0
+
+    def test_short_forecast_window_is_unavailable(self, day):
+        _, ci = day
+
+        class Short:
+            def window(self, k, horizon):
+                return ci.values[k:k + horizon - 1]
+
+        with pytest.raises(ForecastUnavailable) as info:
+            run_online([make_session(t_arrival=5, t_depart=100)], Short(), ci.values,
+                       _config(), 288)
+        assert info.value.slot == 5
 
     def test_no_power_before_arrival(self, day):
         _, ci = day

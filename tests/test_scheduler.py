@@ -15,7 +15,7 @@ from carbonsched.scheduler import (StationConfig, build_lp, carbon_schedule,
 
 from conftest import make_session
 from oracles import (brute_force_objective, cheapest_first_then_capped,
-                     epigraph_optimum, linprog_solve, loop_soc_and_gaps,
+                     epigraph_optimum, flow_optimum, linprog_solve, loop_soc_and_gaps,
                      naive_dense_lp, objective_slack, random_instance,
                      resolution_bound, scipy_matrix, terminal_gaps)
 from test_acceptance import criterion_2_instances
@@ -340,6 +340,44 @@ class TestSolverFreeJudges:
             d_tol = (s1 + s2) / (lam2 - lam1)
             assert d2 >= d1 - d_tol
             assert e2 >= e1 - lam1 * d_tol - s1
+
+
+_SCREEN = scheduler._screen    # as it is, whichever path a test forces
+
+
+def _flow_instances():
+    """`random_instance` LPs as drawn, where the station cap seldom binds,
+    then with caps of 2-12 kW, where it often does."""
+    rng = np.random.default_rng(31)
+    for _ in range(150):
+        yield random_instance(rng, 6, int(rng.choice([6, 24, 48])))
+    for _ in range(150):
+        yield random_instance(rng, 6, int(rng.choice([6, 24, 48])),
+                              power_cap=float(rng.uniform(2.0, 12.0)))
+
+
+@pytest.mark.usefixtures("solver_path")
+class TestFlowOracle:
+    """`oracles.flow_optimum` solves the LP as a min-cost flow with
+    networkx, from the definitions alone, and brackets its optimum OPT.
+    The LP value of the library's solution, lp.c . x plus lam times the
+    summed requests, judges `build_lp` and `solve`; the schedule's
+    objective judges `carbon_schedule` as a whole. Each lies within
+    `objective_slack` of OPT."""
+
+    def test_optimum_equals_the_min_cost_flow(self):
+        binding = 0
+        for sessions, price, config in _flow_instances():
+            lp = build_lp(sessions, price, config)
+            binding += _SCREEN(lp) is None
+            x = solve(lp)[lp.owner, lp.slot]
+            requested = sum(s.soc_target - s.soc_arrival for s in sessions)
+            opt, tol = flow_optimum(sessions, price, config)
+            slack = objective_slack(lp, config.lam)
+            for value in (float(lp.c @ x) + config.lam * requested,
+                          carbon_schedule(sessions, price, config).objective):
+                assert opt - tol - slack <= value <= opt + slack
+        assert binding >= 20    # the cap binds on 26 of them
 
 
 def infeasible(lp):
