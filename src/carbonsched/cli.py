@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, carbon, forecast, ingest, metrics, online, scheduler
-from .errors import CarbonSchedError, InsufficientHistory, NumericalFailure
+from .errors import (CarbonSchedError, InsufficientHistory, NumericalFailure,
+                     UnsupportedSlotLength)
 from .timegrid import TimeGrid
 
 POLICIES = ("carbon-offline", "carbon-online", "es", "edf", "tou", "carbon-adaptive")
@@ -63,6 +64,17 @@ def _load_intensity(args) -> carbon.CarbonIntensitySeries:
         raise CarbonSchedError("--mix and --factors must be given together")
     mix = ingest.synth_grid_mix(args.synth_days, seed=args.seed)
     return carbon.compute_intensity(mix)
+
+
+def _features(args, intensity, load):
+    """`forecast.build_features`; a slot too long for its moving averages
+    is an input error in the file --mix names, when it names one."""
+    try:
+        return forecast.build_features(intensity, load)
+    except UnsupportedSlotLength as exc:
+        if args.mix:
+            exc.where = f"--mix {args.mix}"
+        raise
 
 
 def _grid_of(series: carbon.CarbonIntensitySeries) -> TimeGrid:
@@ -219,8 +231,7 @@ def cmd_simulate(args) -> int:
                     f"day {day}: the model forecast needs {history_h:g} h of observed "
                     f"intensity before the day starts, and the series has "
                     f"{off * grid.slot_minutes / 60:g} h")
-        model, _, _ = forecast.fit(forecast.build_features(intensity, load),
-                                   seed=args.seed)
+        model, _, _ = forecast.fit(_features(args, intensity, load), seed=args.seed)
         forecasters = {day: online.ModelForecaster(model, intensity, load, sim_start=off)
                        for day, (off, _, _) in plans.items()}
 
@@ -307,7 +318,7 @@ def cmd_lambda_sweep(args) -> int:
 def cmd_forecast(args) -> int:
     intensity = _load_intensity(args)
     load = _load_load(args, intensity.timestamps)
-    X, y = forecast.build_features(intensity, load)
+    X, y = _features(args, intensity, load)
     model, mae, mse = forecast.fit((X, y), seed=args.seed)
     model_text = json.dumps({"beta": model.beta.tolist(),
                              "feature_means": model.feature_means.tolist(),

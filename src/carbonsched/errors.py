@@ -48,10 +48,10 @@ class TooFewRows(CarbonSchedError):
 
 
 class UnsupportedSlotLength(CarbonSchedError):
-    def __init__(self, step):
+    def __init__(self, step, need: str = "a whole number of minutes that divides 24 h"):
         self.step = step
         super().__init__(f"rows are {step.total_seconds():g} s apart; the slot length "
-                         "must be a whole number of minutes that divides 24 h")
+                         f"must be {need}")
 
 
 class OutOfRange(CarbonSchedError):

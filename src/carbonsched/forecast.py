@@ -20,7 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .carbon import CarbonIntensitySeries
-from .errors import GridMismatch, InsufficientHistory, RankDeficient
+from .errors import (GridMismatch, InsufficientHistory, RankDeficient,
+                     UnsupportedSlotLength)
 from .ingest import LoadForecastSeries
 
 # Moving-average windows, in hours of trailing history.
@@ -47,8 +48,10 @@ class ForecastModel:
 
 def _ma_slots(slot_minutes: int) -> tuple[int, ...]:
     windows = tuple(int(round(h * 60 / slot_minutes)) for h in MA_WINDOWS_H)
-    if any(w < 1 for w in windows):
-        raise ValueError("slot length too coarse for a 1 h moving average")
+    if any(w < 1 for w in windows):    # round(x) < 1 for x <= 0.5
+        h = min(MA_WINDOWS_H)
+        raise UnsupportedSlotLength(timedelta(minutes=slot_minutes),
+                                    f"under {2 * h:g} h for a {h:g} h moving average")
     return windows
 
 

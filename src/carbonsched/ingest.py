@@ -164,14 +164,16 @@ def _check_uniform(timestamps) -> None:
 
 def _text(stream: IO) -> IO[str]:
     """The text of `stream`, decoded as UTF-8 if it is binary, with a
-    leading BOM skipped; bytes that are not UTF-8 are an input error."""
-    text = stream.read()
-    if isinstance(text, bytes):
-        try:
+    leading BOM skipped; bytes that are not UTF-8 are an input error,
+    whether `stream` or this function decodes them. A text stream read
+    whole decodes its file in one call, so the offset is the file's."""
+    try:
+        text = stream.read()
+        if isinstance(text, bytes):
             text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CarbonSchedError(f"not UTF-8: byte {exc.start} is "
-                                   f"0x{text[exc.start]:02x}") from None
+    except UnicodeDecodeError as exc:
+        raise CarbonSchedError(f"not UTF-8: byte {exc.start} is "
+                               f"0x{exc.object[exc.start]:02x}") from None
     return io.StringIO(text.removeprefix("\ufeff"), newline="")
 
 

@@ -65,13 +65,14 @@ def _load_highs():
 
 highs = _load_highs()
 
-# HiGHS is called through that binding, with the options that
-# `linprog(method="highs")` sets and tighter feasibility tolerances; the
-# tests check the result bit for bit against `linprog`.
+# HiGHS is called through that binding: dual simplex with tighter
+# feasibility tolerances and presolve off (on the offline month's LPs it
+# costs more than it removes); the tests check the result bit for bit
+# against `linprog(method="highs")` with these options.
 _HIGHS_OPTIONS = highs.HighsOptions()
 _HIGHS_OPTIONS.output_flag = False
 _HIGHS_OPTIONS.log_to_console = False
-_HIGHS_OPTIONS.presolve = "on"
+_HIGHS_OPTIONS.presolve = "off"
 _HIGHS_OPTIONS.simplex_strategy = int(
     highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
 _HIGHS_OPTIONS.primal_feasibility_tolerance = 1e-10

@@ -337,12 +337,16 @@ def scipy_matrix(a):
 
 def linprog_solve(lp):
     """Solve an LpInstance through `linprog(method="highs")` with the
-    library's tolerances: (x, objective, simplex iterations)."""
+    library's presolve setting and tolerances, read from
+    `_HIGHS_OPTIONS`: (x, objective, simplex iterations)."""
     res = linprog(lp.c, A_ub=scipy_matrix(lp.a_ub), b_ub=lp.b_ub,
                   bounds=np.column_stack([np.zeros(len(lp.c)), lp.upper]),
                   method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-9})
+                  options={"presolve": _HIGHS_OPTIONS.presolve != "off",
+                           "primal_feasibility_tolerance":
+                               _HIGHS_OPTIONS.primal_feasibility_tolerance,
+                           "dual_feasibility_tolerance":
+                               _HIGHS_OPTIONS.dual_feasibility_tolerance})
     assert res.status == 0, res.message
     return res.x, float(res.fun), res.nit
 

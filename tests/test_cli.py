@@ -279,6 +279,13 @@ _MIXED_MIX = ("timestamp,gas\n2021-01-01T00:00:00+00:00,100\n"
 _NAN_MIX = ("timestamp,gas\n2021-01-01T00:00:00+00:00,100\n"
             "2021-01-01T00:05:00+00:00,nan\n2021-01-01T00:10:00+00:00,100\n")
 _FACTORS = "source,kgco2_per_kwh\ngas,0.4\n"
+# Three days of 2 h rows: the slot length divides a day, but the
+# forecaster's 1 h moving average spans no slot.
+_TWO_HOUR_MIX = "timestamp,gas\n" + "".join(
+    f"2021-01-{1 + k // 12:02d}T{2 * (k % 12):02d}:00:00+00:00,100\n"
+    for k in range(12 * 3))
+_TOO_COARSE = ("rows are 7200 s apart; the slot length must be under 2 h "
+               "for a 1 h moving average")
 _ONE_ROW_MIX = "timestamp,gas\n2021-01-01T00:00:00+00:00,100\n"
 _MIX = ("timestamp,gas\n2021-01-01T00:00:00+00:00,100\n"
         "2021-01-01T00:05:00+00:00,100\n")
@@ -426,6 +433,13 @@ def test_boundary_input_exits_1(tmp_path, capsys, files, args):
                                  "factors.csv": _FACTORS.replace("0.4", "1e400")},
                  ("--mix", "mix.csv", "--factors", "factors.csv"),
                  "non-finite value in row 1, column 'kgco2_per_kwh'", id="factors-1e400"),
+    # the one session starts on day 1, after a day of history
+    pytest.param("mix.csv", {"mix.csv": _TWO_HOUR_MIX, "factors.csv": _FACTORS,
+                             "s.csv": _SESSIONS_HEADER + _session_row().replace(
+                                 "01-01T", "01-02T")},
+                 ("--mix", "mix.csv", "--factors", "factors.csv", "--sessions", "s.csv",
+                  "--policy", "carbon-online", "--online-forecast", "model"),
+                 _TOO_COARSE, id="mix-2-h-model-forecast"),
 ])
 def test_input_error_names_flag_and_file(tmp_path, capsys, bad, files, args, detail):
     # --mix and --factors are read by one parser; the message still names
@@ -834,17 +848,14 @@ class TestForecastCommand:
         assert code == 1
 
     def test_grid_coarser_than_the_1_h_average_exits_1(self, tmp_path, capsys):
-        # 2 h slots divide a day, but the 1 h moving average spans no slot
-        (tmp_path / "mix.csv").write_text("timestamp,gas\n" + "".join(
-            f"2021-01-{1 + k // 12:02d}T{2 * (k % 12):02d}:00:00+00:00,100\n"
-            for k in range(12 * 3)))
+        (tmp_path / "mix.csv").write_text(_TWO_HOUR_MIX)
         (tmp_path / "factors.csv").write_text(_FACTORS)
         code = run_cli("forecast", "--mix", str(tmp_path / "mix.csv"),
                        "--factors", str(tmp_path / "factors.csv"),
                        "--out-dir", str(tmp_path / "out"))
         err = capsys.readouterr().err
         assert code == 1
-        assert err == "error: slot length too coarse for a 1 h moving average\n"
+        assert err == f"error: --mix {tmp_path / 'mix.csv'}: {_TOO_COARSE}\n"
         assert not (tmp_path / "out").exists()
 
 

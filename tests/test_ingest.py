@@ -380,6 +380,21 @@ def test_bytes_that_are_not_utf8_name_the_byte(parser):
     assert str(exc.value) == f"not UTF-8: byte {at} is 0xff"
 
 
+@pytest.mark.parametrize("parser", sorted(_PARSERS))
+def test_text_stream_of_bytes_that_are_not_utf8_names_file_and_byte(parser, tmp_path):
+    # the stream, not the parser, decodes; the error is still an input
+    # error, at the byte's offset in the file, and names the file
+    text = _PARSERS[parser][0].encode()
+    at = text.index(b"\n") + 1
+    path = tmp_path / f"{parser}.csv"
+    path.write_bytes(text[:at] + b"\xff" + text[at + 1:])
+    with open(path, encoding="utf-8", newline="") as f, \
+            pytest.raises(errors.CarbonSchedError) as exc:
+        _PARSERS[parser][1](f)
+    assert type(exc.value) is errors.CarbonSchedError
+    assert str(exc.value) == f"{path}: not UTF-8: byte {at} is 0xff"
+
+
 class TestSynthSessions:
     def test_count_zero(self, day_grid):
         assert ingest.synth_sessions(0, day_grid, seed=1) == []

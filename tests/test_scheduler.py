@@ -13,7 +13,7 @@ from carbonsched.scheduler import (StationConfig, build_lp, carbon_schedule,
                                    max_constraint_violation, result_from_power,
                                    select_lambda, solve)
 
-from conftest import make_session
+from conftest import duck_curve, flexible_sessions, make_grid, make_session
 from oracles import (brute_force_objective, cheapest_first_then_capped,
                      epigraph_optimum, flow_optimum, linprog_solve, loop_soc_and_gaps,
                      naive_dense_lp, objective_slack, random_instance,
@@ -378,6 +378,25 @@ class TestFlowOracle:
                           carbon_schedule(sessions, price, config).objective):
                 assert opt - tol - slack <= value <= opt + slack
         assert binding >= 20    # the cap binds on 26 of them
+
+
+def test_optimum_equals_the_min_cost_flow_on_an_offline_day():
+    # one block of the offline month's size: 60 sessions over 288 slots of
+    # 5 minutes, with the 120 kW cap binding, so HiGHS solves it
+    grid = make_grid(1)
+    price = duck_curve(grid).values
+    sessions = flexible_sessions(grid, 60, seed=20, capacity_kwh=50.0)
+    config = StationConfig(120.0, grid.slot_hours, 15.0, grid.n_slots)
+    lp = build_lp(sessions, price, config)
+    assert scheduler._screen(lp) is None
+    x = solve(lp)[lp.owner, lp.slot]
+    result = carbon_schedule(sessions, price, config)
+    requested = sum(s.soc_target - s.soc_arrival for s in sessions)
+    opt, tol = flow_optimum(sessions, price, config)
+    slack = objective_slack(lp, config.lam)
+    for value in (float(lp.c @ x) + config.lam * requested, result.objective):
+        assert opt - tol - slack <= value <= opt + slack
+    assert max_constraint_violation(result, sessions, config) <= 1e-8
 
 
 def infeasible(lp):
