@@ -41,16 +41,30 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextlib.contextmanager
+def _named(flag: str, path: str):
+    """An OSError, or an input error found in `path`, names `flag` and `path`."""
+    try:
+        yield
+    except OSError as exc:
+        raise CarbonSchedError(f"{flag} {path}: {exc.strerror}") from exc
+    except CarbonSchedError as exc:
+        if exc.where == path:
+            exc.where = f"{flag} {path}"
+        raise
+
+
+@contextlib.contextmanager
 def _input(flag: str, path: str):
-    """The file at `path`, opened for a parser; an input error found in it
-    names `flag` and `path`."""
-    with open(path, "rb") as f:
-        try:
-            yield f
-        except CarbonSchedError as exc:
-            if exc.where == path:
-                exc.where = f"{flag} {path}"
-            raise
+    """The file at `path`, opened for a parser, under `_named`."""
+    with _named(flag, path), open(path, "rb") as f:
+        yield f
+
+
+def _out_dir(args) -> Path:
+    """The --out-dir directory, made if it is missing, under `_named`."""
+    with _named("--out-dir", args.out_dir):
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    return Path(args.out_dir)
 
 
 def _load_intensity(args) -> carbon.CarbonIntensitySeries:
@@ -176,10 +190,10 @@ def _run_days(policy, plans, lams, args, intensity, forecasters=None,
         if policy in ("carbon-offline", "carbon-adaptive"):
             return scheduler.carbon_schedule(rel, cvals, config)
         if policy == "carbon-online":
-            day_slots = 1440 // grid.slot_minutes
             fc = (forecasters[day] if forecasters is not None else
-                  online.PerfectForecaster(intensity.values[off:], day_slots))
-            lookahead = replace(config, horizon_slots=args.horizon or day_slots)
+                  online.PerfectForecaster(cvals))
+            lookahead = replace(config, horizon_slots=args.horizon
+                                or 1440 // grid.slot_minutes)
             try:
                 return online.run_online(
                     rel, fc, cvals, lookahead, horizon,
@@ -259,8 +273,7 @@ def cmd_simulate(args) -> int:
     report_text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
 
     # Every output is written after the run has succeeded.
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     (out_dir / "report.json").write_text(report_text + "\n")
     if args.policy == "carbon-online":
         with open(out_dir / "decisions.csv", "w", newline="") as log:
@@ -293,8 +306,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_lambda_sweep(args) -> int:
-    if not args.lambdas:
-        raise CarbonSchedError("empty lambda list")
     intensity = _load_intensity(args)
     grid = _grid_of(intensity)
     plans = _day_plans(_load_sessions(args, grid), grid)
@@ -306,8 +317,7 @@ def cmd_lambda_sweep(args) -> int:
         rows.append((lam, report["total_emissions_kg"],
                      100.0 * (1.0 - report["edq_station"])))
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     with open(out_dir / "tradeoff.csv", "w", newline="") as f:
         f.write("lambda,emissions_kg,energy_loss_pct\n")
         for lam, em, loss in rows:
@@ -326,8 +336,7 @@ def cmd_forecast(args) -> int:
                             sort_keys=True, allow_nan=False)
     metrics_text = json.dumps({"mae": mae, "mse": mse, "n_rows": len(y)},
                               sort_keys=True, indent=2, allow_nan=False)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     (out_dir / "model.json").write_text(model_text + "\n")
     (out_dir / "forecast_metrics.json").write_text(metrics_text + "\n")
     print(f"held-out MAE={mae:.6f} MSE={mse:.8f} over {len(y)} rows")
@@ -379,8 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("lambda-sweep", parents=[grid, station],
                            help="emissions/energy trade-off")
     lam = _number("--lambdas", float, 0)
-    sweep.add_argument("--lambdas", type=lambda s: [lam(x) for x in s.split(",") if x],
-                       required=True, help="comma-separated balanced factors")
+
+    def lambdas(text: str) -> list[float]:
+        if not (values := [lam(x) for x in text.split(",") if x]):
+            raise CarbonSchedError(f"--lambdas must list at least one factor, got {text!r}")
+        return values
+
+    sweep.add_argument("--lambdas", type=lambdas, required=True,
+                       help="comma-separated balanced factors")
 
     sub.add_parser("forecast", parents=[grid, load],
                    help="fit the day-ahead intensity model")

@@ -62,25 +62,13 @@ def check_same_grid(carbon: CarbonIntensitySeries, load: LoadForecastSeries) -> 
 
 
 def _base_columns(timestamps: Sequence[datetime], load_mw: np.ndarray,
-                  start: int, stop: int, slot_minutes: int) -> np.ndarray:
-    """Non-lagged feature columns of slots start..stop-1: minute, hour,
-    weekday (0=Monday), month and load. Slots past the end of `timestamps`
-    continue the calendar from the last stamp, in its UTC offset, and their
-    load repeats the final day cyclically."""
-    n_known = len(timestamps)
-    slots_per_day = 1440 // slot_minutes
-    step = timedelta(minutes=slot_minutes)
-    stamps = list(timestamps[start:min(stop, n_known)]) + [
-        timestamps[-1] + (s + 1 - n_known) * step
-        for s in range(max(start, n_known), stop)]
-    slots = np.arange(start, stop)
-    load_idx = np.where(slots < n_known, slots,
-                        n_known - slots_per_day + (slots - n_known) % slots_per_day)
-    cols = np.empty((stop - start, 5))
-    cols[:, :4] = np.array([(ts.minute, ts.hour, ts.weekday(), ts.month) for ts in stamps],
-                           dtype=float).reshape(stop - start, 4)
-    cols[:, 4] = np.asarray(load_mw, dtype=float)[load_idx]
-    return cols
+                  start: int, stop: int) -> np.ndarray:
+    """Non-lagged feature columns of the series' slots start..stop-1:
+    minute, hour, weekday (0=Monday), month and load. A slot past the end
+    of the series has no row."""
+    calendar = np.array([(ts.minute, ts.hour, ts.weekday(), ts.month)
+                         for ts in timestamps[start:stop]], dtype=float).reshape(-1, 4)
+    return np.column_stack([calendar, np.asarray(load_mw, dtype=float)[start:stop]])
 
 
 def build_features(carbon: CarbonIntensitySeries, load: LoadForecastSeries,
@@ -97,7 +85,7 @@ def build_features(carbon: CarbonIntensitySeries, load: LoadForecastSeries,
     csum = np.concatenate([[0.0], np.cumsum(carbon.values)])
     t = np.arange(w24, n)
     X = np.column_stack([
-        _base_columns(carbon.timestamps, load.load_mw, w24, n, carbon.slot_minutes),
+        _base_columns(carbon.timestamps, load.load_mw, w24, n),
         *((csum[t] - csum[t - w]) / w for w in windows)])
     return X, np.array(carbon.values[w24:], dtype=float)
 

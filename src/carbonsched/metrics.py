@@ -17,16 +17,6 @@ from .scheduler import ScheduleResult
 _EPS = 1e-12
 
 
-def _delivered_requested(result: ScheduleResult,
-                         sessions: Sequence[ChargingSession]
-                         ) -> tuple[list[float], list[float]]:
-    """Per-session SoC delivered (final minus arrival) and requested
-    (target minus arrival)."""
-    delivered = [abs(result.soc[i, -1] - s.soc_arrival) for i, s in enumerate(sessions)]
-    requested = [abs(s.soc_target - s.soc_arrival) for s in sessions]
-    return delivered, requested
-
-
 def _ratio(delivered: float, requested: float) -> float:
     return delivered / requested if requested > _EPS else 1.0
 
@@ -47,7 +37,8 @@ def make_report(policy: str,
     seasons: dict[str, dict] = {}
     for day in sorted(days):
         sessions, result = days[day]
-        d, r = _delivered_requested(result, sessions)
+        d = [abs(result.soc[i, -1] - s.soc_arrival) for i, s in enumerate(sessions)]
+        r = [abs(s.soc_target - s.soc_arrival) for s in sessions]
         day_delivered, day_requested = sum(d), sum(r)
         emissions += result.emissions_kg
         energy += result.delivered_kwh(sessions)

@@ -3,12 +3,12 @@
 The controller is a plan-following rule over `scheduler.run_slots`, the
 slot loop the baselines share. At each pending slot it sees only the
 sessions that have already arrived and a forecast of carbon intensity
-over the lookahead window, and it hands the stepper one slot of a
-charging plan to apply. The plan is re-solved when a session has arrived
-or the forecast has changed since the last solve; otherwise the rest of
-the last plan is still optimal (principle of optimality) and the
-controller follows it. Realized emissions are always accounted against
-the true intensity; forecasts drive decisions only.
+over the lookahead window, cut at the run's end, and it hands the stepper
+one slot of a charging plan to apply. The plan is re-solved when a
+session has arrived or the forecast has changed since the last solve;
+otherwise the rest of the last plan is still optimal (principle of
+optimality) and the controller follows it. Realized emissions are always
+accounted against the true intensity; forecasts drive decisions only.
 """
 
 from __future__ import annotations
@@ -33,19 +33,16 @@ class Forecaster(Protocol):
 
 
 class PerfectForecaster:
-    """Oracle forecaster returning the true intensity; slots past the end
-    of the series repeat the final day cyclically."""
+    """Oracle forecaster returning the true intensity; a window must lie
+    within the series."""
 
-    def __init__(self, values: np.ndarray, slots_per_day: int = 288):
+    def __init__(self, values: np.ndarray):
         self.values = np.asarray(values, dtype=float)
-        self.slots_per_day = min(slots_per_day, len(self.values))
 
     def window(self, k: int, horizon: int) -> np.ndarray:
-        if k < 0 or k >= len(self.values):
+        if k < 0 or k + horizon > len(self.values):
             raise ForecastUnavailable(k)
-        head = self.values[k:k + horizon]
-        tail = self.values[-self.slots_per_day:]
-        return np.concatenate([head, np.resize(tail, horizon - len(head))])
+        return self.values[k:k + horizon]
 
 
 class ModelForecaster:
@@ -54,7 +51,8 @@ class ModelForecaster:
     `carbon` and `load` share one grid covering a warm-up prefix plus the
     simulation span; simulation slot k maps to grid index sim_start + k.
     Only intensity values strictly before the queried slot are read, so
-    the forecaster is causal by construction.
+    the forecaster is causal by construction; a window must end by the
+    grid's end.
 
     The calendar and load columns of the rollout are built once per
     forecaster: `_base` holds them for grid slots sim_start onward, as far
@@ -71,18 +69,17 @@ class ModelForecaster:
         self.load = load
         self.sim_start = sim_start
         self._base = _base_columns(carbon.timestamps, load.load_mw, sim_start,
-                                   sim_start, carbon.slot_minutes)
+                                   sim_start)
 
     def window(self, k: int, horizon: int) -> np.ndarray:
-        if k < 0:
-            raise ForecastUnavailable(k)
         start = self.sim_start + k
+        if k < 0 or start + horizon > len(self.carbon.values):
+            raise ForecastUnavailable(k)
         cached = self.sim_start + len(self._base)
-        if start + horizon > cached:
-            stop = cached + max(start + horizon - cached, horizon)
+        if start + horizon > cached:    # `_base_columns` stops at the grid's end
             self._base = np.concatenate([self._base, _base_columns(
-                self.carbon.timestamps, self.load.load_mw, cached, stop,
-                self.carbon.slot_minutes)])
+                self.carbon.timestamps, self.load.load_mw, cached,
+                cached + max(start + horizon - cached, horizon))])
         return rollout(self.model, self.carbon.values[:start],
                        self._base[k:k + horizon], self.carbon.slot_minutes)
 
@@ -90,7 +87,7 @@ class ModelForecaster:
 @dataclass(frozen=True)
 class _Plan:
     """The last solve: its slot, the plan row of each session it covered,
-    its forecast window and its power plan (rows x window slots)."""
+    its forecast window and its power plan (rows x lookahead slots)."""
 
     k0: int
     rows: dict[int, int]
@@ -102,16 +99,17 @@ class _Plan:
                window: np.ndarray) -> np.ndarray | None:
         """Planned powers of `active` at slot k, or None when a re-solve
         at k could give a different answer: a session arrived since k0, a
-        window was truncated at k0, a target would be re-clipped, or the
-        forecast no longer matches the plan's shifted tail."""
-        T = len(self.window)
+        departure clipped to the window's end would be clipped later, a
+        target would be re-clipped, or the forecast no longer matches the
+        plan's shifted tail."""
+        end = self.k0 + len(self.window)
         for i in active:
             s = sessions[i]
-            if i not in self.rows or s.t_depart > self.k0 + T \
+            if i not in self.rows or end < min(s.t_depart, k + len(window)) \
                     or soc[i] > s.soc_target:
                 return None
         d = k - self.k0
-        if not np.array_equal(window[:T - d], self.window[d:]):
+        if not np.array_equal(window[:end - k], self.window[d:]):
             return None
         return self.power[[self.rows[i] for i in active], d]
 
@@ -121,12 +119,14 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
                decisions: list[tuple] | None = None) -> ScheduleResult:
     """Simulate the online loop over slots 0..total_slots-1.
 
-    config.horizon_slots is the lookahead length of each re-solve; the
-    returned schedule spans the full simulation and its emissions use
-    `true_carbon`. If `decisions` is given, each decision is appended to
-    it as (slot, session index, power_kw, forecast intensity of the slot).
-    A forecast window of another length raises ForecastUnavailable for its
-    slot; a solver failure is re-raised with the slot it happened at as `slot`.
+    Each re-solve looks config.horizon_slots ahead, cut at total_slots, and
+    plans a session that departs later as if it left at the window's end.
+    The returned schedule spans the full simulation and its emissions use
+    `true_carbon`. If `decisions` is given, each decision is appended to it
+    as (slot, session index, power_kw, forecast intensity of the slot). A
+    forecast window of another length raises ForecastUnavailable for its
+    slot; a solver failure is re-raised with the slot it happened at as
+    `slot`.
     """
     true_carbon = np.asarray(true_carbon, dtype=float)
     if total_slots < 1 or len(true_carbon) < total_slots:
@@ -136,8 +136,9 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
 
     def decide(k, active, pending, soc):
         nonlocal plan
-        window = np.asarray(forecaster.window(k, T), dtype=float)
-        if window.shape != (T,):
+        h = min(T, total_slots - k)
+        window = np.asarray(forecaster.window(k, h), dtype=float)
+        if window.shape != (h,):
             raise ForecastUnavailable(k)
         step = (plan.column(k, active, sessions, soc, window)
                 if plan is not None else None)
@@ -149,11 +150,14 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
                 # satisfies the SoC invariants.
                 x = min(float(soc[i]), s.soc_max)
                 rel.append(replace(s, t_arrival=0,
-                                   t_depart=min(s.t_depart - k, T),
+                                   t_depart=min(s.t_depart - k, h),
                                    soc_arrival=x,
                                    soc_target=min(max(s.soc_target, x), s.soc_max)))
+            # No column reaches the zero pad. It keeps T station rows, and with
+            # them the vertex HiGHS picks when a re-plan ties (ROADMAP item 11).
+            price = np.concatenate([window, np.zeros(T - h)])
             try:
-                planned = solve(build_lp(rel, window, config))
+                planned = solve(build_lp(rel, price, config))
             except NumericalFailure as exc:
                 exc.slot, exc.where = k, f"slot {k}"
                 raise

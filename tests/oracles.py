@@ -371,6 +371,9 @@ def always_resolve_online(sessions, forecaster, true_carbon, config,
                           total_slots):
     """Rolling-horizon control that rebuilds and re-solves the LP at every
     slot with a pending session and applies the first slot of the plan.
+    Like `run_online`, it asks for a window that ends by total_slots, clips
+    each departure to that window and pads the LP's prices with zeros to
+    config.horizon_slots.
 
     Returns (schedule over total_slots, number of solves).
     """
@@ -385,15 +388,16 @@ def always_resolve_online(sessions, forecaster, true_carbon, config,
                    if soc[i] < sessions[i].soc_target - PENDING_EPS]
         if not pending:
             continue
-        window = np.asarray(forecaster.window(k, T), dtype=float)
+        h = min(T, total_slots - k)
+        window = np.asarray(forecaster.window(k, h), dtype=float)
         rel = []
         for i in active:
             s = sessions[i]
             x = min(float(soc[i]), s.soc_max)
-            rel.append(replace(s, t_arrival=0, t_depart=min(s.t_depart - k, T),
+            rel.append(replace(s, t_arrival=0, t_depart=min(s.t_depart - k, h),
                                soc_arrival=x,
                                soc_target=min(max(s.soc_target, x), s.soc_max)))
-        step = solve(build_lp(rel, window, config))
+        step = solve(build_lp(rel, np.concatenate([window, np.zeros(T - h)]), config))
         solves += 1
         for j, i in enumerate(active):
             u = float(step[j, 0])

@@ -1,6 +1,7 @@
 """Digest of every output file of a fixed list of seeded CLI runs.
 
     PYTHONPATH=src python3 tests/output_digest.py > digest.txt
+    python3 tests/output_digest.py --against REV
 
 Each run calls `carbonsched.cli.main` in-process in a fresh temporary
 directory and prints one line per output file with its sha256, plus the
@@ -13,19 +14,30 @@ digits, which a run that keeps its station cap holds at or below the cap.
 Two checkouts that write the same bytes print the same digest, so
 a refactor that must keep every output identical is checked with one
 `diff` of the two digests, and where a change moves a report the figure
-lines show by how much. Pytest does not collect this file.
+lines show by how much. With `--against REV` the script makes both
+digests itself, each in a subprocess: one of the `src/` in `git archive
+REV`, one of the working tree's `src/`. It prints their unified diff and
+exits 1 when they differ. Pytest does not collect this file.
 """
 
+import argparse
 import contextlib
 import csv
+import difflib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+import tarfile
 import tempfile
 from collections import defaultdict
 from pathlib import Path
 
-from carbonsched.cli import POLICIES, main
+# The working tree's package, unless PYTHONPATH names another one.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
+from carbonsched.cli import POLICIES, main  # noqa: E402
 
 SYNTH = ("--synth-days", "2", "--synth-sessions-per-day", "8",
          "--synth-capacity-kwh", "5", "--power-cap-kw", "20",
@@ -153,6 +165,33 @@ def digest(name: str, argv: tuple[str, ...]) -> list[str]:
     return lines
 
 
+def against(rev: str) -> int:
+    """Print the unified diff of the digests of `rev`'s `src/` and the
+    working tree's; 1 when they differ, else 0."""
+    root = Path(__file__).resolve().parents[1]
+    archive = subprocess.run(["git", "archive", rev, "src"], cwd=root,
+                             check=True, capture_output=True).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        runs = [subprocess.Popen([sys.executable, __file__], stdout=subprocess.PIPE,
+                                 text=True, env={**os.environ, "PYTHONPATH": str(src)})
+                for src in (Path(tmp) / "src", root / "src")]
+        old, new = (run.communicate()[0] for run in runs)
+    if any(run.returncode for run in runs):
+        raise SystemExit("a digest run failed")
+    sys.stdout.writelines(difflib.unified_diff(
+        old.splitlines(keepends=True), new.splitlines(keepends=True),
+        rev, "working tree"))
+    return int(old != new)
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="diff this digest against the one of REV's src/")
+    rev = parser.parse_args().against
+    if rev is not None:
+        sys.exit(against(rev))
     for name, argv in RUNS:
         print("\n".join(digest(name, argv)), flush=True)

@@ -440,13 +440,25 @@ def test_boundary_input_exits_1(tmp_path, capsys, files, args):
                  ("--mix", "mix.csv", "--factors", "factors.csv", "--sessions", "s.csv",
                   "--policy", "carbon-online", "--online-forecast", "model"),
                  _TOO_COARSE, id="mix-2-h-model-forecast"),
+    # `bad` is not written: the file is missing
+    pytest.param("mix.csv", {"factors.csv": _FACTORS},
+                 ("--mix", "mix.csv", "--factors", "factors.csv"),
+                 "No such file or directory", id="mix-missing"),
+    pytest.param("factors.csv", {"mix.csv": _MIX},
+                 ("--mix", "mix.csv", "--factors", "factors.csv"),
+                 "No such file or directory", id="factors-missing"),
+    pytest.param("s.csv", {}, ("--sessions", "s.csv"),
+                 "No such file or directory", id="sessions-missing"),
+    pytest.param("load.csv", {}, ("--load", "load.csv", "--policy", "carbon-online",
+                                  "--online-forecast", "model"),
+                 "No such file or directory", id="load-missing"),
 ])
 def test_input_error_names_flag_and_file(tmp_path, capsys, bad, files, args, detail):
     # --mix and --factors are read by one parser; the message still names
     # the one of the two files that is wrong
     for name, text in files.items():
         (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
-    argv = [str(tmp_path / a) if a in files else a for a in args]
+    argv = [str(tmp_path / a) if a in files or a == bad else a for a in args]
     flag = args[args.index(bad) - 1]
     code = run_cli("simulate", "--policy", "edf", "--synth-days", "1",
                    "--synth-sessions-per-day", "3", *argv,
@@ -599,6 +611,8 @@ def test_online_solver_error_names_the_run_slot(tmp_path, monkeypatch, capsys):
      "--lambda must be finite and >= 0, got -0.5"),
     (("lambda-sweep", "--lambdas", "0.1,inf"),
      "--lambdas must be finite and >= 0, got inf"),
+    (("lambda-sweep", "--lambdas", ","),
+     "--lambdas must list at least one factor, got ','"),
 ])
 def test_numeric_flag_out_of_range_names_the_flag(tmp_path, capsys, argv, message):
     # the flags are checked before any input is read: the --mix and
@@ -609,6 +623,15 @@ def test_numeric_flag_out_of_range_names_the_flag(tmp_path, capsys, argv, messag
                    "--out-dir", str(out)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [("simulate", "--policy", "edf"),
+                                     ("lambda-sweep", "--lambdas", "0.3")])
+def test_out_dir_under_a_file_names_the_flag(tmp_path, capsys, command):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "x"
+    assert run_cli(*command, "--synth-days", "1", "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == f"error: --out-dir {out}: Not a directory\n"
 
 
 def test_each_subcommand_takes_only_the_flags_it_reads():

@@ -1,4 +1,4 @@
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -217,19 +217,11 @@ class TestPredict:
 
 
 def _hand_rollout(beta, ci, load, start, horizon):
-    """Independent step-by-step rollout over the whole observed prefix;
-    past the data end the calendar runs on from the last stamp and load
-    repeats the final day."""
-    n = len(ci.values)
+    """Independent step-by-step rollout over the whole observed prefix."""
     buf = list(ci.values[:start])
     out = []
     for s in range(start, start + horizon):
-        if s < n:
-            ts, ld = ci.timestamps[s], float(load.load_mw[s])
-        else:
-            ts = ci.timestamps[-1] + timedelta(minutes=5 * (s + 1 - n))
-            ld = float(load.load_mw[n - W24 + (s - n) % W24])
-        x = _features_at(ts, ld, buf)
+        x = _features_at(ci.timestamps[s], float(load.load_mw[s]), buf)
         v = max(beta[0] + float(x @ beta[1:]), 0.0)
         out.append(v)
         buf.append(v)
@@ -246,18 +238,17 @@ class TestRollout:
         model = forecast.ForecastModel(PLANTED.copy(), np.zeros(8), np.ones(8))
         start, horizon = 600, 3
         got = forecast.rollout(model, ci.values[:start], forecast._base_columns(
-            ci.timestamps, load.load_mw, start, start + horizon, 5), 5)
+            ci.timestamps, load.load_mw, start, start + horizon), 5)
         expected = _hand_rollout(PLANTED, ci, load, start, horizon)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     @pytest.mark.parametrize("beta", [PLANTED, DRIFTING], ids=["planted", "drifting"])
-    @pytest.mark.parametrize("start", [600, W24, 60 * 288 - 100],
-                             ids=["mid", "start-eq-w24", "past-data-end"])
+    @pytest.mark.parametrize("start", [600, W24], ids=["mid", "start-eq-w24"])
     def test_full_horizon_matches_hand_recursion(self, two_month, beta, start):
         _, load, ci = two_month
         model = forecast.ForecastModel(beta.copy(), np.zeros(8), np.ones(8))
         got = forecast.rollout(model, ci.values[:start], forecast._base_columns(
-            ci.timestamps, load.load_mw, start, start + 288, 5), 5)
+            ci.timestamps, load.load_mw, start, start + 288), 5)
         expected = _hand_rollout(beta, ci, load, start, 288)
         assert got.shape == (288,)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
@@ -268,7 +259,7 @@ class TestRollout:
         start = 3 * 288 + 40
         stale = ci.values.copy()
         stale[:start - W24] = np.nan
-        cols = forecast._base_columns(ci.timestamps, load.load_mw, start, start + 288, 5)
+        cols = forecast._base_columns(ci.timestamps, load.load_mw, start, start + 288)
         clean = forecast.rollout(model, ci.values[:start], cols, 5)
         got = forecast.rollout(model, stale[:start], cols, 5)
         assert np.all(np.isfinite(got))
@@ -281,7 +272,7 @@ class TestRollout:
         model = forecast.ForecastModel(PLANTED.copy(), np.zeros(8), np.ones(8))
         start = 5 * 288
         got = forecast.rollout(model, ci.values[:start], forecast._base_columns(
-            ci.timestamps, load.load_mw, start, start + 288, 5), 5)
+            ci.timestamps, load.load_mw, start, start + 288), 5)
         np.testing.assert_allclose(got, ci.values[start:start + 288], atol=1e-10)
 
     @pytest.mark.parametrize("start", [W24, 600, 20 * 288 + 7, 60 * 288 - 1])
@@ -292,38 +283,14 @@ class TestRollout:
         model = forecast.ForecastModel(DRIFTING.copy(), np.zeros(8), np.ones(8))
         X, _ = forecast.build_features(ci, load)
         got = forecast.rollout(model, ci.values[:start], forecast._base_columns(
-            ci.timestamps, load.load_mw, start, start + 1, 5), 5)
+            ci.timestamps, load.load_mw, start, start + 1), 5)
         assert got.shape == (1,)
         assert got[0] == pytest.approx(forecast.predict(model, X)[start - W24],
                                        rel=1e-12, abs=1e-12)
-
-    def test_calendar_continues_from_last_stamp(self):
-        # two days of local time across the spring-forward change: stamps
-        # read -08:00 before 2021-03-14T10:00Z and -07:00 from then on, and
-        # the last one is 23:55 local, so the continued slots are 00:00 and
-        # 00:05 of the next day, in the last stamp's offset
-        pst, pdt = timezone(timedelta(hours=-8)), timezone(timedelta(hours=-7))
-        change = datetime(2021, 3, 14, 10, tzinfo=UTC)
-        grid = make_grid(2, start=datetime(2021, 3, 13, 7, tzinfo=UTC))
-        stamps = tuple(ts.astimezone(pst if ts < change else pdt)
-                       for ts in grid.timestamps())
-        n = len(stamps)
-        assert stamps[-1].isoformat() == "2021-03-14T23:55:00-07:00"
-        load = LoadForecastSeries(stamps, _load_series(grid).load_mw)
-        cols = forecast._base_columns(stamps, load.load_mw, n - 2, n + 2, 5)
-        assert cols[:, 1].tolist() == [23, 23, 0, 0]
-        assert cols[:, 0].tolist() == [50, 55, 0, 5]
-        assert cols[:, 2].tolist() == [6, 6, 0, 0]    # Sunday, then Monday
-        ci = CarbonIntensitySeries(stamps, 0.2 + 0.01 * np.sin(np.arange(n) / 30.0))
-        model = forecast.ForecastModel(DRIFTING.copy(), np.zeros(8), np.ones(8))
-        got = forecast.rollout(model, ci.values[:n - 40], forecast._base_columns(
-            stamps, load.load_mw, n - 40, n + 248, 5), 5)
-        np.testing.assert_allclose(got, _hand_rollout(DRIFTING, ci, load, n - 40, 288),
-                                   rtol=1e-12)
 
     def test_requires_warmup(self, two_month):
         _, load, ci = two_month
         model = forecast.ForecastModel(PLANTED.copy(), np.zeros(8), np.ones(8))
         with pytest.raises(errors.InsufficientHistory):
             forecast.rollout(model, ci.values[:100], forecast._base_columns(
-                ci.timestamps, load.load_mw, 100, 103, 5), 5)
+                ci.timestamps, load.load_mw, 100, 103), 5)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from datetime import timedelta, timezone
 
 import numpy as np
@@ -43,18 +44,13 @@ class TestLookaheadWindow:
         np.testing.assert_allclose(fc.window(0, 50), 0.3)
 
     def test_padding_past_series_end(self, day):
+        # a window ends by the series' end; none is padded past it
         _, ci = day
-        fc = PerfectForecaster(ci.values, slots_per_day=288)
-        w = fc.window(280, 288)
-        assert w.shape == (288,)
-        np.testing.assert_array_equal(w[:8], ci.values[280:])
-        # padding repeats the final day from its start
-        np.testing.assert_array_equal(w[8:20], ci.values[:12])
-        # and wraps again when the window outruns a whole day
-        values = np.arange(100, dtype=float)
-        w = PerfectForecaster(values, slots_per_day=100).window(90, 288)
-        np.testing.assert_array_equal(
-            w, np.concatenate([values[90:], values, values, values[:78]]))
+        fc = PerfectForecaster(ci.values)
+        np.testing.assert_array_equal(fc.window(280, 8), ci.values[280:])
+        with pytest.raises(ForecastUnavailable) as info:
+            fc.window(280, 9)
+        assert info.value.slot == 280
 
     def test_unavailable(self, day):
         _, ci = day
@@ -176,6 +172,59 @@ class TestRunOnline:
         assert total == pytest.approx(res.emissions_kg, abs=1e-9)
 
 
+class RecordingForecaster:
+    """A perfect forecaster that records the (slot, horizon) of each window."""
+
+    def __init__(self, values):
+        self.inner = PerfectForecaster(values)
+        self.calls = []
+
+    def window(self, k, horizon):
+        self.calls.append((k, horizon))
+        return self.inner.window(k, horizon)
+
+
+class TestRunEnd:
+    def test_session_departing_after_the_run_is_planned_to_its_end(self):
+        # Intensity drops from 0.5 to 0.01 kg/kWh only after the run's 48
+        # slots. A plan that counted on those slots would charge nothing in
+        # the run; the session is planned as if it departed at slot 48.
+        carbon = np.concatenate([np.full(48, 0.5), np.full(48, 0.01)])
+        config = _config(T=96, lam=10.0)
+        late, at_end = ([make_session("s", 0, depart)] for depart in (96, 48))
+        res = run_online(late, PerfectForecaster(carbon), carbon, config, 48)
+        ref = run_online(at_end, PerfectForecaster(carbon), carbon, config, 48)
+        np.testing.assert_array_equal(res.power, ref.power)
+        assert res.delivered_kwh(late) > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_no_window_runs_past_the_run(self, data):
+        total = data.draw(st.integers(1, 40))
+        T = data.draw(st.integers(1, 60))
+        n = data.draw(st.integers(total, 80))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        sessions = []
+        for i in range(data.draw(st.integers(1, 4))):
+            a = data.draw(st.integers(0, total - 1))
+            d = data.draw(st.integers(a + 1, n + 10))
+            soc_arr = float(rng.uniform(0.0, 0.5))
+            sessions.append(make_session(
+                f"h{i}", a, d, soc_arr, float(rng.uniform(soc_arr, 1.0)),
+                power_max_kw=float(rng.uniform(1.0, 10.0))))
+        carbon = rng.uniform(0.05, 0.5, size=n)
+        config = _config(T=T, cap=data.draw(st.floats(2.0, 30.0)),
+                         lam=data.draw(st.floats(0.0, 20.0)))
+        fc = RecordingForecaster(carbon)
+        res = run_online(sessions, fc, carbon, config, total)
+        assert fc.calls
+        assert all(k + h <= total for k, h in fc.calls)
+        # a departure after the run is planned as one at its end
+        clipped = [replace(s, t_depart=min(s.t_depart, total)) for s in sessions]
+        ref = run_online(clipped, PerfectForecaster(carbon), carbon, config, total)
+        np.testing.assert_array_equal(res.power, ref.power)
+
+
 @pytest.fixture
 def solve_count(monkeypatch):
     """Counts the LP solves made by run_online."""
@@ -259,11 +308,9 @@ class TestPlanReuse:
         carbon = np.linspace(0.5, 0.05, 48)
         sessions = [make_session("long", 0, 40, 0.2, 0.6)]
         config = _config(T=24, lam=10.0)
-        res = run_online(sessions, PerfectForecaster(carbon, slots_per_day=24),
-                         carbon, config, 48)
+        res = run_online(sessions, PerfectForecaster(carbon), carbon, config, 48)
         ref, n_ref = always_resolve_online(
-            sessions, PerfectForecaster(carbon, slots_per_day=24), carbon,
-            config, 48)
+            sessions, PerfectForecaster(carbon), carbon, config, 48)
         np.testing.assert_allclose(res.power, ref.power, atol=1e-9)
         assert res.power[0, :30].sum() == pytest.approx(0.0, abs=1e-9)
         assert len(solve_count) < n_ref
@@ -297,8 +344,8 @@ class TestPlanReuse:
         config = _config(T=T, cap=data.draw(st.floats(2.0, 30.0)),
                          lam=data.draw(st.floats(0.0, 5.0)))
         decisions = []
-        res = run_online(sessions, PerfectForecaster(carbon, slots_per_day=T),
-                         carbon, config, total, decisions)
+        res = run_online(sessions, PerfectForecaster(carbon), carbon, config,
+                         total, decisions)
         assert max_constraint_violation(res, sessions, config) <= 1e-8
         logged = sum(p * carbon[k] * config.slot_hours for k, _, p, _ in decisions)
         assert logged == pytest.approx(res.emissions_kg, abs=1e-9)
@@ -368,25 +415,30 @@ class TestRolloutCache:
         for k in ks:
             start = sim_start + k
             want = forecast.rollout(model, ci.values[:start], forecast._base_columns(
-                ci.timestamps, load.load_mw, start, start + horizon, 5), 5)
+                ci.timestamps, load.load_mw, start, start + horizon), 5)
             np.testing.assert_array_equal(fc.window(k, horizon), want)
         return fc
 
     def test_consecutive_slots(self):
         # the online loop asks for k, k + 1, ...; the cache starts at
         # sim_start and runs at most one horizon past the last window
-        fc = self._check(make_grid(3).timestamps(), 288, range(300), 288)
-        assert len(fc._base) <= 299 + 2 * 288
+        fc = self._check(make_grid(3).timestamps(), 288, range(289), 288)
+        assert len(fc._base) <= 288 + 2 * 288
 
     @pytest.mark.parametrize("horizon", [1, 37, 700])
     def test_other_horizons(self, horizon):
-        self._check(make_grid(4).timestamps(), 300, [0, 1, 2, 50, 9, 400, 401],
+        self._check(make_grid(5).timestamps(), 300, [0, 1, 2, 50, 9, 400, 401],
                     horizon)
 
     def test_windows_past_grid_end(self):
-        # 2 days of grid from slot 288: windows from slot 400 on run past
-        # its end, where the load repeats the final day cyclically
-        self._check(make_grid(2).timestamps(), 288, range(100, 288, 7), 288)
+        # 2 days of grid from slot 288: a window must end by the grid's
+        # end, 288 slots on, and the cache stops growing there
+        fc = self._check(make_grid(2).timestamps(), 288, [0, 100], 188)
+        for k, horizon in ((0, 289), (1, 288), (100, 189), (288, 1)):
+            with pytest.raises(ForecastUnavailable) as info:
+                fc.window(k, horizon)
+            assert info.value.slot == k
+        assert len(fc._base) == 288
 
     def test_utc_offset_changes_mid_series(self):
         # the same instants, but from slot 400 on written at +01:00, so
@@ -394,7 +446,7 @@ class TestRolloutCache:
         plus_one = timezone(timedelta(hours=1))
         stamps = [ts if s < 400 else ts.astimezone(plus_one)
                   for s, ts in enumerate(make_grid(3).timestamps())]
-        self._check(stamps, 288, range(0, 300, 3), 288)
+        self._check(stamps, 288, range(0, 289, 3), 288)
 
     def test_negative_slot_unavailable(self):
         ci, load = self._series(make_grid(2).timestamps())
