@@ -60,11 +60,15 @@ def _input(flag: str, path: str):
         yield f
 
 
-def _out_dir(args) -> Path:
-    """The --out-dir directory, made if it is missing, under `_named`."""
+@contextlib.contextmanager
+def _output(args, name: str):
+    """The file `name` in --out-dir, made if it is missing, opened for
+    writing; an OSError names --out-dir and the directory or the file."""
     with _named("--out-dir", args.out_dir):
         Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-    return Path(args.out_dir)
+    path = str(Path(args.out_dir) / name)
+    with _named("--out-dir", path), open(path, "w", newline="") as f:
+        yield f
 
 
 def _load_intensity(args) -> carbon.CarbonIntensitySeries:
@@ -166,45 +170,34 @@ def _tou_price(tariff: np.ndarray, sessions, lam: float,
     return tariff + m * np.arange(len(tariff)) / (2 * len(tariff))
 
 
-def _run_days(policy, plans, lams, args, intensity, forecasters=None,
-              decisions=None) -> dict:
-    """Per day of `plans`: its sessions and `policy`'s schedule at `lams[day]`.
-    `forecasters[day]`, if given, is the day's model forecaster, and
-    `decisions[day]`, if `decisions` is given, the online policy's decisions."""
+def _schedule(policy, block, lam, args, intensity, forecaster=None, log=None):
+    """`policy`'s schedule of one block of `_day_plans`, `(off, horizon,
+    sessions)`, at balanced factor `lam`. The online policy forecasts with
+    `forecaster`, the perfect forecast when it is None, and appends its
+    decisions to `log` when that is given."""
+    off, horizon, rel = block
     grid = _grid_of(intensity)
-
-    def schedule(day, rel, off, horizon, lam):
-        cvals = intensity.values[off:off + horizon]
-        config = scheduler.StationConfig(args.power_cap_kw, grid.slot_hours,
-                                         lam, horizon)
-        if policy == "es":
-            return baselines.equal_sharing(rel, config, cvals)
-        if policy == "edf":
-            return baselines.earliest_deadline_first(rel, config, cvals)
-        if policy == "tou":
-            tariff = np.array([TOU_PEAK if ts.hour >= 16 else TOU_OFFPEAK
-                               for ts in intensity.timestamps[off:off + horizon]])
-            power = scheduler.solve(scheduler.build_lp(
-                rel, _tou_price(tariff, rel, lam, grid.slot_hours), config))
-            return scheduler.result_from_power(rel, power, config, cvals)
-        if policy in ("carbon-offline", "carbon-adaptive"):
-            return scheduler.carbon_schedule(rel, cvals, config)
-        if policy == "carbon-online":
-            fc = (forecasters[day] if forecasters is not None else
-                  online.PerfectForecaster(cvals))
-            lookahead = replace(config, horizon_slots=args.horizon
-                                or 1440 // grid.slot_minutes)
-            try:
-                return online.run_online(
-                    rel, fc, cvals, lookahead, horizon,
-                    None if decisions is None else decisions.setdefault(day, []))
-            except NumericalFailure as exc:    # the run's slot, not the day's
-                exc.where = f"slot {off + exc.slot}"
-                raise
-        raise CarbonSchedError(f"unknown policy {policy!r}")
-
-    return {day: (rel, schedule(day, rel, off, horizon, lams[day]))
-            for day, (off, horizon, rel) in plans.items()}
+    cvals = intensity.values[off:off + horizon]
+    config = scheduler.StationConfig(args.power_cap_kw, grid.slot_hours, lam, horizon)
+    if policy == "es":
+        return baselines.equal_sharing(rel, config, cvals)
+    if policy == "edf":
+        return baselines.earliest_deadline_first(rel, config, cvals)
+    if policy == "tou":
+        tariff = np.array([TOU_PEAK if ts.hour >= 16 else TOU_OFFPEAK
+                           for ts in intensity.timestamps[off:off + horizon]])
+        power = scheduler.solve(scheduler.build_lp(
+            rel, _tou_price(tariff, rel, lam, grid.slot_hours), config))
+        return scheduler.result_from_power(rel, power, config, cvals)
+    if policy in ("carbon-offline", "carbon-adaptive"):
+        return scheduler.carbon_schedule(rel, cvals, config)
+    lookahead = replace(config, horizon_slots=args.horizon or 1440 // grid.slot_minutes)
+    try:
+        return online.run_online(rel, forecaster or online.PerfectForecaster(cvals),
+                                 cvals, lookahead, horizon, log)
+    except NumericalFailure as exc:    # the run's slot, not the block's
+        exc.where = f"slot {off + exc.slot}"
+        raise
 
 
 def _csv_cell(text: str) -> str:
@@ -235,71 +228,68 @@ def cmd_simulate(args) -> int:
     timestamps = intensity.timestamps
     plans = _day_plans(_load_sessions(args, grid), grid)
 
-    forecasters = None
+    model = None
     if args.policy == "carbon-online" and args.online_forecast == "model":
         load = _load_load(args, timestamps)
-        history_h = forecast.MA_WINDOWS_H[0]
-        for day, (off, _, _) in plans.items():
+        if plans:    # blocks come in day order, so only the first can start too early
+            day, (off, _, _) = next(iter(plans.items()))
+            history_h = forecast.MA_WINDOWS_H[0]
             if off * grid.slot_minutes < 60 * history_h:
                 raise InsufficientHistory(
                     f"day {day}: the model forecast needs {history_h:g} h of observed "
                     f"intensity before the day starts, and the series has "
                     f"{off * grid.slot_minutes / 60:g} h")
-        model, _, _ = forecast.fit(_features(args, intensity, load), seed=args.seed)
-        forecasters = {day: online.ModelForecaster(model, intensity, load, sim_start=off)
-                       for day, (off, _, _) in plans.items()}
+            model, _, _ = forecast.fit(_features(args, intensity, load), seed=args.seed)
 
     adaptive = args.policy == "carbon-adaptive"
-    lams = {day: scheduler.select_lambda(len(rel)) if adaptive else args.lam
-            for day, (_, _, rel) in plans.items()}
-    decisions = {}
-    results = _run_days(args.policy, plans, lams, args, intensity, forecasters,
-                        decisions)
-    edf = (results if args.policy == "edf"
-           else _run_days("edf", plans, lams, args, intensity))
+    results, log = {}, []
+    for day, (off, horizon, rel) in plans.items():
+        lam = scheduler.select_lambda(len(rel)) if adaptive else args.lam
+        fc = model and online.ModelForecaster(model, intensity, load, sim_start=off)
+        decisions = []
+        results[day] = rel, _schedule(args.policy, (off, horizon, rel), lam, args,
+                                      intensity, fc, decisions)
+        log += (f"{off + k},{_csv_cell(rel[i].id)},{float(u)!r},{float(c)!r},"
+                f"{float(intensity.values[off + k])!r}\n" for k, i, u, c in decisions)
+    # The reference's power does not depend on its factor.
+    edf = results if args.policy == "edf" else {
+        day: (block[2], _schedule("edf", block, args.lam, args, intensity))
+        for day, block in plans.items()}
 
-    def season_of_day(day: int) -> str:
-        month = timestamps[plans[day][0]].month
-        return next(name for name, months in carbon.MET_SEASONS.items()
-                    if month in months)
-
-    report = metrics.make_report(args.policy, results, season_of_day)
-    if adaptive:    # each day ran under its own factor
+    report = metrics.make_report(args.policy, results, lambda day: next(
+        name for name, months in carbon.MET_SEASONS.items()
+        if timestamps[plans[day][0]].month in months))
+    if adaptive:    # each block ran under the factor of its session count
         for row in report["per_day"]:
-            row["lambda"] = lams[row["day"]]
+            row["lambda"] = scheduler.select_lambda(row["n_sessions"])
     else:
         report["lambda"] = args.lam
     report["seed"] = args.seed
     report_text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
 
     # Every output is written after the run has succeeded.
-    out_dir = _out_dir(args)
-    (out_dir / "report.json").write_text(report_text + "\n")
+    with _output(args, "report.json") as f:
+        f.write(report_text + "\n")
     if args.policy == "carbon-online":
-        with open(out_dir / "decisions.csv", "w", newline="") as log:
-            log.write("slot,session_id,power_kw,forecast_c,true_c\n")
-            for day, (off, _, rel) in plans.items():
-                log.write("".join(
-                    f"{off + k},{_csv_cell(rel[i].id)},{float(u)!r},{float(c)!r},"
-                    f"{float(intensity.values[off + k])!r}\n"
-                    for k, i, u, c in decisions[day]))
-
-    with open(out_dir / "schedule.csv", "w", newline="") as sched, \
-            open(out_dir / "shift.csv", "w", newline="") as shift:
-        sched.write("session_id,slot,power_kw,soc\n")
-        shift.write("slot,timestamp,policy_kg,baseline_edf_kg\n")
+        with _output(args, "decisions.csv") as f:
+            f.write("slot,session_id,power_kw,forecast_c,true_c\n" + "".join(log))
+    with _output(args, "schedule.csv") as f:
+        f.write("session_id,slot,power_kw,soc\n")
         for day, (off, horizon, rel) in plans.items():
             res = results[day][1]
             owner, slot = scheduler.session_slots(rel, horizon)
             ids = [_csv_cell(s.id) for s in rel]
-            sched.write("".join(
+            f.write("".join(
                 f"{ids[i]},{off + t},{u!r},{x!r}\n" for i, t, u, x in zip(
                     owner.tolist(), slot.tolist(), res.power[owner, slot].tolist(),
                     res.soc[owner, slot + 1].tolist())))
+    with _output(args, "shift.csv") as f:
+        f.write("slot,timestamp,policy_kg,baseline_edf_kg\n")
+        for day, (off, horizon, _) in plans.items():
             cvals = intensity.values[off:off + horizon]
-            pol = cvals * res.station_power * grid.slot_hours
+            pol = cvals * results[day][1].station_power * grid.slot_hours
             ref = cvals * edf[day][1].station_power * grid.slot_hours
-            shift.write("".join(
+            f.write("".join(
                 f"{off + t},{timestamps[off + t].isoformat()},{p!r},{r!r}\n"
                 for t, (p, r) in enumerate(zip(pol.tolist(), ref.tolist()))))
     return 0
@@ -312,16 +302,15 @@ def cmd_lambda_sweep(args) -> int:
 
     rows = []
     for lam in args.lambdas:
-        report = metrics.make_report("carbon-offline", _run_days(
-            "carbon-offline", plans, dict.fromkeys(plans, lam), args, intensity))
+        report = metrics.make_report("carbon-offline", {
+            day: (block[2], _schedule("carbon-offline", block, lam, args, intensity))
+            for day, block in plans.items()})
         rows.append((lam, report["total_emissions_kg"],
                      100.0 * (1.0 - report["edq_station"])))
 
-    out_dir = _out_dir(args)
-    with open(out_dir / "tradeoff.csv", "w", newline="") as f:
-        f.write("lambda,emissions_kg,energy_loss_pct\n")
-        for lam, em, loss in rows:
-            f.write(f"{float(lam)!r},{float(em)!r},{float(loss)!r}\n")
+    with _output(args, "tradeoff.csv") as f:
+        f.write("lambda,emissions_kg,energy_loss_pct\n" + "".join(
+            f"{float(lam)!r},{float(em)!r},{float(loss)!r}\n" for lam, em, loss in rows))
     return 0
 
 
@@ -336,9 +325,9 @@ def cmd_forecast(args) -> int:
                             sort_keys=True, allow_nan=False)
     metrics_text = json.dumps({"mae": mae, "mse": mse, "n_rows": len(y)},
                               sort_keys=True, indent=2, allow_nan=False)
-    out_dir = _out_dir(args)
-    (out_dir / "model.json").write_text(model_text + "\n")
-    (out_dir / "forecast_metrics.json").write_text(metrics_text + "\n")
+    for name, text in (("model.json", model_text), ("forecast_metrics.json", metrics_text)):
+        with _output(args, name) as f:
+            f.write(text + "\n")
     print(f"held-out MAE={mae:.6f} MSE={mse:.8f} over {len(y)} rows")
     return 0
 

@@ -8,7 +8,8 @@ are fed recursively from the model's own predictions.
 Features are one matrix, one row per slot: the calendar and load
 columns of `_base_columns`, then the three moving averages in
 `MA_WINDOWS_H` order. `build_features` and `ModelForecaster` take the
-non-lagged columns from that one helper, so the column order lives there.
+non-lagged columns from that one helper, so the column order lives there
+and in `FEATURES`, the column names next to it.
 """
 
 from __future__ import annotations
@@ -61,6 +62,11 @@ def check_same_grid(carbon: CarbonIntensitySeries, load: LoadForecastSeries) -> 
         raise GridMismatch("carbon and load series are on different grids")
 
 
+# The names of `_base_columns`' columns, then of the moving averages.
+FEATURES = ("minute", "hour", "weekday", "month", "load",
+            *(f"ma_{h:g}h" for h in MA_WINDOWS_H))
+
+
 def _base_columns(timestamps: Sequence[datetime], load_mw: np.ndarray,
                   start: int, stop: int) -> np.ndarray:
     """Non-lagged feature columns of the series' slots start..stop-1:
@@ -109,8 +115,9 @@ def fit(data: tuple[np.ndarray, np.ndarray], seed: int = 0,
 
     means = X[train].mean(axis=0)
     stds = X[train].std(axis=0)
-    if np.any(stds <= _PIVOT_EPS):
-        raise RankDeficient("constant feature column")
+    if constant := [name for name, sd in zip(FEATURES, stds) if sd <= _PIVOT_EPS]:
+        raise RankDeficient(f"constant feature columns on the {n_train} training "
+                            f"rows: {', '.join(constant)}")
     Z = np.column_stack([np.ones(len(train)), (X[train] - means) / stds])
 
     G = Z.T @ Z

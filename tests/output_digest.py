@@ -111,6 +111,10 @@ RUNS = [
     ("mix-15-min-carbon-online", ("simulate", "--policy", "carbon-online", *FILES_15)),
     ("model-carbon-online", ("simulate", "--policy", "carbon-online",
                              "--online-forecast", "model", *MODEL)),
+    # No block to forecast, so no model is fitted.
+    ("model-carbon-online-no-sessions",
+     ("simulate", "--policy", "carbon-online", "--online-forecast", "model",
+      "--synth-days", "3", "--synth-sessions-per-day", "0", "--seed", "1")),
     ("lambda-sweep", ("lambda-sweep", "--lambdas", "0.1,1,1.2,3", *SYNTH)),
     ("forecast", ("forecast", "--synth-days", "60", "--seed", "1")),
     ("simulate-bad-lambda", ("simulate", "--policy", "edf", "--lambda", "nan")),
@@ -120,6 +124,8 @@ RUNS = [
     ("lambda-sweep-missing-mix", ("lambda-sweep", "--lambdas", "0.3",
                                   "--mix", "{tmp}/absent.csv",
                                   "--factors", "{tmp}/absent.csv", *SYNTH)),
+    # Its rows are all one weekday of one month.
+    ("forecast-two-days", ("forecast", "--synth-days", "2", "--seed", "1")),
 ]
 
 

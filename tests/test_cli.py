@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from collections import defaultdict
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -265,6 +266,26 @@ class TestSimulate:
         assert err == ("error: day 0: the model forecast needs 24 h of observed "
                        "intensity before the day starts, and the series has 0 h\n")
         assert not (tmp_path / "out").exists()
+
+    def test_model_forecast_fits_nothing_without_sessions(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # no block needs a forecast, so none is fitted: three days of
+        # January would fail the fit on their constant month column
+        fits = []
+        monkeypatch.setattr(forecast, "fit", lambda *a, **k: fits.append(a))
+        argv = ("simulate", "--policy", "carbon-online", "--online-forecast", "model",
+                "--synth-days", "3", "--synth-sessions-per-day", "0")
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out-dir", str(out)) == 0
+        assert fits == []
+        assert (out / "decisions.csv").read_text() == \
+            "slot,session_id,power_kw,forecast_c,true_c\n"
+        assert json.loads((out / "report.json").read_text())["n_sessions"] == 0
+        # --load is still read
+        absent = tmp_path / "absent.csv"
+        assert run_cli(*argv, "--load", str(absent), "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err == \
+            f"error: --load {absent}: No such file or directory\n"
 
 
 def _session_row(sid="a", tz="+00:00", capacity="50", power="7.5"):
@@ -634,6 +655,25 @@ def test_out_dir_under_a_file_names_the_flag(tmp_path, capsys, command):
     assert capsys.readouterr().err == f"error: --out-dir {out}: Not a directory\n"
 
 
+@pytest.mark.parametrize("argv,name,kept", [
+    pytest.param(("simulate", "--policy", "edf", "--synth-days", "1"), "report.json", [],
+                 id="simulate-report"),
+    pytest.param(("simulate", "--policy", "edf", "--synth-days", "1"), "schedule.csv",
+                 ["report.json"], id="simulate-schedule"),
+    pytest.param(("lambda-sweep", "--lambdas", "0.3", "--synth-days", "1"),
+                 "tradeoff.csv", [], id="lambda-sweep-tradeoff"),
+    pytest.param(("forecast", "--synth-days", "32"), "model.json", [],
+                 id="forecast-model"),
+])
+def test_failed_write_names_the_flag_and_file(tmp_path, capsys, argv, name, kept):
+    # a directory where the output file goes; the files written before it stay
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert run_cli(*argv, "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == f"error: --out-dir {out / name}: Is a directory\n"
+    assert sorted(p.name for p in out.iterdir() if p.is_file()) == kept
+
+
 def test_each_subcommand_takes_only_the_flags_it_reads():
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
@@ -870,6 +910,14 @@ class TestForecastCommand:
                        "--out-dir", str(tmp_path / "out"))
         assert code == 1
 
+    def test_constant_features_are_named(self, tmp_path, capsys):
+        # the rows of two days are all one weekday of one month
+        out = tmp_path / "out"
+        assert run_cli("forecast", "--synth-days", "2", "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err == ("error: constant feature columns on the "
+                                           "230 training rows: weekday, month\n")
+        assert not out.exists()
+
     def test_grid_coarser_than_the_1_h_average_exits_1(self, tmp_path, capsys):
         (tmp_path / "mix.csv").write_text(_TWO_HOUR_MIX)
         (tmp_path / "factors.csv").write_text(_FACTORS)
@@ -935,19 +983,21 @@ _OVERNIGHT = ("--synth-days", "3", "--sessions", "sessions.csv",
 ])
 def test_csv_files_match_loop_writers(tmp_path, monkeypatch, policy, sessions, args):
     (tmp_path / "sessions.csv").write_text(sessions)
-    real, runs = cli._run_days, {}
+    real, runs, plans = cli._schedule, defaultdict(dict), {}
 
-    def spy(day_policy, plans, lams, parsed, intensity, *rest):
-        runs[day_policy] = real(day_policy, plans, lams, parsed, intensity, *rest)
-        runs["plans"], runs["intensity"] = plans, intensity
-        return runs[day_policy]
+    def spy(block_policy, block, lam, parsed, intensity, *rest):
+        # keyed by the block's first slot, which the loop writers read
+        res = real(block_policy, block, lam, parsed, intensity, *rest)
+        runs[block_policy][block[0]] = block[2], res
+        plans[block[0]], runs["intensity"] = block, intensity
+        return res
 
-    monkeypatch.setattr(cli, "_run_days", spy)
+    monkeypatch.setattr(cli, "_schedule", spy)
     out = tmp_path / "out"
     argv = [str(tmp_path / a) if a == "sessions.csv" else a for a in args]
     assert run_cli("simulate", "--policy", policy, *argv,
                    "--out-dir", str(out)) == 0
-    plans, intensity = runs["plans"], runs["intensity"]
+    intensity = runs["intensity"]
     if "--sessions" in args:
         assert any(horizon > DAY_SLOTS for _, horizon, _ in plans.values())
     assert any(res.power.any() for _, res in runs[policy].values())
@@ -1020,9 +1070,8 @@ def test_stitched_schedule_keeps_the_cap(sessions, cap):
     args = argparse.Namespace(power_cap_kw=cap, horizon=None)
     for policy in ("es", "edf", "carbon-offline"):
         station = np.zeros(grid.n_slots)
-        for day, (_, res) in cli._run_days(policy, plans, dict.fromkeys(plans, 100.0),
-                                           args, intensity).items():
-            off = plans[day][0]
+        for off, horizon, rel in plans.values():
+            res = cli._schedule(policy, (off, horizon, rel), 100.0, args, intensity)
             station[off:off + len(res.station_power)] += res.station_power
         assert station.max() <= cap + 1e-8, policy
 
@@ -1032,20 +1081,27 @@ _TEXT_COLUMNS = {"id", "session_id", "source", "timestamp"}
 
 
 def _stamp(k: int) -> str:
-    return f"2021-01-01T{k // 12:02d}:{5 * (k % 12):02d}:00+00:00"
+    return (datetime(2021, 1, 29, tzinfo=timezone.utc)
+            + timedelta(minutes=5 * k)).isoformat()
 
 
-# One valid day: a two-source mix, its factors and three sessions.
+# Four valid days from 29 January: a two-source mix, its factors, the load
+# and three sessions on the second day. The model forecast fits on the rows
+# of the last three days, which span three weekdays and two months.
+_D = DAY_SLOTS
 _VALID_INPUTS = {
     "mix.csv": [["timestamp", "gas", "solar"]] + [
-        [_stamp(k), "1000", str(400 + k)] for k in range(DAY_SLOTS)],
+        [_stamp(k), "1000", str(max(0, 900 - 8 * abs(k % _D - 156)) + 7 * (k % 11))]
+        for k in range(4 * _D)],
     "factors.csv": [["source", "kgco2_per_kwh"], ["gas", "0.4"], ["solar", "0.0"]],
+    "load.csv": [["timestamp", "load_mw"]] + [
+        [_stamp(k), f"{20000 + 3000 * math.sin(k / 40):.1f}"] for k in range(4 * _D)],
     "sessions.csv": [
         ["id", "arrival_ts", "depart_ts", "soc_arrival", "soc_target",
          "capacity_kwh", "power_max_kw"],
-        ["a", _stamp(96), _stamp(180), "0.2", "0.8", "20", "7.5"],
-        ["b", _stamp(100), _stamp(250), "0.1", "0.5", "50", "11"],
-        ["c", _stamp(150), _stamp(200), "0.4", "0.9", "5", "3.7"]],
+        ["a", _stamp(_D + 96), _stamp(_D + 180), "0.2", "0.8", "20", "7.5"],
+        ["b", _stamp(_D + 100), _stamp(_D + 250), "0.1", "0.5", "50", "11"],
+        ["c", _stamp(_D + 150), _stamp(_D + 200), "0.4", "0.9", "5", "3.7"]],
 }
 
 
@@ -1091,7 +1147,28 @@ def _mutated_inputs(draw):
     texts = {name: ("\ufeff" if name in boms else "") + ("" if name in empty else
              "".join(",".join(row) + "\n" for row in rows))
              for name, rows in files.items()}
-    return texts, draw(st.sampled_from(POLICIES))
+    return texts
+
+
+@st.composite
+def _commands(draw):
+    """A subcommand on the files, each numeric flag it takes at its
+    default or at a bound."""
+    command = draw(st.sampled_from((
+        *(("simulate", "--policy", p) for p in POLICIES),
+        ("simulate", "--policy", "carbon-online", "--online-forecast", "model",
+         "--load", "load.csv"),
+        ("lambda-sweep",), ("forecast",))))
+    argv = [*command, "--mix", "mix.csv", "--factors", "factors.csv"]
+    if command[0] != "forecast":
+        argv += ["--sessions", "sessions.csv", *draw(st.sampled_from((
+            (), ("--power-cap-kw", "1e-9"), ("--power-cap-kw", "1e9"))))]
+    if command[0] == "simulate":
+        argv += ["--lambda", draw(st.sampled_from(("2", "0", "1e6"))),
+                 *draw(st.sampled_from(((), ("--horizon", "1"))))]
+    if command[0] == "lambda-sweep":
+        argv += ["--lambdas", draw(st.sampled_from(("0.5,2", "0", "1e6", "0,1e6")))]
+    return argv
 
 
 def _reject_constant(name):
@@ -1099,26 +1176,26 @@ def _reject_constant(name):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_mutated_inputs())
-def test_mutated_inputs_exit_cleanly(inputs):
-    texts, policy = inputs
+@given(_mutated_inputs(), _commands())
+def test_mutated_inputs_exit_cleanly(texts, argv):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for name, text in texts.items():
             (tmp / name).write_text(text, encoding="utf-8")
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(["simulate", "--policy", policy, "--lambda", "2",
-                         "--mix", str(tmp / "mix.csv"),
-                         "--factors", str(tmp / "factors.csv"),
-                         "--sessions", str(tmp / "sessions.csv"),
-                         "--out-dir", str(tmp / "out")])
+            code = main([str(tmp / a) if a.endswith(".csv") else a for a in argv]
+                        + ["--out-dir", str(tmp / "out")])
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
         if code != 0:
+            # one line of error, and no output
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+            assert not (tmp / "out").exists()
             return
-        json.loads((tmp / "out" / "report.json").read_text(),
-                   parse_constant=_reject_constant)
+        for path in (tmp / "out").glob("*.json"):
+            json.loads(path.read_text(), parse_constant=_reject_constant)
         for path in (tmp / "out").glob("*.csv"):
             with open(path, newline="") as f:
                 for row in csv.DictReader(f):

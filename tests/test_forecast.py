@@ -148,6 +148,22 @@ class TestFit:
         with pytest.raises(errors.RankDeficient):
             forecast.fit(rows)
 
+    @pytest.mark.parametrize("days,flat,names", [
+        (2, False, "weekday, month"),    # the rows of one day of January
+        (3, True, "month, ma_24h, ma_12h, ma_1h"),
+    ])
+    def test_constant_features_are_named(self, days, flat, names):
+        grid = make_grid(days)
+        load = _load_series(grid)
+        ci = (CarbonIntensitySeries(tuple(grid.timestamps()), np.full(grid.n_slots, 0.3))
+              if flat else planted_series(grid, load))
+        X, y = forecast.build_features(ci, load)
+        n_train = round(0.8 * len(y))
+        with pytest.raises(errors.RankDeficient) as exc:
+            forecast.fit((X, y))
+        assert str(exc.value) == \
+            f"constant feature columns on the {n_train} training rows: {names}"
+
     def test_rank_deficient_collinear_features(self, two_month):
         # no column is constant, but the load column is an affine function
         # of the hour column, so the z-scored columns are linearly dependent
