@@ -8,7 +8,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .errors import ZeroTotalGeneration
+from .errors import NonFiniteValue, ZeroTotalGeneration
 from .ingest import GridMixSeries
 
 # Season partition by calendar month (Feb 29 lands in winter).
@@ -41,11 +41,16 @@ def compute_intensity(mix: GridMixSeries) -> CarbonIntensitySeries:
     """Weighted-average intensity: C(t) = sum_i C_i * P_i(t) / P_total(t).
 
     Negative source readings participate with their sign; a zero total is
-    treated as corrupt input, not as zero intensity.
+    treated as corrupt input, not as zero intensity, and so is a C(t) that
+    is not finite, as when a product of power and factor overflows.
     """
-    totals = mix.power.sum(axis=1)
-    zero = np.flatnonzero(np.abs(totals) < 1e-12)
-    if zero.size:
-        raise ZeroTotalGeneration(int(zero[0]))
-    values = (mix.power @ mix.factors) / totals
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = mix.power.sum(axis=1)
+        zero = np.flatnonzero(np.abs(totals) < 1e-12)
+        if zero.size:
+            raise ZeroTotalGeneration(int(zero[0]))
+        values = (mix.power @ mix.factors) / totals
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NonFiniteValue(f"intensity at slot {bad[0]}")
     return CarbonIntensitySeries(mix.timestamps, values)

@@ -22,8 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, carbon, forecast, ingest, metrics, online, scheduler
-from .errors import (CarbonSchedError, InsufficientHistory, NumericalFailure,
-                     UnsupportedSlotLength)
+from .errors import CarbonSchedError, InsufficientHistory, NumericalFailure
 from .timegrid import TimeGrid
 
 POLICIES = ("carbon-offline", "carbon-online", "es", "edf", "tou", "carbon-adaptive")
@@ -41,14 +40,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextlib.contextmanager
-def _named(flag: str, path: str):
-    """An OSError, or an input error found in `path`, names `flag` and `path`."""
+def _named(flag: str, path: str | None):
+    """An error in the file at `path` is found in `flag path`: an OSError
+    becomes an input error, and an input error found in `path` or in no
+    named input is renamed, unless there is no `path` (synthetic data)."""
     try:
         yield
     except OSError as exc:
-        raise CarbonSchedError(f"{flag} {path}: {exc.strerror}") from exc
+        error = CarbonSchedError(exc.strerror)
+        error.where = f"{flag} {path}"
+        raise error from exc
     except CarbonSchedError as exc:
-        if exc.where == path:
+        if path and exc.where in (None, path):
             exc.where = f"{flag} {path}"
         raise
 
@@ -72,27 +75,17 @@ def _output(args, name: str):
 
 
 def _load_intensity(args) -> carbon.CarbonIntensitySeries:
-    if args.mix and args.factors:
-        with _input("--mix", args.mix) as mf, _input("--factors", args.factors) as ff:
-            mix = ingest.parse_grid_mix(mf, ff)
-        if args.exclude_negative:
-            mix = replace(mix, power=np.maximum(mix.power, 0.0))
-        return carbon.compute_intensity(mix)
-    if args.mix or args.factors:
+    if bool(args.mix) != bool(args.factors):
         raise CarbonSchedError("--mix and --factors must be given together")
-    mix = ingest.synth_grid_mix(args.synth_days, seed=args.seed)
-    return carbon.compute_intensity(mix)
-
-
-def _features(args, intensity, load):
-    """`forecast.build_features`; a slot too long for its moving averages
-    is an input error in the file --mix names, when it names one."""
-    try:
-        return forecast.build_features(intensity, load)
-    except UnsupportedSlotLength as exc:
+    with _named("--mix", args.mix):
         if args.mix:
-            exc.where = f"--mix {args.mix}"
-        raise
+            with _input("--mix", args.mix) as mf, _input("--factors", args.factors) as ff:
+                mix = ingest.parse_grid_mix(mf, ff)
+            if args.exclude_negative:
+                mix = replace(mix, power=np.maximum(mix.power, 0.0))
+        else:
+            mix = ingest.synth_grid_mix(args.synth_days, seed=args.seed)
+        return carbon.compute_intensity(mix)
 
 
 def _grid_of(series: carbon.CarbonIntensitySeries) -> TimeGrid:
@@ -239,7 +232,9 @@ def cmd_simulate(args) -> int:
                     f"day {day}: the model forecast needs {history_h:g} h of observed "
                     f"intensity before the day starts, and the series has "
                     f"{off * grid.slot_minutes / 60:g} h")
-            model, _, _ = forecast.fit(_features(args, intensity, load), seed=args.seed)
+            with _named("--mix", args.mix):
+                features = forecast.build_features(intensity, load)
+            model, _, _ = forecast.fit(features, seed=args.seed)
 
     adaptive = args.policy == "carbon-adaptive"
     results, log = {}, []
@@ -317,7 +312,8 @@ def cmd_lambda_sweep(args) -> int:
 def cmd_forecast(args) -> int:
     intensity = _load_intensity(args)
     load = _load_load(args, intensity.timestamps)
-    X, y = _features(args, intensity, load)
+    with _named("--mix", args.mix):
+        X, y = forecast.build_features(intensity, load)
     model, mae, mse = forecast.fit((X, y), seed=args.seed)
     model_text = json.dumps({"beta": model.beta.tolist(),
                              "feature_means": model.feature_means.tolist(),

@@ -121,9 +121,12 @@ def fit(data: tuple[np.ndarray, np.ndarray], seed: int = 0,
     Z = np.column_stack([np.ones(len(train)), (X[train] - means) / stds])
 
     G = Z.T @ Z
-    evals = np.linalg.eigvalsh(G)
+    evals, evecs = np.linalg.eigh(G)
     if evals[0] <= _PIVOT_EPS * max(evals[-1], 1.0):
-        raise RankDeficient("design matrix is rank deficient after standardization")
+        weight = np.abs(evecs[1:, 0])    # of each feature in the near-null direction
+        collinear = [name for name, w in zip(FEATURES, weight) if w >= weight.max() / 10]
+        raise RankDeficient(f"near-collinear feature columns on the {n_train} training "
+                            f"rows: {', '.join(collinear)}")
     bz = np.linalg.solve(G, Z.T @ y[train])
 
     beta = np.empty(9)

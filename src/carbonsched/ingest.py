@@ -221,19 +221,19 @@ def _naming(stream: IO):
         raise
 
 
-def _parse_ts(raw: str, row: int, col: str) -> datetime:
-    try:
-        return datetime.fromisoformat(raw.strip())
-    except ValueError:
-        raise MalformedNumber(row, col) from None
+def _stamp(raw: str) -> datetime:
+    return datetime.fromisoformat(raw.strip())
 
 
-def _parse_float(raw: str, row: int, col: str) -> float:
+def _cell(parse, raw: str, row: int, col: str):
+    """The cell `raw` at (`row`, `col`) read by `parse`, `float` or
+    `_stamp`: a cell it rejects is MalformedNumber, a non-finite number
+    NonFiniteValue."""
     try:
-        value = float(raw)
+        value = parse(raw)
     except ValueError:
         raise MalformedNumber(row, col) from None
-    if not math.isfinite(value):
+    if parse is float and not math.isfinite(value):
         raise NonFiniteValue(f"row {row}, column {col!r}")
     return value
 
@@ -245,7 +245,7 @@ def parse_grid_mix(mix_file: IO, factors_file: IO) -> GridMixSeries:
     with _naming(factors_file):
         columns, rows = read_csv(factors_file, ("source", "kgco2_per_kwh"))
         name, value = columns["source"], columns["kgco2_per_kwh"]
-        factors = {row[name].strip(): _parse_float(row[value], row_no, "kgco2_per_kwh")
+        factors = {row[name].strip(): _cell(float, row[value], row_no, "kgco2_per_kwh")
                    for row_no, row in rows}
         for source, factor in factors.items():
             if factor < 0:
@@ -259,8 +259,8 @@ def parse_grid_mix(mix_file: IO, factors_file: IO) -> GridMixSeries:
             if name not in factors:
                 raise MissingSourceFactor(name)
 
-        # Whole rows convert with the builtins; the per-cell parsers run
-        # only to name the cell of a row that failed.
+        # Whole rows convert with the builtins; `_cell` runs only to name
+        # the cell of a row that failed.
         timestamps: list[datetime] = []
         power: list[float] = []
         for row_no, row in rows:
@@ -268,9 +268,9 @@ def parse_grid_mix(mix_file: IO, factors_file: IO) -> GridMixSeries:
                 timestamps.append(datetime.fromisoformat(row[0].strip()))
                 power.extend(map(float, row[1:]))
             except ValueError:
-                _parse_ts(row[0], row_no, time_col)
-                for j, v in enumerate(row[1:]):
-                    _parse_float(v, row_no, sources[j])
+                _cell(_stamp, row[0], row_no, time_col)
+                for col, raw in zip(sources, row[1:]):
+                    _cell(float, raw, row_no, col)
                 raise
 
         return GridMixSeries(
@@ -305,8 +305,8 @@ def parse_load(load_file: IO) -> LoadForecastSeries:
                 timestamps.append(datetime.fromisoformat(row[t].strip()))
                 load.append(float(row[v]))
             except ValueError:
-                _parse_ts(row[t], row_no, "timestamp")
-                _parse_float(row[v], row_no, "load_mw")
+                _cell(_stamp, row[t], row_no, "timestamp")
+                _cell(float, row[v], row_no, "load_mw")
                 raise
         return LoadForecastSeries(tuple(timestamps), np.asarray(load, dtype=float))
 
@@ -322,38 +322,37 @@ def parse_sessions(file: IO, grid: TimeGrid) -> list[ChargingSession]:
     with _naming(file):
         columns, rows = read_csv(file, ("id", "arrival_ts", "depart_ts",
                                         "soc_arrival", "soc_target"))
+        sid_at, arrival_at, depart_at = (columns[c] for c in ("id", "arrival_ts",
+                                                              "depart_ts"))
+        # The number columns in the order a row's cells are checked: each
+        # one's position (None when it is absent) and the value of an
+        # absent or empty cell (None when the column is required).
+        numbers = [(columns.get(col), col, default) for col, default in (
+            ("efficiency", DEFAULT_EFFICIENCY), ("soc_arrival", None),
+            ("soc_target", None), ("capacity_kwh", DEFAULT_CAPACITY_KWH),
+            ("soc_max", DEFAULT_SOC_MAX), ("power_max_kw", DEFAULT_POWER_MAX_KW))]
+        naive = grid.start.tzinfo is None
         out: list[ChargingSession] = []
         seen: set[str] = set()
         for row_no, cells in rows:
-            row = dict(zip(columns, cells))
-            sid = row["id"].strip()
+            sid = cells[sid_at].strip()
             if sid in seen:
                 raise DuplicateSessionId(sid, row_no)
             seen.add(sid)
-            arrival = _parse_ts(row["arrival_ts"], row_no, "arrival_ts")
-            depart = _parse_ts(row["depart_ts"], row_no, "depart_ts")
-            if any((ts.tzinfo is None) != (grid.start.tzinfo is None)
-                   for ts in (arrival, depart)):
+            arrival = _cell(_stamp, cells[arrival_at], row_no, "arrival_ts")
+            depart = _cell(_stamp, cells[depart_at], row_no, "depart_ts")
+            if (arrival.tzinfo is None) != naive or (depart.tzinfo is None) != naive:
                 raise MixedTimezones(row_no, f"session {sid!r} against the intensity grid")
             if not (grid.contains(arrival) and grid.contains(depart)):
                 raise SessionOutsideHorizon(sid)
-
-            def _opt(col: str, default: float) -> float:
-                raw = (row.get(col) or "").strip()
-                return _parse_float(raw, row_no, col) if raw else default
-
-            efficiency = _opt("efficiency", DEFAULT_EFFICIENCY)
+            efficiency, soc_arrival, soc_target, capacity, soc_max, power_max = [
+                _cell(float, cells[j], row_no, col)
+                if default is None or j is not None and cells[j].strip() else default
+                for j, col, default in numbers]
             out.append(ChargingSession(
-                id=sid,
-                t_arrival=grid.ceil_index(arrival),
-                t_depart=grid.floor_index(depart),
-                soc_arrival=_parse_float(row["soc_arrival"], row_no, "soc_arrival"),
-                soc_target=_parse_float(row["soc_target"], row_no, "soc_target"),
-                capacity_kwh=_opt("capacity_kwh", DEFAULT_CAPACITY_KWH),
-                soc_max=_opt("soc_max", DEFAULT_SOC_MAX),
-                power_max_kw=_opt("power_max_kw", DEFAULT_POWER_MAX_KW),
-                delta=efficiency * grid.slot_hours,
-            ))
+                id=sid, t_arrival=grid.ceil_index(arrival), t_depart=grid.floor_index(depart),
+                soc_arrival=soc_arrival, soc_target=soc_target, capacity_kwh=capacity,
+                soc_max=soc_max, power_max_kw=power_max, delta=efficiency * grid.slot_hours))
         return out
 
 

@@ -1,8 +1,9 @@
 """Energy-delivery-quality and emission metrics.
 
 `make_report` builds every figure of a run's report, as the dict that
-report.json holds; a session's delivery quality is its delivered SoC over
-its requested SoC, and 1.0 when it requests nothing.
+report.json holds; a session's delivery quality is its delivered SoC,
+credited at most its request, over its requested SoC, and 1.0 when it
+requests nothing.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ def make_report(policy: str,
     seasons: dict[str, dict] = {}
     for day in sorted(days):
         sessions, result = days[day]
-        d = [abs(result.soc[i, -1] - s.soc_arrival) for i, s in enumerate(sessions)]
-        r = [abs(s.soc_target - s.soc_arrival) for s in sessions]
+        r = [s.soc_target - s.soc_arrival for s in sessions]
+        d = [min(result.soc[i, -1] - s.soc_arrival, r[i]) for i, s in enumerate(sessions)]
         day_delivered, day_requested = sum(d), sum(r)
         emissions += result.emissions_kg
         energy += result.delivered_kwh(sessions)

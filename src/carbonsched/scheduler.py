@@ -231,7 +231,8 @@ def _screen(lp: LpInstance) -> np.ndarray | None:
     earlier slot first), each up to min(upper, what is left of the
     request), which is optimal. If every slot's sum is then within its
     cap, compared exactly, that x is feasible for the whole LP and so
-    optimal for it. Needs every request >= 0 and every g > 0.
+    optimal for it. Needs every request >= 0, every g > 0 and one upper
+    bound per session, as `build_lp` sets.
     """
     n, T = lp.shape
     g = lp.a_ub.data[::2]    # column k's SoC-row entry
@@ -240,12 +241,12 @@ def _screen(lp: LpInstance) -> np.ndarray | None:
     k = np.flatnonzero(lp.c < 0)
     k = k[np.lexsort((lp.slot[k], lp.c[k], lp.owner[k]))]
     owner, upper = lp.owner[k], lp.upper[k]
-    # Power the session's earlier columns in this order take when full: a
-    # cumsum restarted at each session's first column (it never falls).
-    before = np.cumsum(upper) - upper
-    before -= np.maximum.accumulate(np.where(np.diff(owner, prepend=-1) != 0, before, 0.0))
+    # Power the session's earlier columns in this order take when full: its
+    # rank among them times its one upper bound (no other session's sum).
+    at = np.arange(len(k))
+    rank = at - np.maximum.accumulate(np.where(np.diff(owner, prepend=-1) != 0, at, 0))
     x = np.zeros(len(lp.c))
-    x[k] = np.clip(lp.b_ub[owner] / g[k] - before, 0.0, upper)
+    x[k] = np.clip(lp.b_ub[owner] / g[k] - rank * upper, 0.0, upper)
     if (np.bincount(lp.slot, weights=x, minlength=T) <= lp.b_ub[n:]).all():
         return x
     return None

@@ -33,6 +33,7 @@ import sys
 import tarfile
 import tempfile
 from collections import defaultdict
+from datetime import datetime, timedelta
 from pathlib import Path
 
 # The working tree's package, unless PYTHONPATH names another one.
@@ -95,6 +96,45 @@ MODEL_SESSIONS = (
 MODEL = ("--synth-days", "60", "--sessions", "{tmp}/model_sessions.csv",
          "--power-cap-kw", "7.5", "--lambda", "100", "--seed", "1")
 
+
+
+def _stamp(k: int, day: str = "2021-01-01") -> str:
+    """The stamp of 5-minute slot k from midnight UTC of `day`."""
+    return (datetime.fromisoformat(f"{day}T00:00:00+00:00")
+            + timedelta(minutes=5 * k)).isoformat()
+
+
+# One day of generation whose total is zero at slot 5, where the imports
+# cancel the gas; without that slot it is one day of flat gas.
+ZERO_TOTAL_MIX = "timestamp,gas,imports\n" + "".join(
+    f"{_stamp(k)},{500 if k == 5 else 1000},{-500 if k == 5 else 0}\n"
+    for k in range(288))
+ONE_DAY_MIX = "timestamp,gas,imports\n" + "".join(
+    f"{_stamp(k)},1000,0\n" for k in range(288))
+GAS_IMPORTS = "source,kgco2_per_kwh\ngas,0.4\nimports,0.3\n"
+# Two days whose gas times its factor overflows a float.
+OVERFLOW_MIX = "timestamp,gas,solar\n" + "".join(
+    f"{_stamp(k)},1e10,1\n" for k in range(2 * 288))
+OVERFLOW_FACTORS = "source,kgco2_per_kwh\ngas,1e300\nsolar,0\n"
+# Four days of a smooth intensity, 400 / (1400 + k) at slot k, whose three
+# moving averages are near-affine in each other.
+COLLINEAR_MIX = "timestamp,gas,solar\n" + "".join(
+    f"{_stamp(k, '2021-01-30')},1000,{400 + k}\n" for k in range(4 * 288))
+GAS_SOLAR = "source,kgco2_per_kwh\ngas,0.4\nsolar,0.0\n"
+# One session that EDF fills: its SoC ends a few ulps past its target.
+ONE_SESSION = ("id,arrival_ts,depart_ts,soc_arrival,soc_target\n"
+               "a,2021-01-01T06:00:00+00:00,2021-01-01T20:00:00+00:00,0.2,0.6\n")
+
+INPUTS = {
+    "sessions.csv": OVERNIGHT_SESSIONS, "model_sessions.csv": MODEL_SESSIONS,
+    "mix.csv": MIX, "factors.csv": FACTORS, "mix15.csv": MIX_15,
+    "sessions15.csv": SESSIONS_15, "zero_total_mix.csv": ZERO_TOTAL_MIX,
+    "one_day_mix.csv": ONE_DAY_MIX, "gas_imports.csv": GAS_IMPORTS,
+    "overflow_mix.csv": OVERFLOW_MIX, "overflow_factors.csv": OVERFLOW_FACTORS,
+    "collinear_mix.csv": COLLINEAR_MIX, "gas_solar.csv": GAS_SOLAR,
+    "one_session.csv": ONE_SESSION,
+}
+
 RUNS = [
     *((f"simulate-{p}", ("simulate", "--policy", p, "--lambda", "1.2", *SYNTH))
       for p in POLICIES),
@@ -126,6 +166,19 @@ RUNS = [
                                   "--factors", "{tmp}/absent.csv", *SYNTH)),
     # Its rows are all one weekday of one month.
     ("forecast-two-days", ("forecast", "--synth-days", "2", "--seed", "1")),
+    # Errors in what is derived from the mix name --mix.
+    ("mix-zero-generation-edf", ("simulate", "--policy", "edf",
+                                 "--mix", "{tmp}/zero_total_mix.csv",
+                                 "--factors", "{tmp}/gas_imports.csv")),
+    ("forecast-one-day-mix", ("forecast", "--mix", "{tmp}/one_day_mix.csv",
+                              "--factors", "{tmp}/gas_imports.csv")),
+    ("mix-intensity-overflow-edf", ("simulate", "--policy", "edf",
+                                    "--mix", "{tmp}/overflow_mix.csv",
+                                    "--factors", "{tmp}/overflow_factors.csv")),
+    ("edf-one-session-served", ("simulate", "--policy", "edf", "--synth-days", "1",
+                                "--sessions", "{tmp}/one_session.csv")),
+    ("forecast-near-collinear", ("forecast", "--mix", "{tmp}/collinear_mix.csv",
+                                 "--factors", "{tmp}/gas_solar.csv")),
 ]
 
 
@@ -147,12 +200,8 @@ def max_slot_kw(path: Path) -> float:
 
 def digest(name: str, argv: tuple[str, ...]) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
-        (Path(tmp) / "sessions.csv").write_text(OVERNIGHT_SESSIONS)
-        (Path(tmp) / "model_sessions.csv").write_text(MODEL_SESSIONS)
-        (Path(tmp) / "mix.csv").write_text(MIX)
-        (Path(tmp) / "factors.csv").write_text(FACTORS)
-        (Path(tmp) / "mix15.csv").write_text(MIX_15)
-        (Path(tmp) / "sessions15.csv").write_text(SESSIONS_15)
+        for file, text in INPUTS.items():
+            (Path(tmp) / file).write_text(text)
         out = Path(tmp) / "out"
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):

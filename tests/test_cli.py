@@ -19,10 +19,13 @@ from hypothesis import strategies as st
 
 from carbonsched import cli, forecast, ingest, online, scheduler
 from carbonsched.cli import POLICIES, main
+from carbonsched.errors import CarbonSchedError, ZeroTotalGeneration
 from carbonsched.scheduler import build_lp
 
 from conftest import DAY_SLOTS, duck_curve, make_grid, make_session
 from oracles import loop_schedule_csv, loop_shift_csv, objective_slack
+from output_digest import (COLLINEAR_MIX, GAS_IMPORTS, GAS_SOLAR, ONE_DAY_MIX, ONE_SESSION,
+                           OVERFLOW_FACTORS, OVERFLOW_MIX, ZERO_TOTAL_MIX)
 from test_scheduler import infeasible
 
 
@@ -776,6 +779,76 @@ def test_mix_and_factors_go_together(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,mix,detail", [
+    pytest.param(("simulate", "--policy", "edf"), ZERO_TOTAL_MIX,
+                 "total generation is zero at slot 5", id="zero-total"),
+    pytest.param(("forecast",), ONE_DAY_MIX, "need more than 288 slots, got 288",
+                 id="forecast-one-day"),
+])
+def test_error_derived_from_the_mix_names_it(tmp_path, capsys, argv, mix, detail):
+    (tmp_path / "mix.csv").write_text(mix)
+    (tmp_path / "factors.csv").write_text(GAS_IMPORTS)
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--mix", str(tmp_path / "mix.csv"),
+                   "--factors", str(tmp_path / "factors.csv"), "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == f"error: --mix {tmp_path / 'mix.csv'}: {detail}\n"
+    assert not out.exists()
+
+
+def test_named_keeps_the_innermost_name_and_names_nothing_without_a_path(tmp_path):
+    absent = tmp_path / "absent.csv"
+    with pytest.raises(CarbonSchedError) as exc:
+        with cli._named("--mix", "mix.csv"), cli._named("--factors", str(absent)):
+            open(absent)
+    assert str(exc.value) == f"--factors {absent}: No such file or directory"
+    with pytest.raises(CarbonSchedError) as exc:
+        with cli._named("--mix", None):
+            raise ZeroTotalGeneration(5)
+    assert exc.value.where is None
+
+
+def _src_env():
+    """The environment, with src/ first on PYTHONPATH, so that a new
+    interpreter finds the package without an install."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    env.get("PYTHONPATH")) if p)
+    return env
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--policy", "edf"), ("simulate", "--policy", "carbon-offline"),
+    ("lambda-sweep", "--lambdas", "0.3"), ("forecast",)], ids=" ".join)
+def test_non_finite_intensity_names_the_mix(tmp_path, argv):
+    # in a new interpreter, so that a numpy warning on stderr would show
+    mix, factors = tmp_path / "mix.csv", tmp_path / "factors.csv"
+    mix.write_text(OVERFLOW_MIX)
+    factors.write_text(OVERFLOW_FACTORS)
+    proc = subprocess.run([sys.executable, "-m", "carbonsched.cli", *argv,
+                           "--mix", str(mix), "--factors", str(factors),
+                           "--out-dir", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: --mix {mix}: non-finite value in intensity at slot 0\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("policy", ["edf", "es"])
+def test_a_session_served_past_its_target_is_credited_its_request(tmp_path, policy):
+    (tmp_path / "one.csv").write_text(ONE_SESSION)
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--policy", policy, "--synth-days", "1",
+                   "--sessions", str(tmp_path / "one.csv"), "--out-dir", str(out)) == 0
+    with open(out / "schedule.csv", newline="") as f:
+        assert float(list(csv.DictReader(f))[-1]["soc"]) > 0.6    # a few ulps past
+    report = json.loads((out / "report.json").read_text())
+    assert [report["edq_station"], report["edq_session"],
+            *(row["edq_station"] for row in report["per_day"]),
+            *(b["edq_station"] for b in report["per_season"].values())] == [1.0] * 4
+    assert report["energy_delivered_kwh"] == 20.00000000000002    # the physical gain
+
+
 class TestLambdaSweep:
     def test_single_lambda_single_row(self, tmp_path):
         out = tmp_path / "out"
@@ -918,6 +991,19 @@ class TestForecastCommand:
                                            "230 training rows: weekday, month\n")
         assert not out.exists()
 
+    def test_near_collinear_features_are_named(self, tmp_path, capsys):
+        # no column is constant, but the smooth intensity's moving averages
+        # are near-affine in each other
+        (tmp_path / "mix.csv").write_text(COLLINEAR_MIX)
+        (tmp_path / "factors.csv").write_text(GAS_SOLAR)
+        out = tmp_path / "out"
+        assert run_cli("forecast", "--mix", str(tmp_path / "mix.csv"),
+                       "--factors", str(tmp_path / "factors.csv"),
+                       "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err == ("error: near-collinear feature columns on the "
+                                           "691 training rows: ma_24h, ma_12h, ma_1h\n")
+        assert not out.exists()
+
     def test_grid_coarser_than_the_1_h_average_exits_1(self, tmp_path, capsys):
         (tmp_path / "mix.csv").write_text(_TWO_HOUR_MIX)
         (tmp_path / "factors.csv").write_text(_FACTORS)
@@ -931,13 +1017,8 @@ class TestForecastCommand:
 
 
 def test_console_entry_point():
-    # the new interpreter finds the package in src/ even without an install
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
-                    env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "carbonsched.cli", "--help"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
 
@@ -1162,7 +1243,8 @@ def _commands(draw):
     argv = [*command, "--mix", "mix.csv", "--factors", "factors.csv"]
     if command[0] != "forecast":
         argv += ["--sessions", "sessions.csv", *draw(st.sampled_from((
-            (), ("--power-cap-kw", "1e-9"), ("--power-cap-kw", "1e9"))))]
+            (), ("--power-cap-kw", "1e-9"), ("--power-cap-kw", "12"),
+            ("--power-cap-kw", "1e9"))))]
     if command[0] == "simulate":
         argv += ["--lambda", draw(st.sampled_from(("2", "0", "1e6"))),
                  *draw(st.sampled_from(((), ("--horizon", "1"))))]
@@ -1173,6 +1255,101 @@ def _commands(draw):
 
 def _reject_constant(name):
     raise ValueError(f"non-finite number {name} in strict JSON")
+
+
+def _rows(path):
+    with open(path, newline="", encoding="utf-8-sig") as f:
+        return [row for row in csv.DictReader(f) if any(row.values())]
+
+
+def _audit_simulate(tmp, argv):
+    """Judge a successful `simulate` run from its files and its input CSVs
+    alone, with the defaults the README documents for an empty cell or an
+    absent column: 50 kWh, 7.5 kW and an efficiency of 0.9."""
+    eps = sys.float_info.epsilon
+    cap = float(argv[argv.index("--power-cap-kw") + 1]) if "--power-cap-kw" in argv \
+        else 180.0
+    mix = _rows(tmp / "mix.csv")
+    start = datetime.fromisoformat(mix[0]["timestamp"].strip())
+    step = datetime.fromisoformat(mix[1]["timestamp"].strip()) - start
+    hours = step / timedelta(hours=1)
+    sessions = {}
+    for row in _rows(tmp / "sessions.csv"):
+        arrival, depart = (datetime.fromisoformat(row[c].strip())
+                           for c in ("arrival_ts", "depart_ts"))
+        capacity, power_max = (float(row[c]) if row[c].strip() else default
+                               for c, default in (("capacity_kwh", 50.0),
+                                                  ("power_max_kw", 7.5)))
+        # the window snapped inwards: arrival up, departure down to a slot
+        sessions[row["id"].strip()] = dict(
+            lo=-((start - arrival) // step), hi=(depart - start) // step,
+            soc=float(row["soc_arrival"]), target=float(row["soc_target"]),
+            capacity=capacity, power_max=power_max)
+
+    schedule = _rows(tmp / "out" / "schedule.csv")
+    station, rows_of = defaultdict(float), defaultdict(list)
+    for row in schedule:
+        slot, power = int(row["slot"]), float(row["power_kw"])
+        station[slot] += power
+        rows_of[row["session_id"]].append((slot, power, float(row["soc"])))
+    assert max(station.values(), default=0.0) <= cap + 1e-8
+    energy = 0.0
+    for sid, rows in rows_of.items():
+        s = sessions[sid]
+        soc = s["soc"]
+        # A written SoC is the arrival SoC plus a running sum of k powers
+        # times efficiency / capacity. The power that reaches the target is
+        # the request less the slot loop's running SoC, or less the LP's
+        # earlier columns (a multiple of the power limit), times capacity /
+        # efficiency. Each running sum errs by at most k roundings of a SoC
+        # <= 1, and each product or difference by one more, so a SoC that
+        # should end on its target ends at most (2 k + 4) eps past it.
+        bound = (2 * len(rows) + 4) * eps
+        for slot, power, after in sorted(rows):
+            assert s["lo"] <= slot < s["hi"], (sid, slot)
+            assert power <= s["power_max"], (sid, slot, power)
+            assert soc <= after <= s["target"] + bound, (sid, slot, soc, after)
+            soc = after
+            energy += power * 0.9 * hours
+    shift = _rows(tmp / "out" / "shift.csv")
+    slots = [int(row["slot"]) for row in shift]
+    assert slots == sorted(set(slots))
+    assert all(datetime.fromisoformat(row["timestamp"]) == start + int(row["slot"]) * step
+               for row in shift)
+
+    report = json.loads((tmp / "out" / "report.json").read_text())
+    assert all(edq <= 1.0 for edq in (
+        report["edq_station"], report["edq_session"],
+        *(row["edq_station"] for row in report["per_day"]),
+        *(b["edq_station"] for b in report["per_season"].values())))
+    # Each side sums the same terms in its own order, and a sum of n terms
+    # errs by at most n roundings (eps / 2 each) of the sum of their
+    # magnitudes. Emissions: the n slot products, each rounded once more on
+    # one side, summed per block and then over blocks. Energy: per session
+    # a running sum of its k rows plus a few products, then a sum over the
+    # m sessions, against the sum of n row products; a session gains at
+    # most its capacity, since its SoC stays in [0, 1].
+    kg = [float(row["policy_kg"]) for row in shift]
+    assert abs(report["total_emissions_kg"] - sum(kg)) \
+        <= (len(kg) + 4) * eps * sum(map(abs, kg))
+    assert abs(report["energy_delivered_kwh"] - energy) \
+        <= (len(schedule) + len(rows_of) + 4) * eps * sum(
+            sessions[sid]["capacity"] for sid in rows_of)
+
+
+@pytest.mark.parametrize("cap", ["12", "180"])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_valid_inputs_pass_the_audit(tmp_path, policy, cap):
+    # Every session charges to its target where it can. Sessions a and b
+    # overlap with 18.5 kW of limits, so a 12 kW cap binds; under 180 kW
+    # the LP needs no HiGHS run.
+    for name, rows in _VALID_INPUTS.items():
+        (tmp_path / name).write_text("".join(",".join(row) + "\n" for row in rows))
+    argv = ["simulate", "--policy", policy, "--power-cap-kw", cap, "--lambda", "1e6"]
+    assert main([*argv, *(a if a.startswith("--") else str(tmp_path / a) for a in (
+        "--mix", "mix.csv", "--factors", "factors.csv", "--sessions", "sessions.csv",
+        "--out-dir", "out"))]) == 0
+    _audit_simulate(tmp_path, argv)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1194,6 +1371,8 @@ def test_mutated_inputs_exit_cleanly(texts, argv):
             assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
             assert not (tmp / "out").exists()
             return
+        if argv[0] == "simulate":
+            _audit_simulate(tmp, argv)
         for path in (tmp / "out").glob("*.json"):
             json.loads(path.read_text(), parse_constant=_reject_constant)
         for path in (tmp / "out").glob("*.csv"):

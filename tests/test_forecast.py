@@ -6,6 +6,7 @@ import pytest
 from carbonsched import errors, forecast
 from carbonsched.carbon import CarbonIntensitySeries
 from carbonsched.ingest import LoadForecastSeries
+from carbonsched.timegrid import TimeGrid
 
 from conftest import make_grid
 
@@ -171,8 +172,22 @@ class TestFit:
         X, y = forecast.build_features(ci, load)
         X = X.copy()
         X[:, 4] = 3.0 * X[:, 1] + 7.0
-        with pytest.raises(errors.RankDeficient, match="after standardization"):
+        with pytest.raises(errors.RankDeficient) as exc:
             forecast.fit((X, y))
+        assert str(exc.value) == (f"near-collinear feature columns on the "
+                                  f"{round(0.8 * len(y))} training rows: hour, load")
+
+    def test_near_collinear_moving_averages_are_named(self):
+        # a smooth intensity, 400 / (1400 + k) at slot k, makes its three
+        # moving averages near-affine in each other; no column is constant
+        grid = TimeGrid(datetime(2021, 1, 30, tzinfo=UTC), 5, 4 * W24)
+        ci = CarbonIntensitySeries(tuple(grid.timestamps()),
+                                   400.0 / (1400.0 + np.arange(grid.n_slots)))
+        X, y = forecast.build_features(ci, _load_series(grid))
+        with pytest.raises(errors.RankDeficient) as exc:
+            forecast.fit((X, y))
+        assert str(exc.value) == ("near-collinear feature columns on the 691 "
+                                  "training rows: ma_24h, ma_12h, ma_1h")
 
     def test_too_few_rows(self, two_month):
         _, load, ci = two_month
