@@ -200,6 +200,14 @@ def _csv_cell(text: str) -> str:
     return text
 
 
+def _reprs(values: np.ndarray) -> list[str]:
+    """`repr` of each float of `values`, made once per distinct bit
+    pattern, so that -0.0 and 0.0 keep their own."""
+    text = {}
+    return [text[b] if b in text else text.setdefault(b, repr(v))
+            for b, v in zip(values.view(np.int64).tolist(), values.tolist())]
+
+
 def _number(flag: str, kind: type, low: float, strict: bool = False):
     """The argparse type of a numeric flag: the text as `kind`, which must
     be finite and >= `low` (> with `strict`), or an input error naming
@@ -275,9 +283,9 @@ def cmd_simulate(args) -> int:
             owner, slot = scheduler.session_slots(rel, horizon)
             ids = [_csv_cell(s.id) for s in rel]
             f.write("".join(
-                f"{ids[i]},{off + t},{u!r},{x!r}\n" for i, t, u, x in zip(
-                    owner.tolist(), slot.tolist(), res.power[owner, slot].tolist(),
-                    res.soc[owner, slot + 1].tolist())))
+                f"{ids[i]},{off + t},{u},{x}\n" for i, t, u, x in zip(
+                    owner.tolist(), slot.tolist(), _reprs(res.power[owner, slot]),
+                    _reprs(res.soc[owner, slot + 1]))))
     with _output(args, "shift.csv") as f:
         f.write("slot,timestamp,policy_kg,baseline_edf_kg\n")
         for day, (off, horizon, _) in plans.items():

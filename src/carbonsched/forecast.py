@@ -72,9 +72,10 @@ def _base_columns(timestamps: Sequence[datetime], load_mw: np.ndarray,
     """Non-lagged feature columns of the series' slots start..stop-1:
     minute, hour, weekday (0=Monday), month and load. A slot past the end
     of the series has no row."""
-    calendar = np.array([(ts.minute, ts.hour, ts.weekday(), ts.month)
-                         for ts in timestamps[start:stop]], dtype=float).reshape(-1, 4)
-    return np.column_stack([calendar, np.asarray(load_mw, dtype=float)[start:stop]])
+    stamps = timestamps[start:stop]
+    return np.column_stack([[ts.minute for ts in stamps], [ts.hour for ts in stamps],
+                            [ts.weekday() for ts in stamps], [ts.month for ts in stamps],
+                            np.asarray(load_mw, dtype=float)[start:stop]])
 
 
 def build_features(carbon: CarbonIntensitySeries, load: LoadForecastSeries,

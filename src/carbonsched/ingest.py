@@ -7,6 +7,17 @@ exactly the header's number of cells. Rows are numbered from 1 after the
 header, blank rows not counted. All parsers validate and reject; nothing
 is silently clamped except the documented timestamp snapping of charging
 sessions.
+
+The mix and load parsers read a file one of two ways. The whole-file
+path, `_numeric_table`, splits the text into rows and cells and converts
+a chunk of cells at a time. It reads only the plain case: no quote, no CR
+but in a CRLF, no blank row, every row of the header's width and every
+cell valid. Anything else, a bad cell included, sends the text to the row
+path, `read_csv` with a loop over its rows, which reads every file these
+conventions allow and names the row and column of an error. Both paths
+call `float` and `datetime.fromisoformat` on the same cell texts, so they
+return the same series, bit for bit, or raise the same error. The factors
+and sessions files, which are small, take the row path only.
 """
 
 from __future__ import annotations
@@ -17,6 +28,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from itertools import repeat
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -162,7 +174,7 @@ def _check_uniform(timestamps) -> None:
             raise NonMonotonicTimestamps(k + 1, "non-uniform spacing")
 
 
-def _text(stream: IO) -> IO[str]:
+def _text(stream: IO) -> str:
     """The text of `stream`, decoded as UTF-8 if it is binary, with a
     leading BOM skipped; bytes that are not UTF-8 are an input error,
     whether `stream` or this function decodes them. A text stream read
@@ -174,19 +186,20 @@ def _text(stream: IO) -> IO[str]:
     except UnicodeDecodeError as exc:
         raise CarbonSchedError(f"not UTF-8: byte {exc.start} is "
                                f"0x{exc.object[exc.start]:02x}") from None
-    return io.StringIO(text.removeprefix("\ufeff"), newline="")
+    return text.removeprefix("\ufeff")
 
 
-def read_csv(stream: IO, required: Iterable[str] = ()
+def read_csv(text: str, required: Iterable[str] = ()
              ) -> tuple[dict[str, int], Iterator[tuple[int, list[str]]]]:
-    """A CSV file's column positions by stripped name, in header order, and
-    an iterator of its numbered data rows, by this module's conventions.
-    Raises MalformedRow for an empty file, a repeated or missing `required`
-    column, or a row whose cell count is not the header's.
+    """The column positions of the CSV `text` by stripped name, in header
+    order, and an iterator of its numbered data rows, by this module's
+    conventions. Raises MalformedRow for an empty file, a repeated or
+    missing `required` column, or a row whose cell count is not the
+    header's.
 
     The rows stay lazy: one generator reads them one at a time, skipping
     blank rows and checking each row's cell count in the same loop."""
-    reader = csv.reader(_text(stream))
+    reader = csv.reader(io.StringIO(text, newline=""))
     header = [name.strip() for name in next((row for row in reader if row), ())]
     if not header:
         raise MalformedRow(0, "the file is empty")
@@ -206,6 +219,56 @@ def read_csv(stream: IO, required: Iterable[str] = ()
                     raise MalformedRow(row_no, f"{len(row)} cells, the header has {width}")
                 yield row_no, row
     return columns, rows()
+
+
+# Characters per chunk of `_numeric_table`, about 150 rows of a five-source
+# mix. Only one chunk's row and cell strings are alive at a time: with all
+# of a 57-day mix's alive at once, the process kept about 4 MB more after
+# the parse, in allocator pages that the stamps, which outlive it, pinned.
+_CHUNK_CHARS = 1 << 14
+
+
+def _numeric_table(text: str) -> tuple[list[str], list[datetime], np.ndarray] | None:
+    """The header, the stamps of the first column and the other columns
+    as a float matrix, one row per data row, of the CSV `text` read in one
+    pass; None when `text` needs `read_csv`'s row path.
+
+    It reads only the plain case: no quote, no CR but in a CRLF, a
+    non-blank header of unique names, and every row non-blank with the
+    header's number of cells, two or more. There `csv.reader` splits rows
+    on "\n" and cells on ",", so the cells are the row path's, with the CR
+    of a CRLF left on a row's last cell, a number, where `float` skips it
+    as whitespace. `np.array(..., dtype=float)` calls `float` on each
+    cell, as the row path does. It never raises: on a cell that fails it
+    returns None too, so that the row path names the error."""
+    if '"' in text or "\r" in text and text.count("\r") != text.count("\r\n"):
+        return None
+    end = text.find("\n")
+    header = [name.strip() for name in text[:end].split(",")]
+    width = len(header)
+    if end <= 0 or width < 2 or len(set(header)) < width:
+        return None
+    stamps: list[datetime] = []
+    values = []
+    stop = len(text) - text.endswith("\n")
+    pos = end + 1
+    try:
+        while pos <= stop:
+            cut = text.find("\n", pos + _CHUNK_CHARS, stop)
+            cut = stop if cut < 0 else cut
+            rows = text[pos:cut].split("\n")
+            if set(map(str.count, rows, repeat(","))) != {width - 1}:
+                return None
+            cells = ",".join(rows).split(",")
+            stamps += map(datetime.fromisoformat, map(str.strip, cells[::width]))
+            del cells[::width]
+            values.append(np.array(cells, dtype=float))
+            pos = cut + 1
+    except ValueError:
+        return None
+    if not stamps:
+        return None
+    return header, stamps, np.concatenate(values).reshape(-1, width - 1)
 
 
 @contextmanager
@@ -243,7 +306,7 @@ def parse_grid_mix(mix_file: IO, factors_file: IO) -> GridMixSeries:
     per-source emission-factor CSV (`source,kgco2_per_kwh`). An input
     error names the file it was found in."""
     with _naming(factors_file):
-        columns, rows = read_csv(factors_file, ("source", "kgco2_per_kwh"))
+        columns, rows = read_csv(_text(factors_file), ("source", "kgco2_per_kwh"))
         name, value = columns["source"], columns["kgco2_per_kwh"]
         factors = {row[name].strip(): _cell(float, row[value], row_no, "kgco2_per_kwh")
                    for row_no, row in rows}
@@ -253,30 +316,35 @@ def parse_grid_mix(mix_file: IO, factors_file: IO) -> GridMixSeries:
                                  f"for source {source!r}")
 
     with _naming(mix_file):
-        columns, rows = read_csv(mix_file)
-        time_col, *sources = columns
+        text = _text(mix_file)
+        if table := _numeric_table(text):
+            (_, *sources), timestamps, power = table
+        else:
+            columns, rows = read_csv(text)
+            time_col, *sources = columns
         for name in sources:
             if name not in factors:
                 raise MissingSourceFactor(name)
 
-        # Whole rows convert with the builtins; `_cell` runs only to name
-        # the cell of a row that failed.
-        timestamps: list[datetime] = []
-        power: list[float] = []
-        for row_no, row in rows:
-            try:
-                timestamps.append(datetime.fromisoformat(row[0].strip()))
-                power.extend(map(float, row[1:]))
-            except ValueError:
-                _cell(_stamp, row[0], row_no, time_col)
-                for col, raw in zip(sources, row[1:]):
-                    _cell(float, raw, row_no, col)
-                raise
+        if not table:
+            # The row path: whole rows convert with the builtins, and
+            # `_cell` runs only to name the cell of a row that failed.
+            timestamps, power = [], []
+            for row_no, row in rows:
+                try:
+                    timestamps.append(datetime.fromisoformat(row[0].strip()))
+                    power.extend(map(float, row[1:]))
+                except ValueError:
+                    _cell(_stamp, row[0], row_no, time_col)
+                    for col, raw in zip(sources, row[1:]):
+                        _cell(float, raw, row_no, col)
+                    raise
+            power = np.asarray(power, dtype=float).reshape(len(timestamps), len(sources))
 
         return GridMixSeries(
             timestamps=tuple(timestamps),
             sources=tuple(sources),
-            power=np.asarray(power, dtype=float).reshape(len(timestamps), len(sources)),
+            power=power,
             factors=np.asarray([factors[s] for s in sources], dtype=float),
         )
 
@@ -297,7 +365,11 @@ def parse_load(load_file: IO) -> LoadForecastSeries:
     """Parse a load-forecast CSV `timestamp,load_mw`. An input error names
     the file it was found in."""
     with _naming(load_file):
-        columns, rows = read_csv(load_file, ("timestamp", "load_mw"))
+        text = _text(load_file)
+        table = _numeric_table(text)
+        if table and table[0] == ["timestamp", "load_mw"]:
+            return LoadForecastSeries(tuple(table[1]), table[2].ravel())
+        columns, rows = read_csv(text, ("timestamp", "load_mw"))
         t, v = columns["timestamp"], columns["load_mw"]
         timestamps, load = [], []
         for row_no, row in rows:
@@ -320,8 +392,8 @@ def parse_sessions(file: IO, grid: TimeGrid) -> list[ChargingSession]:
     An input error names the file it was found in.
     """
     with _naming(file):
-        columns, rows = read_csv(file, ("id", "arrival_ts", "depart_ts",
-                                        "soc_arrival", "soc_target"))
+        columns, rows = read_csv(_text(file), ("id", "arrival_ts", "depart_ts",
+                                               "soc_arrival", "soc_target"))
         sid_at, arrival_at, depart_at = (columns[c] for c in ("id", "arrival_ts",
                                                               "depart_ts"))
         # The number columns in the order a row's cells are checked: each

@@ -116,6 +116,15 @@ GAS_IMPORTS = "source,kgco2_per_kwh\ngas,0.4\nimports,0.3\n"
 OVERFLOW_MIX = "timestamp,gas,solar\n" + "".join(
     f"{_stamp(k)},1e10,1\n" for k in range(2 * 288))
 OVERFLOW_FACTORS = "source,kgco2_per_kwh\ngas,1e300\nsolar,0\n"
+# Two days whose total generation overflows a float, while the weighted
+# sum does not.
+TOTAL_OVERFLOW_MIX = "timestamp,gas,solar\n" + "".join(
+    f"{_stamp(k)},1e308,1e308\n" for k in range(2 * 288))
+# Two days of a finite intensity of about 9.1e305 kgCO2/kWh, whose emissions
+# would overflow.
+HUGE_INTENSITY_MIX = "timestamp,gas,solar\n" + "".join(
+    f"{_stamp(k)},10,1\n" for k in range(2 * 288))
+HUGE_FACTORS = "source,kgco2_per_kwh\ngas,1e306\nsolar,0\n"
 # Four days of a smooth intensity, 400 / (1400 + k) at slot k, whose three
 # moving averages are near-affine in each other.
 COLLINEAR_MIX = "timestamp,gas,solar\n" + "".join(
@@ -132,7 +141,8 @@ INPUTS = {
     "one_day_mix.csv": ONE_DAY_MIX, "gas_imports.csv": GAS_IMPORTS,
     "overflow_mix.csv": OVERFLOW_MIX, "overflow_factors.csv": OVERFLOW_FACTORS,
     "collinear_mix.csv": COLLINEAR_MIX, "gas_solar.csv": GAS_SOLAR,
-    "one_session.csv": ONE_SESSION,
+    "one_session.csv": ONE_SESSION, "total_overflow_mix.csv": TOTAL_OVERFLOW_MIX,
+    "huge_intensity_mix.csv": HUGE_INTENSITY_MIX, "huge_factors.csv": HUGE_FACTORS,
 }
 
 RUNS = [
@@ -175,6 +185,12 @@ RUNS = [
     ("mix-intensity-overflow-edf", ("simulate", "--policy", "edf",
                                     "--mix", "{tmp}/overflow_mix.csv",
                                     "--factors", "{tmp}/overflow_factors.csv")),
+    ("mix-total-overflow-edf", ("simulate", "--policy", "edf",
+                                "--mix", "{tmp}/total_overflow_mix.csv",
+                                "--factors", "{tmp}/gas_solar.csv")),
+    ("mix-huge-intensity-edf", ("simulate", "--policy", "edf",
+                                "--mix", "{tmp}/huge_intensity_mix.csv",
+                                "--factors", "{tmp}/huge_factors.csv")),
     ("edf-one-session-served", ("simulate", "--policy", "edf", "--synth-days", "1",
                                 "--sessions", "{tmp}/one_session.csv")),
     ("forecast-near-collinear", ("forecast", "--mix", "{tmp}/collinear_mix.csv",

@@ -39,6 +39,19 @@ class TestComputeIntensity:
                 sources=("solar", "imports")))
         assert exc.value.slot == 1
 
+    def test_overflowing_total_generation(self):
+        # the weighted sum is finite, so C(t) would be 0, not 0.2
+        with pytest.raises(errors.NonFiniteValue,
+                           match="^non-finite value in total generation at slot 1$"):
+            carbon.compute_intensity(_mix([[1.0, 1.0], [1e308, 1e308]], [0.4, 0.0]))
+
+    def test_huge_intensity(self):
+        with pytest.raises(errors.OutOfRange, match=r"^intensity at slot 0 is 2000000\.0 "
+                                                    r"kgCO2/kWh; it must be at most 1e\+06$"):
+            carbon.compute_intensity(_mix([[1.0, 1.0]] * 2, [4e6, 0.0]))
+        ci = carbon.compute_intensity(_mix([[1.0, 1.0]] * 2, [2 * carbon.MAX_INTENSITY, 0.0]))
+        assert ci.values.tolist() == [carbon.MAX_INTENSITY] * 2
+
     def test_five_source_scalar_oracle(self):
         # independent per-slot recomputation with plain Python floats
         rng = np.random.default_rng(42)

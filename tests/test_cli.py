@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from collections import defaultdict
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -24,8 +25,9 @@ from carbonsched.scheduler import build_lp
 
 from conftest import DAY_SLOTS, duck_curve, make_grid, make_session
 from oracles import loop_schedule_csv, loop_shift_csv, objective_slack
-from output_digest import (COLLINEAR_MIX, GAS_IMPORTS, GAS_SOLAR, ONE_DAY_MIX, ONE_SESSION,
-                           OVERFLOW_FACTORS, OVERFLOW_MIX, ZERO_TOTAL_MIX)
+from output_digest import (COLLINEAR_MIX, GAS_IMPORTS, GAS_SOLAR, HUGE_FACTORS,
+                           HUGE_INTENSITY_MIX, ONE_DAY_MIX, ONE_SESSION, OVERFLOW_FACTORS,
+                           OVERFLOW_MIX, TOTAL_OVERFLOW_MIX, ZERO_TOTAL_MIX)
 from test_scheduler import infeasible
 
 
@@ -364,6 +366,10 @@ _NAN_LOAD = "timestamp,load_mw\n" + "".join(
     pytest.param({"s.csv": _SESSIONS_HEADER.replace("depart_ts,", "")
                   + "a,2021-01-01T08:00:00+00:00,0.2,0.6,50,7.5\n"},
                  ("--sessions", "s.csv"), id="sessions-without-depart-ts"),
+    pytest.param({"mix.csv": TOTAL_OVERFLOW_MIX, "factors.csv": GAS_SOLAR},
+                 ("--mix", "mix.csv", "--factors", "factors.csv"), id="mix-total-overflow"),
+    pytest.param({"mix.csv": HUGE_INTENSITY_MIX, "factors.csv": HUGE_FACTORS},
+                 ("--mix", "mix.csv", "--factors", "factors.csv"), id="mix-huge-intensity"),
     pytest.param({}, ("--lambda", "nan"), id="lambda-nan"),
     pytest.param({}, ("--lambda", "inf"), id="lambda-inf"),
     pytest.param({}, ("--lambda", "nan", "--policy", "carbon-adaptive"),
@@ -831,6 +837,31 @@ def test_non_finite_intensity_names_the_mix(tmp_path, argv):
                           capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 1
     assert proc.stderr == f"error: --mix {mix}: non-finite value in intensity at slot 0\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mix_text,factors_text,detail", [
+    pytest.param(TOTAL_OVERFLOW_MIX, GAS_SOLAR,
+                 "non-finite value in total generation at slot 0", id="total-overflow"),
+    pytest.param(HUGE_INTENSITY_MIX, HUGE_FACTORS,
+                 "intensity at slot 0 is 9.090909090909091e+305 kgCO2/kWh; "
+                 "it must be at most 1e+06", id="huge-intensity")])
+@pytest.mark.parametrize("argv", [
+    *(("simulate", "--policy", p) for p in POLICIES),
+    ("lambda-sweep", "--lambdas", "0.3"), ("forecast",)], ids=" ".join)
+def test_intensity_out_of_range_names_the_mix(tmp_path, capsys, argv, mix_text,
+                                              factors_text, detail):
+    # Before, the overflowing total gave an intensity of 0 and the huge one
+    # numpy warnings and emissions of inf; a warning now fails the test.
+    mix, factors = tmp_path / "mix.csv", tmp_path / "factors.csv"
+    mix.write_text(mix_text)
+    factors.write_text(factors_text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--mix", str(mix), "--factors", str(factors),
+                     "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --mix {mix}: {detail}\n"
     assert not (tmp_path / "out").exists()
 
 

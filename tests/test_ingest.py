@@ -1,8 +1,12 @@
+import csv
 import io
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from carbonsched import errors, ingest
 from carbonsched.timegrid import TimeGrid
@@ -393,6 +397,130 @@ def test_text_stream_of_bytes_that_are_not_utf8_names_file_and_byte(parser, tmp_
         _PARSERS[parser][1](f)
     assert type(exc.value) is errors.CarbonSchedError
     assert str(exc.value) == f"{path}: not UTF-8: byte {at} is 0xff"
+
+
+# Texts that make a cell or a row differ between a CSV reader and a naive
+# split: whitespace, some of which `float` skips and some of which
+# `str.splitlines` breaks at (`csv.reader` breaks only at CR and LF),
+# separators, quotes, and numbers that are not finite or that only
+# Python's `float` reads.
+_SPACES = (" ", "\t", "\xa0", "\r", "\v", "\f", "\x1c", "\x85", "\u2028")
+_TOKENS = (*_SPACES, ",", '"', "\n", "\r\n", "\ufeff", "_", "e", "-", ".", "nan", "inf",
+           "1e400", "١", "0", "7")
+# A CSV reader ends a row at CR, LF or CRLF only; `str.splitlines` at each.
+_BREAKS = ("\n", "\r\n", "\r", "\n\n", "\v", "\f", "\x1c", "\x85", "\u2028")
+# Each parser's header, then headers that a naive split reads otherwise
+# or that the parser rejects.
+_HEADERS = {
+    "mix": ("timestamp,solar,gas", " timestamp , solar,gas ", 'timestamp,"solar",gas',
+            '"timestamp","solar","gas"', 'timestamp,"solar,gas"', "timestamp,solar,solar"),
+    "load": ("timestamp,load_mw", " timestamp,load_mw ", '"timestamp",load_mw',
+             "timestamp,load_mw,load_mw", 'timestamp,"load_mw,x"'),
+}
+_EDITS = ("header", "noise", "quote", "pad", "break", "width", "insert")
+
+
+@st.composite
+def _numeric_csv(draw, kind):
+    """A CSV text for the `kind` parser, stamps 5 minutes apart and then
+    numbers, with one or two `_EDITS`: another of `_HEADERS`, a cell that
+    is noise, quoted or padded with one of `_SPACES`, a row break that is
+    another of `_BREAKS`, a row that loses or gains a cell, or noise put
+    anywhere. Edits of rows leave the first row alone."""
+    noise = st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=3).map("".join)
+    number = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(repr)
+    header = _HEADERS[kind][0]
+    offset = draw(st.sampled_from(["+00:00", "+05:30", ""]))
+    rows = [[(datetime(2021, 1, 1) + timedelta(minutes=5 * k)).isoformat() + offset,
+             *(draw(number) for _ in header.split(",")[1:])]
+            for k in range(draw(st.integers(2, 5)))]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    breaks = [newline] * len(rows)    # the break before each row
+    edits = draw(st.lists(st.sampled_from(_EDITS), min_size=1, max_size=2))
+    for edit in edits:
+        row = rows[k := draw(st.integers(1, len(rows) - 1))]
+        j = draw(st.integers(0, len(row) - 1))
+        if edit == "header":
+            header = draw(st.sampled_from(_HEADERS[kind][1:]))
+        elif edit == "noise":
+            row[j] = draw(noise)
+        elif edit == "quote":
+            row[j] = f'"{row[j]}"'
+        elif edit == "pad":
+            space = draw(st.sampled_from(_SPACES))
+            row[j] = draw(st.sampled_from([space + row[j], row[j] + space]))
+        elif edit == "break":
+            breaks[k] = draw(st.sampled_from(_BREAKS))
+        elif edit == "width":
+            rows[k] = row[:-1] if draw(st.booleans()) else [*row, draw(number)]
+    text = draw(st.sampled_from(["", "\ufeff"])) + header \
+        + "".join(b + ",".join(row) for b, row in zip(breaks, rows)) \
+        + draw(st.sampled_from(["", newline, newline * 2]))
+    if "insert" in edits:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(noise) + text[at:]
+    return text
+
+
+def _outcome(parse, text):
+    """What `parse` makes of `text`: the series' stamps with their offsets,
+    its arrays' bytes, shapes and layout, or the error's type and text."""
+    try:
+        series = parse(io.StringIO(text))
+    except Exception as exc:    # any error, typed or not, must match
+        return type(exc), str(exc)
+    arrays = [v for v in vars(series).values() if isinstance(v, np.ndarray)]
+    return ([(ts.isoformat(), ts.utcoffset()) for ts in series.timestamps],
+            getattr(series, "sources", None),
+            [(a.tobytes(), a.shape, a.dtype, a.flags.c_contiguous) for a in arrays])
+
+
+# Two rows of the mix or the load; {} stands where the break between them goes.
+_TWO_ROWS = {"mix": "timestamp,solar,gas\n2021-01-01T00:00:00,1,2{}2021-01-01T00:05:00,1,2\n",
+             "load": "timestamp,load_mw\n2021-01-01T00:00:00,1{}2021-01-01T00:05:00,2\n"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["mix", "load"]).flatmap(
+    lambda kind: st.tuples(st.just(kind), _numeric_csv(kind))))
+@example(("mix", _TWO_ROWS["mix"].format("\n").replace("\n", "\r\n")))
+@example(("mix", _TWO_ROWS["mix"].format("\x1c")))    # one row of 5 cells to a CSV reader
+@example(("load", _TWO_ROWS["load"].format("\u2028")))
+@example(("mix", _TWO_ROWS["mix"].format("\n").replace(",1,", ",1\r,", 1)))
+@example(("mix", _TWO_ROWS["mix"].format("\n").replace("solar,gas", "solar,solar")))
+@example(("mix", _TWO_ROWS["mix"].format("\n").replace("solar,gas", '"solar",gas')))
+@example(("mix", _TWO_ROWS["mix"].format("\n").replace("solar,gas", '"solar,gas"')))
+def test_whole_file_path_matches_the_row_path(case):
+    # The same series, bit for bit, or the same error, whichever path reads it.
+    kind, text = case
+    parse = _PARSERS[kind][1]
+    fast = _outcome(parse, text)
+    with mock.patch.object(ingest, "_numeric_table", lambda text: None):
+        rows = _outcome(parse, text)
+    assert fast == rows
+
+
+def test_benchmark_shaped_inputs_skip_the_row_path(tmp_path, monkeypatch):
+    # A CRLF mix as `write_grid_mix` writes it and an LF load: only the
+    # factors file goes through `csv.reader`.
+    mix = ingest.synth_grid_mix(2, seed=3)
+    with open(tmp_path / "mix.csv", "w", newline="") as mf, \
+            open(tmp_path / "factors.csv", "w", newline="") as ff:
+        ingest.write_grid_mix(mix, mf, ff)
+    (tmp_path / "load.csv").write_text("timestamp,load_mw\n" + "".join(
+        f"{ts.isoformat()},{24000.0 + k!r}\n" for k, ts in enumerate(mix.timestamps)))
+    assert b"\r\n" in (tmp_path / "mix.csv").read_bytes()
+    read = []
+    monkeypatch.setattr(csv, "reader", lambda f, reader=csv.reader: read.append(
+        f.getvalue()) or reader(f))
+    with open(tmp_path / "mix.csv", "rb") as mf, open(tmp_path / "factors.csv", "rb") as ff:
+        again = ingest.parse_grid_mix(mf, ff)
+    with open(tmp_path / "load.csv", "rb") as f:
+        load = ingest.parse_load(f)
+    assert read == [(tmp_path / "factors.csv").read_bytes().decode()]
+    assert again.timestamps == load.timestamps == mix.timestamps
+    np.testing.assert_array_equal(again.power, mix.power)
+    assert load.load_mw.tolist() == [24000.0 + k for k in range(len(mix.timestamps))]
 
 
 class TestSynthSessions:
