@@ -184,7 +184,9 @@ def _schedule(policy, block, lam, args, intensity, forecaster=None, log=None):
         return scheduler.result_from_power(rel, power, config, cvals)
     if policy in ("carbon-offline", "carbon-adaptive"):
         return scheduler.carbon_schedule(rel, cvals, config)
-    lookahead = replace(config, horizon_slots=args.horizon or 1440 // grid.slot_minutes)
+    # A lookahead past the block's end sees no more of the block.
+    lookahead = replace(config, horizon_slots=min(args.horizon or 1440 // grid.slot_minutes,
+                                                  horizon))
     try:
         return online.run_online(rel, forecaster or online.PerfectForecaster(cvals),
                                  cvals, lookahead, horizon, log)

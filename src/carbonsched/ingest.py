@@ -8,16 +8,18 @@ header, blank rows not counted. All parsers validate and reject; nothing
 is silently clamped except the documented timestamp snapping of charging
 sessions.
 
-The mix and load parsers read a file one of two ways. The whole-file
-path, `_numeric_table`, splits the text into rows and cells and converts
-a chunk of cells at a time. It reads only the plain case: no quote, no CR
-but in a CRLF, no blank row, every row of the header's width and every
-cell valid. Anything else, a bad cell included, sends the text to the row
-path, `read_csv` with a loop over its rows, which reads every file these
-conventions allow and names the row and column of an error. Both paths
-call `float` and `datetime.fromisoformat` on the same cell texts, so they
-return the same series, bit for bit, or raise the same error. The factors
-and sessions files, which are small, take the row path only.
+The mix and load parsers share one series reader, `_series`. It first
+tries the whole-file path, `_numeric_table`, which converts a chunk of
+cells at a time and reads only the plain case: no quote, no CR but in a
+CRLF, no blank row, every row of the header's width and every cell valid.
+Anything else goes to the row path, `read_csv` with `_cell` on each cell,
+as in the factors and sessions parsers: it reads every file these
+conventions allow and names the first fault in file order by its row and
+column. Both paths call `float` and `datetime.fromisoformat` on the same
+cell texts, so they return the same series, bit for bit, or raise the
+same error, but for one limit: the row path's `csv.reader` refuses a cell
+over 131,072 characters (`csv.field_size_limit`) as MalformedRow, and the
+whole-file path has no cell-size limit.
 """
 
 from __future__ import annotations
@@ -194,13 +196,26 @@ def read_csv(text: str, required: Iterable[str] = ()
     """The column positions of the CSV `text` by stripped name, in header
     order, and an iterator of its numbered data rows, by this module's
     conventions. Raises MalformedRow for an empty file, a repeated or
-    missing `required` column, or a row whose cell count is not the
-    header's.
+    missing `required` column, a row whose cell count is not the
+    header's, or a row that `csv.reader` refuses.
 
-    The rows stay lazy: one generator reads them one at a time, skipping
-    blank rows and checking each row's cell count in the same loop."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = [name.strip() for name in next((row for row in reader if row), ())]
+    The rows stay lazy: one generator reads them one at a time, the
+    header as row 0, skipping blank rows and checking each row's cell
+    count in the same loop."""
+    def numbered(row_no=0, width=0):
+        try:
+            for row in csv.reader(io.StringIO(text, newline="")):
+                if row:
+                    if row_no and len(row) != width:
+                        raise MalformedRow(row_no, f"{len(row)} cells, the header has {width}")
+                    width = width or len(row)
+                    yield row_no, row
+                    row_no += 1
+        except csv.Error as exc:
+            raise MalformedRow(row_no, str(exc)) from None
+
+    rows = numbered()
+    header = [name.strip() for name in next(rows, (0, ()))[1]]
     if not header:
         raise MalformedRow(0, "the file is empty")
     columns = {name: j for j, name in enumerate(header)}
@@ -209,16 +224,7 @@ def read_csv(text: str, required: Iterable[str] = ()
     for name in required:
         if name not in columns:
             raise MalformedRow(0, f"no column {name!r}")
-
-    def rows(width=len(header)):
-        row_no = 0
-        for row in reader:
-            if row:
-                row_no += 1
-                if len(row) != width:
-                    raise MalformedRow(row_no, f"{len(row)} cells, the header has {width}")
-                yield row_no, row
-    return columns, rows()
+    return columns, rows
 
 
 # Characters per chunk of `_numeric_table`, about 150 rows of a five-source
@@ -301,6 +307,28 @@ def _cell(parse, raw: str, row: int, col: str):
     return value
 
 
+def _series(text: str, names: tuple[str, ...] = ()
+            ) -> tuple[list[str], list[datetime], np.ndarray]:
+    """The header, the stamps and the float matrix of the series CSV
+    `text`. With `names` empty, column 0 holds the stamps and every other
+    column is a number; else the columns `names`, stamps then numbers,
+    are read by name. A non-finite cell is named, whichever path reads
+    it, before the caller checks the header."""
+    table = _numeric_table(text)
+    if table and (not names or table[0] == list(names)):
+        _check_finite(table[2], table[0][1:])
+        return table
+    columns, rows = read_csv(text, names)
+    header = list(names or columns)
+    at = [columns[name] for name in header]
+    stamps, values = [], []
+    for row_no, row in rows:
+        stamps.append(_cell(_stamp, row[at[0]], row_no, header[0]))
+        values.append([_cell(float, row[j], row_no, name)
+                       for j, name in zip(at[1:], header[1:])])
+    return header, stamps, np.array(values, dtype=float).reshape(len(stamps), len(at) - 1)
+
+
 def parse_grid_mix(mix_file: IO, factors_file: IO) -> GridMixSeries:
     """Parse a fuel-mix CSV (`timestamp,<source>,...` in MW) plus a
     per-source emission-factor CSV (`source,kgco2_per_kwh`). An input
@@ -308,39 +336,22 @@ def parse_grid_mix(mix_file: IO, factors_file: IO) -> GridMixSeries:
     with _naming(factors_file):
         columns, rows = read_csv(_text(factors_file), ("source", "kgco2_per_kwh"))
         name, value = columns["source"], columns["kgco2_per_kwh"]
-        factors = {row[name].strip(): _cell(float, row[value], row_no, "kgco2_per_kwh")
-                   for row_no, row in rows}
+        factors = {}
+        for row_no, row in rows:
+            source = row[name].strip()
+            if source in factors:
+                raise MalformedRow(row_no, f"source {source!r} is repeated")
+            factors[source] = _cell(float, row[value], row_no, "kgco2_per_kwh")
         for source, factor in factors.items():
             if factor < 0:
                 raise OutOfRange(f"negative emission factor {factor!r} "
                                  f"for source {source!r}")
 
     with _naming(mix_file):
-        text = _text(mix_file)
-        if table := _numeric_table(text):
-            (_, *sources), timestamps, power = table
-        else:
-            columns, rows = read_csv(text)
-            time_col, *sources = columns
+        (_, *sources), timestamps, power = _series(_text(mix_file))
         for name in sources:
             if name not in factors:
                 raise MissingSourceFactor(name)
-
-        if not table:
-            # The row path: whole rows convert with the builtins, and
-            # `_cell` runs only to name the cell of a row that failed.
-            timestamps, power = [], []
-            for row_no, row in rows:
-                try:
-                    timestamps.append(datetime.fromisoformat(row[0].strip()))
-                    power.extend(map(float, row[1:]))
-                except ValueError:
-                    _cell(_stamp, row[0], row_no, time_col)
-                    for col, raw in zip(sources, row[1:]):
-                        _cell(float, raw, row_no, col)
-                    raise
-            power = np.asarray(power, dtype=float).reshape(len(timestamps), len(sources))
-
         return GridMixSeries(
             timestamps=tuple(timestamps),
             sources=tuple(sources),
@@ -362,25 +373,12 @@ def write_grid_mix(mix: GridMixSeries, mix_out: IO[str], factors_out: IO[str]) -
 
 
 def parse_load(load_file: IO) -> LoadForecastSeries:
-    """Parse a load-forecast CSV `timestamp,load_mw`. An input error names
-    the file it was found in."""
+    """Parse a load-forecast CSV with columns `timestamp` and `load_mw`,
+    among others in any order. An input error names the file it was
+    found in."""
     with _naming(load_file):
-        text = _text(load_file)
-        table = _numeric_table(text)
-        if table and table[0] == ["timestamp", "load_mw"]:
-            return LoadForecastSeries(tuple(table[1]), table[2].ravel())
-        columns, rows = read_csv(text, ("timestamp", "load_mw"))
-        t, v = columns["timestamp"], columns["load_mw"]
-        timestamps, load = [], []
-        for row_no, row in rows:
-            try:
-                timestamps.append(datetime.fromisoformat(row[t].strip()))
-                load.append(float(row[v]))
-            except ValueError:
-                _cell(_stamp, row[t], row_no, "timestamp")
-                _cell(float, row[v], row_no, "load_mw")
-                raise
-        return LoadForecastSeries(tuple(timestamps), np.asarray(load, dtype=float))
+        _, timestamps, load = _series(_text(load_file), ("timestamp", "load_mw"))
+        return LoadForecastSeries(tuple(timestamps), load.ravel())
 
 
 def parse_sessions(file: IO, grid: TimeGrid) -> list[ChargingSession]:

@@ -5,7 +5,8 @@
 
 Each run calls `carbonsched.cli.main` in-process in a fresh temporary
 directory and prints one line per output file with its sha256, plus the
-exit code and the sha256 of stdout and stderr; an output directory left
+exit code, or the type of an exception that escapes `main`, and the
+sha256 of stdout and stderr; an output directory left
 with no file in it gets a line of its own. A run that writes report.json
 also gets one line for each of its figures in `FIGURES`, to 9 significant
 digits, and a run that writes schedule.csv one `max_slot_kw` line: the
@@ -130,6 +131,22 @@ HUGE_FACTORS = "source,kgco2_per_kwh\ngas,1e306\nsolar,0\n"
 COLLINEAR_MIX = "timestamp,gas,solar\n" + "".join(
     f"{_stamp(k, '2021-01-30')},1000,{400 + k}\n" for k in range(4 * 288))
 GAS_SOLAR = "source,kgco2_per_kwh\ngas,0.4\nsolar,0.0\n"
+# Two days of a mix as R's `write.csv` writes it, with the header and the
+# stamps quoted, which the row path reads.
+QUOTED_MIX = '"timestamp","gas","solar"\n' + "".join(
+    f'"{_stamp(k)}",{1000 + 10 * (k % 7)},{max(0, 9000 - 80 * abs(k % 288 - 156))}\n'
+    for k in range(2 * 288))
+# A second factor for gas, which would price it at 0.9.
+REPEATED_FACTORS = "source,kgco2_per_kwh\nsolar,0\ngas,0.4\ngas,0.9\n"
+# MODEL's sixty days of load with a note column first and the stamps last,
+# which the row path reads by name.
+NOTE_LOAD = "note,load_mw,timestamp\n" + "".join(
+    f"{'peak' if k % 288 == 204 else ''},{24000 + 37 * (k % 101) + 3 * (k % 288)},"
+    f"{_stamp(k)}\n" for k in range(60 * 288))
+# A session whose soc_target cell is longer than `csv.reader` reads.
+HUGE_CELL_SESSIONS = ("id,arrival_ts,depart_ts,soc_arrival,soc_target\n"
+                      "a,2021-01-01T06:00:00+00:00,2021-01-01T20:00:00+00:00,0.2,0."
+                      + "0" * 140_000 + "6\n")
 # One session that EDF fills: its SoC ends a few ulps past its target.
 ONE_SESSION = ("id,arrival_ts,depart_ts,soc_arrival,soc_target\n"
                "a,2021-01-01T06:00:00+00:00,2021-01-01T20:00:00+00:00,0.2,0.6\n")
@@ -143,6 +160,8 @@ INPUTS = {
     "collinear_mix.csv": COLLINEAR_MIX, "gas_solar.csv": GAS_SOLAR,
     "one_session.csv": ONE_SESSION, "total_overflow_mix.csv": TOTAL_OVERFLOW_MIX,
     "huge_intensity_mix.csv": HUGE_INTENSITY_MIX, "huge_factors.csv": HUGE_FACTORS,
+    "quoted_mix.csv": QUOTED_MIX, "repeated_factors.csv": REPEATED_FACTORS,
+    "note_load.csv": NOTE_LOAD, "huge_cell_sessions.csv": HUGE_CELL_SESSIONS,
 }
 
 RUNS = [
@@ -191,6 +210,23 @@ RUNS = [
     ("mix-huge-intensity-edf", ("simulate", "--policy", "edf",
                                 "--mix", "{tmp}/huge_intensity_mix.csv",
                                 "--factors", "{tmp}/huge_factors.csv")),
+    # Inputs that only the row path reads.
+    ("quoted-mix-carbon-offline", ("simulate", "--policy", "carbon-offline",
+                                   "--mix", "{tmp}/quoted_mix.csv",
+                                   "--factors", "{tmp}/gas_solar.csv", "--lambda", "100",
+                                   "--seed", "1")),
+    ("note-load-model-carbon-online", ("simulate", "--policy", "carbon-online",
+                                       "--online-forecast", "model",
+                                       "--load", "{tmp}/note_load.csv", *MODEL)),
+    ("factors-repeated-source-edf", ("simulate", "--policy", "edf",
+                                     "--mix", "{tmp}/quoted_mix.csv",
+                                     "--factors", "{tmp}/repeated_factors.csv")),
+    ("sessions-cell-over-field-limit-edf", ("simulate", "--policy", "edf", "--synth-days", "1",
+                                            "--sessions", "{tmp}/huge_cell_sessions.csv")),
+    ("simulate-horizon-past-the-block", ("simulate", "--policy", "carbon-online",
+                                         "--horizon", "1000000000000", "--synth-days", "1",
+                                         "--synth-sessions-per-day", "5", "--lambda", "100",
+                                         "--seed", "1")),
     ("edf-one-session-served", ("simulate", "--policy", "edf", "--synth-days", "1",
                                 "--sessions", "{tmp}/one_session.csv")),
     ("forecast-near-collinear", ("forecast", "--mix", "{tmp}/collinear_mix.csv",
@@ -221,7 +257,10 @@ def digest(name: str, argv: tuple[str, ...]) -> list[str]:
         out = Path(tmp) / "out"
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main([a.format(tmp=tmp) for a in argv] + ["--out-dir", str(out)])
+            try:
+                code = main([a.format(tmp=tmp) for a in argv] + ["--out-dir", str(out)])
+            except Exception as exc:    # a crash is a line of the digest too
+                code = f"raised {type(exc).__module__}.{type(exc).__qualname__}"
         lines = [f"{name} exit {code}",
                  f"{name} stdout {sha(stdout.getvalue().replace(tmp, '<tmp>').encode())}",
                  f"{name} stderr {sha(stderr.getvalue().replace(tmp, '<tmp>').encode())}"]

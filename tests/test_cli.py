@@ -470,6 +470,14 @@ def test_boundary_input_exits_1(tmp_path, capsys, files, args):
                  ("--mix", "mix.csv", "--factors", "factors.csv", "--sessions", "s.csv",
                   "--policy", "carbon-online", "--online-forecast", "model"),
                  _TOO_COARSE, id="mix-2-h-model-forecast"),
+    pytest.param("factors.csv", {"mix.csv": _MIX, "factors.csv": _FACTORS + "gas,0.9\n"},
+                 ("--mix", "mix.csv", "--factors", "factors.csv"),
+                 "malformed CSV row 2: source 'gas' is repeated", id="factors-repeated-source"),
+    pytest.param("s.csv", {"s.csv": _SESSIONS_HEADER + _session_row().replace(
+                               ",0.6,", ",0." + "0" * 140_000 + "6,")},
+                 ("--sessions", "s.csv"),
+                 "malformed CSV row 1: field larger than field limit (131072)",
+                 id="sessions-cell-over-field-limit"),
     # `bad` is not written: the file is missing
     pytest.param("mix.csv", {"factors.csv": _FACTORS},
                  ("--mix", "mix.csv", "--factors", "factors.csv"),
@@ -734,6 +742,27 @@ def test_horizon_sets_the_lookahead(tmp_path, monkeypatch):
         assert run_cli("simulate", "--policy", "carbon-online", *argv, *_TWO_DAYS,
                        "--out-dir", str(tmp_path / str(expected))) == 0
         assert lengths and set(lengths) == {expected}
+
+
+def test_horizon_past_the_block_plans_the_block(tmp_path, monkeypatch):
+    # a lookahead longer than the run looks to the block's end, as one
+    # of the block's length does, and writes the same files
+    lengths = []
+
+    def build(sessions, price, config):
+        lengths.append(len(price))
+        return build_lp(sessions, price, config)
+
+    monkeypatch.setattr(online, "build_lp", build)
+    outs = {h: tmp_path / h for h in ("288", str(10 ** 12))}
+    for h, out in outs.items():
+        assert run_cli("simulate", "--policy", "carbon-online", "--synth-days", "1",
+                       "--synth-sessions-per-day", "5", "--lambda", "100", "--horizon", h,
+                       "--out-dir", str(out)) == 0
+    assert lengths and set(lengths) == {288}
+    short, long = ({p.name: p.read_bytes() for p in out.iterdir()} for out in outs.values())
+    assert sorted(short) == ["decisions.csv", "report.json", "schedule.csv", "shift.csv"]
+    assert short == long
 
 
 def test_model_forecast_runs(tmp_path):

@@ -77,6 +77,15 @@ class TestParseGridMix:
                 _mix_csv(["2021-01-01T00:00:00+00:00,1,1"]),
                 _factors_csv([("solar", 0.0), ("gas", "nan")]))
 
+    def test_repeated_source_rejected(self):
+        # a second factor for one source would silently replace the first
+        with pytest.raises(errors.MalformedRow,
+                           match="^malformed CSV row 3: source 'gas' is repeated$"):
+            ingest.parse_grid_mix(
+                _mix_csv(["2021-01-01T00:00:00+00:00,1,1",
+                          "2021-01-01T00:05:00+00:00,1,1"]),
+                _factors_csv([("solar", 0.0), ("gas", 0.4), ("gas", 0.9)]))
+
     def test_negative_power_needs_signed_source(self):
         rows = ["2021-01-01T00:00:00+00:00,-5,1", "2021-01-01T00:05:00+00:00,-5,1"]
         with pytest.raises(errors.OutOfRange,
@@ -336,6 +345,20 @@ class TestMalformedRows:
                     [header.rsplit(",", 1)[0], *(r.rsplit(",", 1)[0] for r in rows)]) + "\n")
 
 
+    def test_cell_over_the_field_limit(self, parser):
+        # `csv.reader` refuses a cell over 131,072 characters; the mix and
+        # load reach it only through a quote, as the whole-file path, which
+        # has no cell-size limit, reads them otherwise
+        header, first, second = _PARSERS[parser][0].splitlines()
+        first = first[:first.rindex(",") + 1] + "1." + "0" * 140_000
+        text = "\n".join([header, first, second]) + "\n"
+        if parser in ("mix", "load"):
+            self._parse(parser, text)
+            text = '"' + text.replace(",", '",', 1)
+        with pytest.raises(errors.MalformedRow, match=r"^malformed CSV row 1: field "
+                           r"larger than field limit \(131072\)$"):
+            self._parse(parser, text)
+
     def test_error_names_the_file(self, parser, tmp_path):
         # a file opened by path names itself; the other file of the mix
         # parser is an unnamed stream, so the error is this file's
@@ -372,6 +395,34 @@ def test_non_finite_cell_names_row_and_column(parser, column, cell):
     with pytest.raises(errors.NonFiniteValue) as exc:
         _PARSERS[parser][1](io.StringIO("\n".join([header, first, ",".join(cells)]) + "\n"))
     assert str(exc.value) == f"non-finite value in row 2, column {column!r}"
+
+
+def test_header_over_the_field_limit_is_named():
+    with pytest.raises(errors.MalformedRow, match="^malformed CSV header: field larger"):
+        ingest.read_csv("x" * 140_000 + ",y\n1,2\n")
+
+
+@pytest.mark.parametrize("parser,text,error", [
+    pytest.param("mix", _MIX.replace(",1,1\n", ",nan,2\n", 1).replace(",1,1\n", ",1,oops\n"),
+                 "non-finite value in row 1, column 'solar'", id="mix"),
+    pytest.param("load", "timestamp,load_mw\n2021-01-01T00:00:00+00:00,inf\n"
+                 "2021-01-01T00:05:00+00:00,oops\n",
+                 "non-finite value in row 1, column 'load_mw'", id="load")])
+def test_first_fault_in_file_order_is_named(parser, text, error):
+    with pytest.raises(errors.CarbonSchedError) as exc:
+        _PARSERS[parser][1](io.StringIO(text))
+    assert str(exc.value) == error
+
+
+@pytest.mark.parametrize("cell,error", [("oops", errors.MalformedNumber),
+                                        ("nan", errors.NonFiniteValue)])
+def test_bad_cell_named_before_a_source_without_factor(cell, error):
+    # whichever path reads the mix: a nan cell leaves it to the whole-file path
+    with pytest.raises(error, match="row 2, column 'coal'"):
+        ingest.parse_grid_mix(_mix_csv(["2021-01-01T00:00:00+00:00,1,1",
+                                        f"2021-01-01T00:05:00+00:00,1,{cell}"],
+                                       sources=("solar", "coal")),
+                              _factors_csv([("solar", 0.0)]))
 
 
 @pytest.mark.parametrize("parser", sorted(_PARSERS))
