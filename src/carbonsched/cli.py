@@ -63,15 +63,15 @@ def _input(flag: str, path: str):
         yield f
 
 
-@contextlib.contextmanager
-def _output(args, name: str):
-    """The file `name` in --out-dir, made if it is missing, opened for
-    writing; an OSError names --out-dir and the directory or the file."""
+def _write(args, outputs: dict[str, list[str]]) -> None:
+    """Write each of `outputs`, a file name to its texts, in --out-dir, made
+    if it is missing; an OSError names --out-dir and the directory or the file."""
     with _named("--out-dir", args.out_dir):
         Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-    path = str(Path(args.out_dir) / name)
-    with _named("--out-dir", path), open(path, "w", newline="") as f:
-        yield f
+    for name, parts in outputs.items():
+        path = str(Path(args.out_dir) / name)
+        with _named("--out-dir", path), open(path, "w", newline="") as f:
+            f.writelines(parts)
 
 
 def _load_intensity(args) -> carbon.CarbonIntensitySeries:
@@ -195,6 +195,11 @@ def _schedule(policy, block, lam, args, intensity, forecaster=None, log=None):
         raise
 
 
+def _outcome(sessions, result: scheduler.ScheduleResult) -> tuple:
+    """What `make_report` reads of a block: no matrix, so it can be freed."""
+    return sessions, result.soc[:, -1].copy(), result.emissions_kg
+
+
 def _csv_cell(text: str) -> str:
     """`text` as one cell of a CSV row, quoted as `csv.writer` quotes it."""
     if any(c in text for c in ',"\r\n'):
@@ -247,21 +252,32 @@ def cmd_simulate(args) -> int:
             model, _, _ = forecast.fit(features, seed=args.seed)
 
     adaptive = args.policy == "carbon-adaptive"
-    results, log = {}, []
+    days, log = {}, ["slot,session_id,power_kw,forecast_c,true_c\n"]
+    rows = ["session_id,slot,power_kw,soc\n"]
+    shift = ["slot,timestamp,policy_kg,baseline_edf_kg\n"]
     for day, (off, horizon, rel) in plans.items():
         lam = scheduler.select_lambda(len(rel)) if adaptive else args.lam
         fc = model and online.ModelForecaster(model, intensity, load, sim_start=off)
         decisions = []
-        results[day] = rel, _schedule(args.policy, (off, horizon, rel), lam, args,
-                                      intensity, fc, decisions)
-        log += (f"{off + k},{_csv_cell(rel[i].id)},{float(u)!r},{float(c)!r},"
-                f"{float(intensity.values[off + k])!r}\n" for k, i, u, c in decisions)
-    # The reference's power does not depend on its factor.
-    edf = results if args.policy == "edf" else {
-        day: (block[2], _schedule("edf", block, args.lam, args, intensity))
-        for day, block in plans.items()}
+        result = _schedule(args.policy, plans[day], lam, args, intensity, fc, decisions)
+        # The reference's power does not depend on its factor.
+        edf = result if args.policy == "edf" else _schedule("edf", plans[day], args.lam,
+                                                             args, intensity)
+        days[day] = _outcome(rel, result)
+        ids = [_csv_cell(s.id) for s in rel]
+        cvals = intensity.values[off:off + horizon]
+        log.append("".join(f"{off + k},{ids[i]},{float(u)!r},{float(c)!r},"
+                           f"{float(cvals[k])!r}\n" for k, i, u, c in decisions))
+        owner, slot = scheduler.session_slots(rel, horizon)
+        rows.append("".join(f"{ids[i]},{off + t},{u},{x}\n" for i, t, u, x in zip(
+            owner.tolist(), slot.tolist(), _reprs(result.power[owner, slot]),
+            _reprs(result.soc[owner, slot + 1]))))
+        pol, ref = (cvals * res.station_power * grid.slot_hours for res in (result, edf))
+        shift.append("".join(
+            f"{off + t},{timestamps[off + t].isoformat()},{p!r},{r!r}\n"
+            for t, (p, r) in enumerate(zip(pol.tolist(), ref.tolist()))))
 
-    report = metrics.make_report(args.policy, results, lambda day: next(
+    report = metrics.make_report(args.policy, days, lambda day: next(
         name for name, months in carbon.MET_SEASONS.items()
         if timestamps[plans[day][0]].month in months))
     if adaptive:    # each block ran under the factor of its session count
@@ -273,30 +289,9 @@ def cmd_simulate(args) -> int:
     report_text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
 
     # Every output is written after the run has succeeded.
-    with _output(args, "report.json") as f:
-        f.write(report_text + "\n")
-    if args.policy == "carbon-online":
-        with _output(args, "decisions.csv") as f:
-            f.write("slot,session_id,power_kw,forecast_c,true_c\n" + "".join(log))
-    with _output(args, "schedule.csv") as f:
-        f.write("session_id,slot,power_kw,soc\n")
-        for day, (off, horizon, rel) in plans.items():
-            res = results[day][1]
-            owner, slot = scheduler.session_slots(rel, horizon)
-            ids = [_csv_cell(s.id) for s in rel]
-            f.write("".join(
-                f"{ids[i]},{off + t},{u},{x}\n" for i, t, u, x in zip(
-                    owner.tolist(), slot.tolist(), _reprs(res.power[owner, slot]),
-                    _reprs(res.soc[owner, slot + 1]))))
-    with _output(args, "shift.csv") as f:
-        f.write("slot,timestamp,policy_kg,baseline_edf_kg\n")
-        for day, (off, horizon, _) in plans.items():
-            cvals = intensity.values[off:off + horizon]
-            pol = cvals * results[day][1].station_power * grid.slot_hours
-            ref = cvals * edf[day][1].station_power * grid.slot_hours
-            f.write("".join(
-                f"{off + t},{timestamps[off + t].isoformat()},{p!r},{r!r}\n"
-                for t, (p, r) in enumerate(zip(pol.tolist(), ref.tolist()))))
+    online_log = {"decisions.csv": log} if args.policy == "carbon-online" else {}
+    _write(args, {"report.json": [report_text, "\n"], **online_log,
+                  "schedule.csv": rows, "shift.csv": shift})
     return 0
 
 
@@ -305,17 +300,14 @@ def cmd_lambda_sweep(args) -> int:
     grid = _grid_of(intensity)
     plans = _day_plans(_load_sessions(args, grid), grid)
 
-    rows = []
+    rows = ["lambda,emissions_kg,energy_loss_pct\n"]
     for lam in args.lambdas:
         report = metrics.make_report("carbon-offline", {
-            day: (block[2], _schedule("carbon-offline", block, lam, args, intensity))
+            day: _outcome(block[2], _schedule("carbon-offline", block, lam, args, intensity))
             for day, block in plans.items()})
-        rows.append((lam, report["total_emissions_kg"],
-                     100.0 * (1.0 - report["edq_station"])))
-
-    with _output(args, "tradeoff.csv") as f:
-        f.write("lambda,emissions_kg,energy_loss_pct\n" + "".join(
-            f"{float(lam)!r},{float(em)!r},{float(loss)!r}\n" for lam, em, loss in rows))
+        loss = 100.0 * (1.0 - report["edq_station"])
+        rows.append(f"{float(lam)!r},{float(report['total_emissions_kg'])!r},{float(loss)!r}\n")
+    _write(args, {"tradeoff.csv": rows})
     return 0
 
 
@@ -331,9 +323,8 @@ def cmd_forecast(args) -> int:
                             sort_keys=True, allow_nan=False)
     metrics_text = json.dumps({"mae": mae, "mse": mse, "n_rows": len(y)},
                               sort_keys=True, indent=2, allow_nan=False)
-    for name, text in (("model.json", model_text), ("forecast_metrics.json", metrics_text)):
-        with _output(args, name) as f:
-            f.write(text + "\n")
+    _write(args, {"model.json": [model_text, "\n"],
+                  "forecast_metrics.json": [metrics_text, "\n"]})
     print(f"held-out MAE={mae:.6f} MSE={mse:.8f} over {len(y)} rows")
     return 0
 

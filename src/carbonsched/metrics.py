@@ -13,7 +13,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .ingest import ChargingSession
-from .scheduler import ScheduleResult
 
 _EPS = 1e-12
 
@@ -22,11 +21,17 @@ def _ratio(delivered: float, requested: float) -> float:
     return delivered / requested if requested > _EPS else 1.0
 
 
+def delivered_kwh(sessions: Sequence[ChargingSession], final_soc: Sequence[float]) -> float:
+    """Energy credited to batteries: SoC gain times capacity."""
+    return float(sum((x - s.soc_arrival) * s.capacity_kwh
+                     for x, s in zip(final_soc, sessions)))
+
+
 def make_report(policy: str,
-                days: Mapping[int, tuple[Sequence[ChargingSession], ScheduleResult]],
+                days: Mapping[int, tuple[Sequence[ChargingSession], Sequence[float], float]],
                 season_of_day: Callable[[int], str] | None = None) -> dict:
-    """Report of a run, the dict report.json holds, from its per-day
-    (sessions, result) pairs keyed by day index.
+    """Report of a run, the dict report.json holds, from each day's
+    sessions, their final SoC and its emissions in kg, keyed by day index.
 
     Every total is summed day by day in day order, each day's own sum
     first. `per_day` has one row per day; `per_season`, grouped by
@@ -37,22 +42,22 @@ def make_report(policy: str,
     per_day = []
     seasons: dict[str, dict] = {}
     for day in sorted(days):
-        sessions, result = days[day]
+        sessions, final_soc, day_emissions = days[day]
         r = [s.soc_target - s.soc_arrival for s in sessions]
-        d = [min(result.soc[i, -1] - s.soc_arrival, r[i]) for i, s in enumerate(sessions)]
+        d = [min(x - s.soc_arrival, ri) for x, s, ri in zip(final_soc, sessions, r)]
         day_delivered, day_requested = sum(d), sum(r)
-        emissions += result.emissions_kg
-        energy += result.delivered_kwh(sessions)
+        emissions += day_emissions
+        energy += delivered_kwh(sessions, final_soc)
         delivered += day_delivered
         requested += day_requested
         ratios.extend(map(_ratio, d, r))
         per_day.append({"day": day, "n_sessions": len(sessions),
-                        "emissions_kg": result.emissions_kg,
+                        "emissions_kg": day_emissions,
                         "edq_station": _ratio(day_delivered, day_requested)})
         if season_of_day is not None:
             bucket = seasons.setdefault(season_of_day(day), {
                 "emissions_kg": 0.0, "delivered": 0.0, "requested": 0.0, "days": 0})
-            bucket["emissions_kg"] += result.emissions_kg
+            bucket["emissions_kg"] += day_emissions
             bucket["delivered"] += day_delivered
             bucket["requested"] += day_requested
             bucket["days"] += 1

@@ -32,6 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import metrics
 from .errors import NonFiniteValue, NumericalFailure, SessionOutsideHorizon
 from .ingest import ChargingSession
 
@@ -114,9 +115,8 @@ class ScheduleResult:
         return self.power.sum(axis=0)
 
     def delivered_kwh(self, sessions: Sequence[ChargingSession]) -> float:
-        """Energy credited to batteries: SoC gain times capacity."""
-        return float(sum((self.soc[i, -1] - self.soc[i, 0]) * s.capacity_kwh
-                         for i, s in enumerate(sessions)))
+        """Energy credited to batteries: `metrics.delivered_kwh`."""
+        return metrics.delivered_kwh(sessions, self.soc[:, -1])
 
 
 @dataclass(frozen=True)
@@ -310,7 +310,8 @@ def run_slots(sessions: Sequence[ChargingSession], config: StationConfig,
     `soc[i]` is session i's state of charge; `decide` changes none of them.
 
     The horizon is as long as `carbon`. The active set is kept by events:
-    a session enters at max(t_arrival, 0) and leaves at t_depart.
+    a session enters at max(t_arrival, 0) and leaves at t_depart. Raises
+    SessionOutsideHorizon for a session with no slot in the horizon.
     """
     T = len(carbon)
     power = np.zeros((len(sessions), T))
@@ -319,8 +320,9 @@ def run_slots(sessions: Sequence[ChargingSession], config: StationConfig,
     step = [(s.delta, s.capacity_kwh) for s in sessions]
     enter: dict[int, list[int]] = {}
     for i, s in enumerate(sessions):
-        if max(s.t_arrival, 0) < min(s.t_depart, T):
-            enter.setdefault(max(s.t_arrival, 0), []).append(i)
+        if max(s.t_arrival, 0) >= min(s.t_depart, T):
+            raise SessionOutsideHorizon(s.id)
+        enter.setdefault(max(s.t_arrival, 0), []).append(i)
     leave = {s.t_depart for s in sessions}
     active: list[int] = []
     for t in range(T):

@@ -53,8 +53,9 @@ OVERNIGHT_SESSIONS = (
     "night-b,2021-01-02T00:30:00+00:00,2021-01-02T05:00:00+00:00,0.1,0.9,60\n"
     "day-c,2021-01-02T09:00:00+00:00,2021-01-02T15:00:00+00:00,0.2,0.6,20\n"
     "night-d,2021-01-02T23:00:00+00:00,2021-01-03T07:00:00+00:00,0.3,0.8,40\n")
-OVERNIGHT = ("--synth-days", "3", "--sessions", "{tmp}/sessions.csv",
-             "--power-cap-kw", "7.5", "--lambda", "100")
+OVERNIGHT_INPUT = ("--synth-days", "3", "--sessions", "{tmp}/sessions.csv",
+                   "--power-cap-kw", "7.5")
+OVERNIGHT = (*OVERNIGHT_INPUT, "--lambda", "100")
 
 # Two days of generation in MW, read through --mix and --factors: solar
 # peaks at 13:00 and the imports turn to exports from 10:00 to 15:00.
@@ -185,6 +186,9 @@ RUNS = [
      ("simulate", "--policy", "carbon-online", "--online-forecast", "model",
       "--synth-days", "3", "--synth-sessions-per-day", "0", "--seed", "1")),
     ("lambda-sweep", ("lambda-sweep", "--lambdas", "0.1,1,1.2,3", *SYNTH)),
+    # One block of three days that the sessions link across midnight.
+    ("overnight-lambda-sweep", ("lambda-sweep", "--lambdas", "0.3,15,100",
+                                *OVERNIGHT_INPUT)),
     ("forecast", ("forecast", "--synth-days", "60", "--seed", "1")),
     ("simulate-bad-lambda", ("simulate", "--policy", "edf", "--lambda", "nan")),
     # Runs that fail after their inputs are read: they leave no output.

@@ -139,8 +139,10 @@ def test_criterion_4_energy_neutral_savings():
     lp = carbon_schedule(sessions, ci.values, config)
     edf = earliest_deadline_first(sessions, config, ci.values)
 
-    edq_lp = make_report("lp", {0: (sessions, lp)})["edq_station"]
-    edq_edf = make_report("edf", {0: (sessions, edf)})["edq_station"]
+    edq_lp = make_report("lp", {0: (sessions, lp.soc[:, -1],
+                                    lp.emissions_kg)})["edq_station"]
+    edq_edf = make_report("edf", {0: (sessions, edf.soc[:, -1],
+                                      edf.emissions_kg)})["edq_station"]
     assert abs(edq_lp - edq_edf) <= 0.001
     assert lp.emissions_kg < edf.emissions_kg
     reduction = 100.0 * (edf.emissions_kg - lp.emissions_kg) / edf.emissions_kg

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 from collections import defaultdict
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -1147,6 +1148,35 @@ def test_csv_files_match_loop_writers(tmp_path, monkeypatch, policy, sessions, a
     assert (out / "shift.csv").read_bytes() == loop_shift_csv(
         plans, runs[policy], runs["edf"], intensity,
         cli._grid_of(intensity).slot_hours).encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--policy", "carbon-offline"),
+    ("simulate", "--policy", "carbon-online"),
+    ("simulate", "--policy", "edf"),
+    ("lambda-sweep", "--lambdas", "0.3,2"),
+], ids=["offline-and-edf", "online-and-edf", "edf", "sweep"])
+def test_no_block_keeps_a_schedule_two_blocks_back(tmp_path, monkeypatch, argv):
+    # A run holds each block's rows and final SoC, not its matrices: when a
+    # block is scheduled, no schedule of a block two or more before it is
+    # alive, nor its power or SoC matrix. Consecutive calls for one block
+    # (the policy and the EDF reference) are one step.
+    real, refs, stale, steps = cli._schedule, [], [], []
+
+    def spy(policy, block, *rest):
+        if not steps or steps[-1] != block[0]:
+            steps.append(block[0])
+        step = len(steps) - 1
+        stale.extend((old, step) for old, ref in refs
+                     if old <= step - 2 and ref() is not None)
+        res = real(policy, block, *rest)
+        refs.extend((step, weakref.ref(x)) for x in (res, res.power, res.soc))
+        return res
+
+    monkeypatch.setattr(cli, "_schedule", spy)
+    assert run_cli(*argv, "--synth-days", "4", "--synth-sessions-per-day", "8",
+                   "--synth-capacity-kwh", "5", "--out-dir", str(tmp_path / "out")) == 0
+    assert len(steps) >= 3 and stale == []
 
 
 @pytest.mark.parametrize("policy", POLICIES)

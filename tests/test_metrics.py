@@ -10,11 +10,13 @@ from conftest import make_session
 
 
 def edq_station(result, sessions):
-    return make_report("p", {0: (sessions, result)})["edq_station"]
+    return make_report("p", {0: (sessions, result.soc[:, -1],
+                                 result.emissions_kg)})["edq_station"]
 
 
 def edq_session(result, sessions):
-    return make_report("p", {0: (sessions, result)})["edq_session"]
+    return make_report("p", {0: (sessions, result.soc[:, -1],
+                                 result.emissions_kg)})["edq_session"]
 
 
 def _result(sessions, delivered_soc, T=12):
@@ -113,7 +115,7 @@ class TestMakeReport:
     def test_fields(self):
         sessions = _two_sessions()
         res, _ = _result(sessions, [0.2, 0.2])
-        rep = make_report("test", {0: (sessions, res)})
+        rep = make_report("test", {0: (sessions, res.soc[:, -1], res.emissions_kg)})
         assert rep["n_sessions"] == 2
         assert rep["edq_station"] == pytest.approx(2.0 / 3.0)
         assert rep["energy_delivered_kwh"] == pytest.approx(4.0)

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from carbonsched.baselines import earliest_deadline_first, equal_sharing
-from carbonsched.online import run_online
-from carbonsched.scheduler import StationConfig
+from carbonsched.errors import SessionOutsideHorizon
+from carbonsched.online import PerfectForecaster, run_online
+from carbonsched.scheduler import StationConfig, carbon_schedule
 
 from conftest import make_session
 from oracles import (always_resolve_online, loop_earliest_deadline_first,
@@ -86,3 +87,19 @@ def test_online_matches_always_resolve(case, cap):
     want, _ = always_resolve_online(sessions, DriftingForecaster(carbon), carbon,
                                     config, T)
     _assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("schedule", [
+    equal_sharing,
+    earliest_deadline_first,
+    lambda sessions, config, carbon: run_online(
+        sessions, PerfectForecaster(carbon), carbon, config, T),
+    lambda sessions, config, carbon: carbon_schedule(sessions, carbon, config),
+], ids=["es", "edf", "online", "offline"])
+def test_session_outside_the_horizon_is_refused(schedule):
+    # Every policy refuses a session with no slot in its horizon, rather
+    # than returning it unserved.
+    sessions = [_s("in", 2, 8, 1.0), _s("out", T + 2, T + 8, 1.0)]
+    with pytest.raises(SessionOutsideHorizon) as info:
+        schedule(sessions, _config(3.7), _carbon())
+    assert info.value.session_id == "out"
