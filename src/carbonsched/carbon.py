@@ -16,13 +16,10 @@ from .ingest import GridMixSeries
 # its products with the energy charged overflow.
 MAX_INTENSITY = 1e6
 
-# Season partition by calendar month (Feb 29 lands in winter).
-MET_SEASONS: dict[str, frozenset[int]] = {
-    "spring": frozenset({3, 4, 5}),
-    "summer": frozenset({6, 7, 8}),
-    "autumn": frozenset({9, 10, 11}),
-    "winter": frozenset({12, 1, 2}),
-}
+# The meteorological season of each calendar month, 1 to 12 (Feb 29 lands in winter).
+SEASON_OF_MONTH: dict[int, str] = dict(enumerate((
+    "winter", "winter", "spring", "spring", "spring", "summer",
+    "summer", "summer", "autumn", "autumn", "autumn", "winter"), start=1))
 
 
 @dataclass(frozen=True)

@@ -231,13 +231,17 @@ def _number(flag: str, kind: type, low: float, strict: bool = False):
 
 
 def cmd_simulate(args) -> int:
+    if args.online_forecast == "model" and args.policy != "carbon-online":
+        raise CarbonSchedError("--online-forecast model is read only by --policy carbon-online")
+    if args.load is not None and args.online_forecast != "model":
+        raise CarbonSchedError("--load is read only with --online-forecast model")
     intensity = _load_intensity(args)
     grid = _grid_of(intensity)
     timestamps = intensity.timestamps
     plans = _day_plans(_load_sessions(args, grid), grid)
 
     model = None
-    if args.policy == "carbon-online" and args.online_forecast == "model":
+    if args.online_forecast == "model":
         load = _load_load(args, timestamps)
         if plans:    # blocks come in day order, so only the first can start too early
             day, (off, _, _) = next(iter(plans.items()))
@@ -277,9 +281,8 @@ def cmd_simulate(args) -> int:
             f"{off + t},{timestamps[off + t].isoformat()},{p!r},{r!r}\n"
             for t, (p, r) in enumerate(zip(pol.tolist(), ref.tolist()))))
 
-    report = metrics.make_report(args.policy, days, lambda day: next(
-        name for name, months in carbon.MET_SEASONS.items()
-        if timestamps[plans[day][0]].month in months))
+    report = metrics.make_report(args.policy, days, lambda day: carbon.SEASON_OF_MONTH[
+        timestamps[plans[day][0]].month])
     if adaptive:    # each block ran under the factor of its session count
         for row in report["per_day"]:
             row["lambda"] = scheduler.select_lambda(row["n_sessions"])

@@ -8,6 +8,8 @@ requests nothing.
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -27,55 +29,52 @@ def delivered_kwh(sessions: Sequence[ChargingSession], final_soc: Sequence[float
                      for x, s in zip(final_soc, sessions)))
 
 
+def _fold(rows: Sequence[dict], key: str) -> float:
+    """`key` of each of `rows` added left to right from 0.0, as `+=` adds;
+    `sum` would compensate its rounding from Python 3.12 on."""
+    return reduce(operator.add, (row[key] for row in rows), 0.0)
+
+
+def _totals(rows: Sequence[dict]) -> dict:
+    return {"emissions_kg": _fold(rows, "emissions_kg"), "days": len(rows),
+            "edq_station": _ratio(_fold(rows, "delivered"), _fold(rows, "requested"))}
+
+
 def make_report(policy: str,
                 days: Mapping[int, tuple[Sequence[ChargingSession], Sequence[float], float]],
                 season_of_day: Callable[[int], str] | None = None) -> dict:
     """Report of a run, the dict report.json holds, from each day's
     sessions, their final SoC and its emissions in kg, keyed by day index.
 
-    Every total is summed day by day in day order, each day's own sum
-    first. `per_day` has one row per day; `per_season`, grouped by
-    `season_of_day`, is left out when that is None.
+    Each day makes one row, of its session count, emissions, delivered and
+    requested SoC and kWh; the run totals, `per_day` and `per_season` (by
+    `season_of_day`, left out when that is None) all fold these in day order.
     """
-    emissions = energy = delivered = requested = 0.0
-    ratios: list[float] = []
-    per_day = []
-    seasons: dict[str, dict] = {}
+    rows, ratios = [], []
     for day in sorted(days):
-        sessions, final_soc, day_emissions = days[day]
+        sessions, final_soc, emissions = days[day]
         r = [s.soc_target - s.soc_arrival for s in sessions]
         d = [min(x - s.soc_arrival, ri) for x, s, ri in zip(final_soc, sessions, r)]
-        day_delivered, day_requested = sum(d), sum(r)
-        emissions += day_emissions
-        energy += delivered_kwh(sessions, final_soc)
-        delivered += day_delivered
-        requested += day_requested
         ratios.extend(map(_ratio, d, r))
-        per_day.append({"day": day, "n_sessions": len(sessions),
-                        "emissions_kg": day_emissions,
-                        "edq_station": _ratio(day_delivered, day_requested)})
-        if season_of_day is not None:
-            bucket = seasons.setdefault(season_of_day(day), {
-                "emissions_kg": 0.0, "delivered": 0.0, "requested": 0.0, "days": 0})
-            bucket["emissions_kg"] += day_emissions
-            bucket["delivered"] += day_delivered
-            bucket["requested"] += day_requested
-            bucket["days"] += 1
-    n = len(ratios)
+        rows.append({"day": day, "n_sessions": len(sessions), "emissions_kg": emissions,
+                     "delivered": sum(d), "requested": sum(r),
+                     "kwh": delivered_kwh(sessions, final_soc)})
+    run, n = _totals(rows), len(ratios)
     report = {
         "policy": policy,
-        "total_emissions_kg": emissions,
-        "emissions_per_session_kg": emissions / n if n else 0.0,
-        "edq_station": _ratio(delivered, requested),
+        "total_emissions_kg": run["emissions_kg"],
+        "emissions_per_session_kg": run["emissions_kg"] / n if n else 0.0,
+        "edq_station": run["edq_station"],
         "edq_session": float(np.mean(ratios)) if ratios else 1.0,
-        "energy_delivered_kwh": energy,
+        "energy_delivered_kwh": _fold(rows, "kwh"),
         "n_sessions": n,
-        "per_day": per_day,
+        "per_day": [{"day": row["day"], "n_sessions": row["n_sessions"],
+                     "emissions_kg": row["emissions_kg"],
+                     "edq_station": _ratio(row["delivered"], row["requested"])} for row in rows],
     }
     if season_of_day is not None:
+        seasons = [season_of_day(row["day"]) for row in rows]
         report["per_season"] = {
-            name: {"emissions_kg": b["emissions_kg"], "days": b["days"],
-                   "edq_station": _ratio(b["delivered"], b["requested"])}
-            for name, b in sorted(seasons.items())}
+            name: _totals([row for row, s in zip(rows, seasons) if s == name])
+            for name in sorted(set(seasons))}
     return report
-

@@ -172,6 +172,12 @@ RUNS = [
      ("simulate", "--policy", "tou", "--lambda", "8", *SYNTH)),
     ("simulate-carbon-adaptive-lambda-7",
      ("simulate", "--policy", "carbon-adaptive", "--lambda", "7", *SYNTH)),
+    # Blocks of 21 and 29 sessions, then of 42 and 38, so the adaptive
+    # factor is 0.25, then 0.35, and small batteries take some energy at each.
+    *((f"simulate-carbon-adaptive-{n}-per-day",
+       ("simulate", "--policy", "carbon-adaptive", "--synth-days", "2",
+        "--synth-sessions-per-day", n, "--synth-capacity-kwh", "0.5",
+        "--power-cap-kw", "20", "--seed", "1")) for n in ("25", "40")),
     *((f"overnight-{p}", ("simulate", "--policy", p, *OVERNIGHT))
       for p in POLICIES),
     ("mix-files-carbon-offline",

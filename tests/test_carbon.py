@@ -86,3 +86,9 @@ def test_intensity_properties(seed):
     perm = rng.permutation(n_src)
     permuted = carbon.compute_intensity(_mix(power[:, perm], factors[perm]))
     np.testing.assert_allclose(permuted.values, ci.values, rtol=1e-12)
+
+
+def test_season_of_each_month():
+    assert carbon.SEASON_OF_MONTH == {
+        1: "winter", 2: "winter", 3: "spring", 4: "spring", 5: "spring", 6: "summer",
+        7: "summer", 8: "summer", 9: "autumn", 10: "autumn", 11: "autumn", 12: "winter"}

@@ -724,6 +724,26 @@ def test_flag_a_subcommand_never_reads_exits_1(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    *(pytest.param(("--policy", p, "--online-forecast", "model"),
+                   "--online-forecast model is read only by --policy carbon-online",
+                   id=f"{p}-model-forecast")
+      for p in POLICIES if p != "carbon-online"),
+    *(pytest.param(("--policy", p, *forecast, "--load", "{tmp}/absent.csv"),
+                   "--load is read only with --online-forecast model",
+                   id=f"{p}-{forecast[-1] if forecast else 'default'}-forecast-load")
+      for p in POLICIES for forecast in ((), ("--online-forecast", "perfect"))),
+])
+def test_flag_the_policy_never_reads_exits_1(tmp_path, capsys, argv, message):
+    # Refused before any input is read: the absent --mix is never opened.
+    out = tmp_path / "out"
+    absent = ("--mix", str(tmp_path / "absent.csv"), "--factors", str(tmp_path / "absent.csv"))
+    assert run_cli("simulate", *(a.format(tmp=tmp_path) for a in argv), *absent,
+                   "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_horizon_sets_the_lookahead(tmp_path, monkeypatch):
     lengths = []
 

@@ -1,3 +1,6 @@
+import operator
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,3 +128,34 @@ class TestMakeReport:
                                    "emissions_kg": res.emissions_kg,
                                    "edq_station": rep["edq_station"]}]
         assert "per_season" not in rep
+
+    def test_totals_fold_the_day_rows_in_day_order(self):
+        # Four days in two seasons, given out of day order. Added left to
+        # right in day order, 1e16 + 1.0 rounds back to 1e16, so winter's
+        # emissions fold to 0.0, where the compensated `sum` of Python 3.12
+        # gives 1.0, and the run's to 0.5, where the reverse order gives 0.0.
+        sessions = _two_sessions()
+        emissions = {70: 0.5, 40: -1e16, 1: 1.0, 0: 1e16}
+        soc = {70: [0.5, 0.6], 40: [0.4, 0.3], 1: [0.3, 0.2], 0: [0.35, 0.6]}
+        rep = make_report("p", {day: (sessions, np.array(soc[day]), e)
+                                for day, e in emissions.items()},
+                          lambda day: "winter" if day < 60 else "spring")
+
+        def fold(values):
+            return reduce(operator.add, values, 0.0)
+
+        assert [row["day"] for row in rep["per_day"]] == [0, 1, 40, 70]
+        assert [row["emissions_kg"] for row in rep["per_day"]] == [1e16, 1.0, -1e16, 0.5]
+        assert rep["total_emissions_kg"] == fold(row["emissions_kg"] for row in rep["per_day"])
+        assert rep["per_season"]["winter"]["emissions_kg"] == 0.0
+        for name, days in (("winter", (0, 1, 40)), ("spring", (70,))):
+            rows = [row for row in rep["per_day"] if row["day"] in days]
+            assert rep["per_season"][name]["emissions_kg"] \
+                == fold(row["emissions_kg"] for row in rows)
+            assert rep["per_season"][name]["days"] == len(rows)
+        assert sorted(rep["per_season"]) == ["spring", "winter"]
+        # Each day requests 0.6 of SoC, 6 kWh, and gets 0.45, 0, 0.2 and 0.6 of it.
+        assert rep["per_season"]["spring"]["edq_station"] == rep["per_day"][3]["edq_station"]
+        assert rep["per_season"]["winter"]["edq_station"] == pytest.approx(0.65 / 1.8)
+        assert rep["edq_station"] == pytest.approx(1.25 / 2.4)
+        assert rep["energy_delivered_kwh"] == pytest.approx(12.5)
