@@ -235,6 +235,8 @@ def cmd_simulate(args) -> int:
         raise CarbonSchedError("--online-forecast model is read only by --policy carbon-online")
     if args.load is not None and args.online_forecast != "model":
         raise CarbonSchedError("--load is read only with --online-forecast model")
+    if args.horizon is not None and args.policy != "carbon-online":
+        raise CarbonSchedError("--horizon is read only by --policy carbon-online")
     intensity = _load_intensity(args)
     grid = _grid_of(intensity)
     timestamps = intensity.timestamps
@@ -369,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
                      type=_number("--lambda", float, 0),
                      help="balanced factor trading emissions vs delivery")
     sim.add_argument("--horizon", type=_number("--horizon", int, 1),
-                     help="online lookahead length in slots "
+                     help="carbon-online's lookahead length in slots "
                           "(default: one day of the input grid's slots)")
     sim.add_argument("--online-forecast", choices=("perfect", "model"),
                      default="perfect")

@@ -3,12 +3,13 @@
 The controller is a plan-following rule over `scheduler.run_slots`, the
 slot loop the baselines share. At each pending slot it sees only the
 sessions that have already arrived and a forecast of carbon intensity
-over the lookahead window, cut at the run's end, and it hands the stepper
-one slot of a charging plan to apply. The plan is re-solved when a
-session has arrived or the forecast has changed since the last solve;
-otherwise the rest of the last plan is still optimal (principle of
-optimality) and the controller follows it. Realized emissions are always
-accounted against the true intensity; forecasts drive decisions only.
+over the lookahead window, cut at the run's end and at the latest
+departure of those sessions, and it hands the stepper one slot of a
+charging plan to apply. The plan is re-solved when a session has arrived
+or the forecast has changed since the last solve; otherwise the rest of
+the last plan is still optimal (principle of optimality) and the
+controller follows it. Realized emissions are always accounted against
+the true intensity; forecasts drive decisions only.
 """
 
 from __future__ import annotations
@@ -56,9 +57,10 @@ class ModelForecaster:
 
     The calendar and load columns of the rollout are built once per
     forecaster: `_base` holds them for grid slots sim_start onward, as far
-    as a window has reached, and grows by at least one horizon at a time.
-    Each window hands `rollout` its own rows of `_base` and the intensity
-    observed before the window starts.
+    as a window has reached, and grows by at least one day of slots at a
+    time, so that the short windows of a run whose sessions leave early do
+    not grow it in many small steps. Each window hands `rollout` its own
+    rows of `_base` and the intensity observed before the window starts.
     """
 
     def __init__(self, model: ForecastModel, carbon: CarbonIntensitySeries,
@@ -79,7 +81,7 @@ class ModelForecaster:
         if start + horizon > cached:    # `_base_columns` stops at the grid's end
             self._base = np.concatenate([self._base, _base_columns(
                 self.carbon.timestamps, self.load.load_mw, cached,
-                cached + max(start + horizon - cached, horizon))])
+                cached + max(start + horizon - cached, 1440 // self.carbon.slot_minutes))])
         return rollout(self.model, self.carbon.values[:start],
                        self._base[k:k + horizon], self.carbon.slot_minutes)
 
@@ -119,8 +121,12 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
                decisions: list[tuple] | None = None) -> ScheduleResult:
     """Simulate the online loop over slots 0..total_slots-1.
 
-    Each re-solve looks config.horizon_slots ahead, cut at total_slots, and
-    plans a session that departs later as if it left at the window's end.
+    Each re-solve at slot k looks config.horizon_slots ahead, cut at
+    total_slots, and at the latest departure of the sessions active at k
+    but no nearer than k + 2 (see `decide`). It plans a session that
+    departs later as if it left at the window's end. The LP keeps its zero
+    pad to config.horizon_slots, and no column reads a slot past that
+    departure, so the cut changes none of its costs.
     The returned schedule spans the full simulation and its emissions use
     `true_carbon`. If `decisions` is given, each decision is appended to it
     as (slot, session index, power_kw, forecast intensity of the slot). A
@@ -136,7 +142,12 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
 
     def decide(k, active, pending, soc):
         nonlocal plan
-        h = min(T, total_slots - k)
+        # No column reads a slot past the latest active departure. The floor
+        # of 2 keeps every window a bitwise prefix of the longest one at k:
+        # numpy's one-row product `cols @ beta` in `forecast.rollout` rounds
+        # differently from the same row inside a longer product.
+        last = max(sessions[i].t_depart for i in active)
+        h = min(T, total_slots - k, max(last - k, 2))
         window = np.asarray(forecaster.window(k, h), dtype=float)
         if window.shape != (h,):
             raise ForecastUnavailable(k)

@@ -187,6 +187,10 @@ RUNS = [
     ("mix-15-min-carbon-online", ("simulate", "--policy", "carbon-online", *FILES_15)),
     ("model-carbon-online", ("simulate", "--policy", "carbon-online",
                              "--online-forecast", "model", *MODEL)),
+    # A lookahead shorter than the sessions' stays, under the fitted model.
+    ("model-carbon-online-horizon-12", ("simulate", "--policy", "carbon-online",
+                                        "--online-forecast", "model", "--horizon", "12",
+                                        *MODEL)),
     # No block to forecast, so no model is fitted.
     ("model-carbon-online-no-sessions",
      ("simulate", "--policy", "carbon-online", "--online-forecast", "model",

@@ -733,6 +733,9 @@ def test_flag_a_subcommand_never_reads_exits_1(tmp_path, capsys, argv):
                    "--load is read only with --online-forecast model",
                    id=f"{p}-{forecast[-1] if forecast else 'default'}-forecast-load")
       for p in POLICIES for forecast in ((), ("--online-forecast", "perfect"))),
+    *(pytest.param(("--policy", p, "--horizon", "5"),
+                   "--horizon is read only by --policy carbon-online", id=f"{p}-horizon")
+      for p in POLICIES if p != "carbon-online"),
 ])
 def test_flag_the_policy_never_reads_exits_1(tmp_path, capsys, argv, message):
     # Refused before any input is read: the absent --mix is never opened.
@@ -1356,8 +1359,9 @@ def _commands(draw):
             (), ("--power-cap-kw", "1e-9"), ("--power-cap-kw", "12"),
             ("--power-cap-kw", "1e9"))))]
     if command[0] == "simulate":
-        argv += ["--lambda", draw(st.sampled_from(("2", "0", "1e6"))),
-                 *draw(st.sampled_from(((), ("--horizon", "1"))))]
+        argv += ["--lambda", draw(st.sampled_from(("2", "0", "1e6")))]
+    if command[:3] == ("simulate", "--policy", "carbon-online"):
+        argv += draw(st.sampled_from(((), ("--horizon", "1"))))
     if command[0] == "lambda-sweep":
         argv += ["--lambdas", draw(st.sampled_from(("0.5,2", "0", "1e6", "0,1e6")))]
     return argv

@@ -184,6 +184,30 @@ class RecordingForecaster:
         return self.inner.window(k, horizon)
 
 
+class TestWindowLength:
+    """A window reaches no further than an active session can charge: at
+    slot k it is min(T, total_slots - k, max(latest active departure - k,
+    2)) slots long."""
+
+    # "last" is alone and pending at slot 200 with one slot to go, so its
+    # windows take the floor of 2 slots; every session leaves by slot 201
+    # of the 288-slot run.
+    SESSIONS = [make_session("a", 10, 60), make_session("b", 30, 120, capacity_kwh=50.0),
+                make_session("c", 100, 150), make_session("last", 200, 201, 0.2, 0.3)]
+
+    @pytest.mark.parametrize("T", [288, 60, 1])
+    def test_window_ends_at_the_latest_active_departure(self, day, T):
+        _, ci = day
+        fc = RecordingForecaster(ci.values)
+        run_online(self.SESSIONS, fc, ci.values, _config(T=T), 288)
+        assert len(fc.calls) > 50
+        for k, h in fc.calls:
+            latest = max(s.t_depart for s in self.SESSIONS
+                         if s.t_arrival <= k < s.t_depart)
+            assert h == min(T, 288 - k, max(latest - k, 2))
+        assert (200, min(T, 2)) in fc.calls
+
+
 class TestRunEnd:
     def test_session_departing_after_the_run_is_planned_to_its_end(self):
         # Intensity drops from 0.5 to 0.01 kg/kWh only after the run's 48
@@ -421,7 +445,7 @@ class TestRolloutCache:
 
     def test_consecutive_slots(self):
         # the online loop asks for k, k + 1, ...; the cache starts at
-        # sim_start and runs at most one horizon past the last window
+        # sim_start and runs at most one day past the last window
         fc = self._check(make_grid(3).timestamps(), 288, range(289), 288)
         assert len(fc._base) <= 288 + 2 * 288
 
@@ -447,6 +471,20 @@ class TestRolloutCache:
         stamps = [ts if s < 400 else ts.astimezone(plus_one)
                   for s, ts in enumerate(make_grid(3).timestamps())]
         self._check(stamps, 288, range(0, 289, 3), 288)
+
+    def test_windows_of_two_or_more_slots_are_prefixes(self):
+        # What the online controller's window cut rests on: at every k,
+        # each window of 2 or more slots is bit for bit the start of the
+        # longest one. A one-slot window need not be, since numpy's
+        # one-row product `cols @ beta` may round differently.
+        ci, load = self._series(make_grid(2).timestamps())
+        model = forecast.ForecastModel(self.BETA.copy(), np.zeros(8), np.ones(8))
+        span = 120
+        fc = ModelForecaster(model, ci, load, sim_start=len(ci.values) - span)
+        for k in range(span):
+            longest = fc.window(k, span - k)
+            for h in range(2, span - k + 1):
+                assert fc.window(k, h).tobytes() == longest[:h].tobytes()
 
     def test_negative_slot_unavailable(self):
         ci, load = self._series(make_grid(2).timestamps())
