@@ -272,8 +272,10 @@ def cmd_simulate(args) -> int:
         days[day] = _outcome(rel, result)
         ids = [_csv_cell(s.id) for s in rel]
         cvals = intensity.values[off:off + horizon]
-        log.append("".join(f"{off + k},{ids[i]},{float(u)!r},{float(c)!r},"
-                           f"{float(cvals[k])!r}\n" for k, i, u, c in decisions))
+        if decisions:    # as columns: slot, session, power and forecast intensity
+            k, i, u, c = map(np.array, zip(*decisions))
+            log.append("".join(f"{t},{ids[j]},{a},{b},{x}\n" for t, j, a, b, x in zip(
+                (off + k).tolist(), i.tolist(), _reprs(u), _reprs(c), _reprs(cvals[k]))))
         owner, slot = scheduler.session_slots(rel, horizon)
         rows.append("".join(f"{ids[i]},{off + t},{u},{x}\n" for i, t, u, x in zip(
             owner.tolist(), slot.tolist(), _reprs(result.power[owner, slot]),

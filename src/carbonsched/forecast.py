@@ -157,20 +157,28 @@ def rollout(model: ForecastModel, observed: np.ndarray, cols: np.ndarray,
     """
     w24, w12, w1 = _ma_slots(slot_minutes)
     # seq[w24 + j] is the prediction for the j-th forecast slot.
-    seq = np.asarray(observed[-w24:], dtype=float).tolist()
-    if len(seq) < w24:
-        raise InsufficientHistory(f"rollout needs {w24} observed slots, got {len(seq)}")
+    last = np.asarray(observed[-w24:], dtype=float)
+    if len(last) < w24:
+        raise InsufficientHistory(f"rollout needs {w24} observed slots, got {len(last)}")
+    seq = last.tolist()
     beta = model.beta
     n_base = cols.shape[1]
     base = (beta[0] + cols @ beta[1:1 + n_base]).tolist()
-    k24, k12, k1 = (float(b) for b in beta[1 + n_base:])
+    k24, k12, k1 = beta[1 + n_base:].tolist()
 
-    s24, s12, s1 = sum(seq), sum(seq[-w12:]), sum(seq[-w1:])
-    for j in range(len(cols)):
-        pred = max(base[j] + k24 * (s24 / w24) + k12 * (s12 / w12) + k1 * (s1 / w1), 0.0)
-        pos = w24 + j
-        s24 += pred - seq[pos - w24]
-        s12 += pred - seq[pos - w12]
-        s1 += pred - seq[pos - w1]
-        seq.append(pred)
+    # Each sum adds left to right from 0.0 (`sum` compensates its rounding
+    # from Python 3.12 on, `np.sum` adds pairwise); the + 0.0 turns a sum of
+    # -0.0s into the 0.0 that a fold from 0.0 gives.
+    s24, s12, s1 = (np.add.accumulate(last[-w:])[-1].item() + 0.0 for w in (w24, w12, w1))
+    # seq[j] is the slot that leaves the 24 h sum as prediction j enters it.
+    d12, d1 = w24 - w12, w24 - w1
+    append = seq.append
+    for j, b in enumerate(base):
+        pred = b + k24 * (s24 / w24) + k12 * (s12 / w12) + k1 * (s1 / w1)
+        if pred < 0.0:    # as max(pred, 0.0), a NaN and -0.0 stay
+            pred = 0.0
+        s24 += pred - seq[j]
+        s12 += pred - seq[j + d12]
+        s1 += pred - seq[j + d1]
+        append(pred)
     return np.asarray(seq[w24:], dtype=float)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import operator
 from functools import reduce
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,14 +25,19 @@ def _ratio(delivered: float, requested: float) -> float:
 
 def delivered_kwh(sessions: Sequence[ChargingSession], final_soc: Sequence[float]) -> float:
     """Energy credited to batteries: SoC gain times capacity."""
-    return float(sum((x - s.soc_arrival) * s.capacity_kwh
-                     for x, s in zip(final_soc, sessions)))
+    return float(_add((x - s.soc_arrival) * s.capacity_kwh
+                      for x, s in zip(final_soc, sessions)))
+
+
+def _add(values: Iterable[float]) -> float:
+    """`values` added left to right from 0.0, as `+=` adds; `sum` would
+    compensate its rounding from Python 3.12 on."""
+    return reduce(operator.add, values, 0.0)
 
 
 def _fold(rows: Sequence[dict], key: str) -> float:
-    """`key` of each of `rows` added left to right from 0.0, as `+=` adds;
-    `sum` would compensate its rounding from Python 3.12 on."""
-    return reduce(operator.add, (row[key] for row in rows), 0.0)
+    """`key` of each of `rows`, added by `_add`."""
+    return _add(row[key] for row in rows)
 
 
 def _totals(rows: Sequence[dict]) -> dict:
@@ -57,7 +62,7 @@ def make_report(policy: str,
         d = [min(x - s.soc_arrival, ri) for x, s, ri in zip(final_soc, sessions, r)]
         ratios.extend(map(_ratio, d, r))
         rows.append({"day": day, "n_sessions": len(sessions), "emissions_kg": emissions,
-                     "delivered": sum(d), "requested": sum(r),
+                     "delivered": _add(d), "requested": _add(r),
                      "kwh": delivered_kwh(sessions, final_soc)})
     run, n = _totals(rows), len(ratios)
     report = {

@@ -14,8 +14,8 @@ the true intensity; forecasts drive decisions only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Protocol, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -23,8 +23,8 @@ from .carbon import CarbonIntensitySeries
 from .errors import ForecastUnavailable, NumericalFailure
 from .forecast import ForecastModel, _base_columns, check_same_grid, rollout
 from .ingest import ChargingSession, LoadForecastSeries
-from .scheduler import (ScheduleResult, StationConfig, build_lp, run_slots,
-                        solve)
+from .scheduler import (ScheduleResult, SessionArrays, StationConfig, build_lp,
+                        run_slots, solve)
 
 
 class Forecaster(Protocol):
@@ -86,6 +86,42 @@ class ModelForecaster:
                        self._base[k:k + horizon], self.carbon.slot_minutes)
 
 
+class _SessionTable(NamedTuple):
+    """What a re-plan reads of each session, entry i for session i: its
+    departure slot, target SoC, soc_max, g = delta / capacity_kwh and
+    power limit in kW."""
+
+    depart: np.ndarray
+    target: np.ndarray
+    soc_max: np.ndarray
+    g: np.ndarray
+    power_max: np.ndarray
+
+    @classmethod
+    def of(cls, sessions: Sequence[ChargingSession]) -> _SessionTable:
+        return cls(np.array([s.t_depart for s in sessions], dtype=int),
+                   np.array([s.soc_target for s in sessions], dtype=float),
+                   np.array([s.soc_max for s in sessions], dtype=float),
+                   np.array([s.delta / s.capacity_kwh for s in sessions], dtype=float),
+                   np.array([s.power_max_kw for s in sessions], dtype=float))
+
+    def relative(self, k: int, h: int, active: list[int],
+                 soc: Sequence[float]) -> SessionArrays:
+        """The `SessionArrays` of the sessions `active` at slot k, each as
+        if it arrived at k with SoC soc[i] and left by k + h. Against float
+        drift the SoC is clipped to soc_max, and the target to between the
+        SoC and soc_max, so that no request is negative."""
+        a = np.array(active, dtype=int)
+        soc_max = self.soc_max[a]
+        # numpy's minimum and maximum return their second operand on a tie,
+        # Python's min and max their first: the operands are swapped so that
+        # 0.0 and -0.0 tie as min(soc, soc_max) and max(target, soc) have it.
+        x = np.minimum(soc_max, [soc[i] for i in active])
+        return SessionArrays(np.zeros(len(a), dtype=int), np.minimum(self.depart[a] - k, h),
+                             self.g[a], np.minimum(soc_max, np.maximum(x, self.target[a])) - x,
+                             self.power_max[a])
+
+
 @dataclass(frozen=True)
 class _Plan:
     """The last solve: its slot, the plan row of each session it covered,
@@ -126,7 +162,10 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
     but no nearer than k + 2 (see `decide`). It plans a session that
     departs later as if it left at the window's end. The LP keeps its zero
     pad to config.horizon_slots, and no column reads a slot past that
-    departure, so the cut changes none of its costs.
+    departure, so the cut changes none of its costs. Each session's
+    departure, target, soc_max, g and power limit are read into arrays
+    once per run, and a re-solve hands `build_lp` the active sessions'
+    `SessionArrays`, clipped with array operations.
     The returned schedule spans the full simulation and its emissions use
     `true_carbon`. If `decisions` is given, each decision is appended to it
     as (slot, session index, power_kw, forecast intensity of the slot). A
@@ -138,6 +177,7 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
     if total_slots < 1 or len(true_carbon) < total_slots:
         raise ValueError("need true carbon for every simulated slot")
     T = config.horizon_slots
+    table = _SessionTable.of(sessions)
     plan: _Plan | None = None
 
     def decide(k, active, pending, soc):
@@ -154,21 +194,11 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
         step = (plan.column(k, active, sessions, soc, window)
                 if plan is not None else None)
         if step is None:
-            rel = []
-            for i in active:
-                s = sessions[i]
-                # Clip against float drift so the relative session still
-                # satisfies the SoC invariants.
-                x = min(float(soc[i]), s.soc_max)
-                rel.append(replace(s, t_arrival=0,
-                                   t_depart=min(s.t_depart - k, h),
-                                   soc_arrival=x,
-                                   soc_target=min(max(s.soc_target, x), s.soc_max)))
             # No column reaches the zero pad. It keeps T station rows, and with
             # them the vertex HiGHS picks when a re-plan ties (ROADMAP item 11).
             price = np.concatenate([window, np.zeros(T - h)])
             try:
-                planned = solve(build_lp(rel, price, config))
+                planned = solve(build_lp(table.relative(k, h, active, soc), price, config))
             except NumericalFailure as exc:
                 exc.slot, exc.where = k, f"slot {k}"
                 raise

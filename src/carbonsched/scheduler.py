@@ -17,7 +17,11 @@ when the cap would bind, or a request is negative, HiGHS solves the LP.
 On tied costs the two can return different optimal vertices.
 
 `session_slots` maps LP columns to (session, slot) pairs for the LP, its
-solution and the CLI's schedule.csv. Every ScheduleResult comes from
+solution and the CLI's schedule.csv. `build_lp` takes the sessions or
+their `SessionArrays`, which the online controller hands it for each
+re-plan. An `LpInstance` keeps each column's SoC-row entry `g`; its
+`a_ub`, the CSC matrix HiGHS is given, is built when first read, so an
+LP the screen answers never builds it. Every ScheduleResult comes from
 `result_from_power`, so every policy's objective is the formula above
 with its emissions counted against the accounting signal.
 """
@@ -27,8 +31,9 @@ from __future__ import annotations
 import importlib.util
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -142,18 +147,60 @@ class LpInstance:
 
     Column k is the power of session owner[k] in slot[k] (`session_slots`).
     Rows: one SoC row per session, then one station row per slot, so
-    column k has two entries, in rows owner[k] and n + slot[k]. `a_ub` is
-    a plain `CscMatrix`, the arrays HiGHS is given. Every upper bound is
-    finite: the owning session's power limit.
+    column k has two entries: g[k] in row owner[k] and 1 in row
+    n + slot[k]. `a_ub` is that matrix as a plain `CscMatrix`, the arrays
+    HiGHS is given, built from g, owner and slot when first read. Every
+    upper bound is finite: the owning session's power limit.
     """
 
     c: np.ndarray
-    a_ub: CscMatrix
+    g: np.ndarray  # column k's SoC-row entry, delta / capacity_kwh of its session
     b_ub: np.ndarray
     upper: np.ndarray  # per-variable upper bound
     owner: np.ndarray
     slot: np.ndarray
     shape: tuple[int, int]  # of the power matrix: (sessions, slots)
+
+    @cached_property
+    def a_ub(self) -> CscMatrix:
+        n, T = self.shape
+        n_u = len(self.c)
+        return CscMatrix(data=np.column_stack([self.g, np.ones(n_u)]).ravel(),
+                         indices=np.column_stack([self.owner, n + self.slot]).ravel()
+                         .astype(np.int32),
+                         indptr=np.arange(0, 2 * n_u + 1, 2, dtype=np.int32),
+                         shape=(n + T, n_u))
+
+
+class SessionArrays(NamedTuple):
+    """Sessions as the arrays `build_lp` reads, entry i for session i: its
+    window of slots [lo, hi), its g = delta / capacity_kwh, its request
+    soc_target - soc_arrival and its power limit in kW."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    g: np.ndarray
+    request: np.ndarray
+    power_max: np.ndarray
+
+
+def _windows(sessions: Sequence[ChargingSession],
+             horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of each session's window, clipped to the horizon. Raises
+    SessionOutsideHorizon for a session with no slot in it."""
+    lo = np.array([max(0, s.t_arrival) for s in sessions], dtype=int)
+    hi = np.array([min(horizon, s.t_depart) for s in sessions], dtype=int)
+    if (empty := np.flatnonzero(lo >= hi)).size:
+        raise SessionOutsideHorizon(sessions[empty[0]].id)
+    return lo, hi
+
+
+def _columns(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, slot) of the windows [lo, hi): session by session, slots
+    ascending."""
+    n = hi - lo
+    owner = np.repeat(np.arange(len(n)), n)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(n) - n - lo, n)
 
 
 def session_slots(sessions: Sequence[ChargingSession],
@@ -161,26 +208,23 @@ def session_slots(sessions: Sequence[ChargingSession],
     """(owner, slot): session owner[k] may charge in slot[k]; session by
     session, window slots ascending, windows clipped to the horizon.
     Raises SessionOutsideHorizon for a session with no slot in it."""
-    windows = []
-    for s in sessions:
-        lo, hi = max(0, s.t_arrival), min(horizon, s.t_depart)
-        if lo >= hi:
-            raise SessionOutsideHorizon(s.id)
-        windows.append(np.arange(lo, hi))
-    owner = np.repeat(np.arange(len(windows)), [len(w) for w in windows])
-    return owner, np.concatenate([np.zeros(0, dtype=int), *windows])
+    return _columns(*_windows(sessions, horizon))
 
 
-def build_lp(sessions: Sequence[ChargingSession], price: np.ndarray,
+def build_lp(sessions: Sequence[ChargingSession] | SessionArrays, price: np.ndarray,
              config: StationConfig) -> LpInstance:
-    """Assemble the sparse LP for the sessions over the slots of `price`."""
+    """Assemble the sparse LP for the sessions, or for their
+    `SessionArrays`, over the slots of `price`."""
     price = np.asarray(price, dtype=float)
     T = len(price)
-    owner, slot = session_slots(sessions, T)
-    n, n_u = len(sessions), len(owner)
-    g = np.array([s.delta / s.capacity_kwh for s in sessions], dtype=float)[owner]
-    request = np.array([s.soc_target - s.soc_arrival for s in sessions], dtype=float)
-    power_max = np.array([s.power_max_kw for s in sessions], dtype=float)
+    if not isinstance(sessions, SessionArrays):
+        sessions = SessionArrays(
+            *_windows(sessions, T),
+            np.array([s.delta / s.capacity_kwh for s in sessions], dtype=float),
+            np.array([s.soc_target - s.soc_arrival for s in sessions], dtype=float),
+            np.array([s.power_max_kw for s in sessions], dtype=float))
+    owner, slot = _columns(sessions.lo, sessions.hi)
+    g = sessions.g[owner]
 
     # Each unit of SoC delivered cuts the shortfall lam * (request - g sum(u)).
     c = price[slot] * config.slot_hours - config.lam * g
@@ -188,17 +232,13 @@ def build_lp(sessions: Sequence[ChargingSession], price: np.ndarray,
     # Rows: the SoC cap g * sum(u) <= soc_target - soc_arrival, one per
     # session (u >= 0, so it bounds every partial sum too); the station
     # cap, one row per slot (kept even when no session is active).
-    a_ub = CscMatrix(data=np.column_stack([g, np.ones(n_u)]).ravel(),
-                     indices=np.column_stack([owner, n + slot]).ravel().astype(np.int32),
-                     indptr=np.arange(0, 2 * n_u + 1, 2, dtype=np.int32),
-                     shape=(n + T, n_u))
-    b = np.concatenate([request, np.full(T, float(config.power_cap_kw))])
-    return LpInstance(c=c, a_ub=a_ub, b_ub=b, upper=power_max[owner],
-                      owner=owner, slot=slot, shape=(n, T))
+    b = np.concatenate([sessions.request, np.full(T, float(config.power_cap_kw))])
+    return LpInstance(c=c, g=g, b_ub=b, upper=sessions.power_max[owner],
+                      owner=owner, slot=slot, shape=(len(sessions.g), T))
 
 
 def _require_finite(lp: LpInstance) -> None:
-    if not all(np.isfinite(v).all() for v in (lp.c, lp.a_ub.data, lp.b_ub, lp.upper)):
+    if not all(np.isfinite(v).all() for v in (lp.c, lp.g, lp.b_ub, lp.upper)):
         raise NonFiniteValue("LP cost, constraint or bound")
 
 
@@ -231,22 +271,22 @@ def _screen(lp: LpInstance) -> np.ndarray | None:
     earlier slot first), each up to min(upper, what is left of the
     request), which is optimal. If every slot's sum is then within its
     cap, compared exactly, that x is feasible for the whole LP and so
-    optimal for it. Needs every request >= 0, every g > 0 and one upper
-    bound per session, as `build_lp` sets.
+    optimal for it. Needs every request >= 0, every g > 0, one upper
+    bound per session and the columns session by session, slots
+    ascending, as `build_lp` sets.
     """
     n, T = lp.shape
-    g = lp.a_ub.data[::2]    # column k's SoC-row entry
-    if not ((lp.b_ub[:n] >= 0).all() and (g > 0).all()):
+    if not ((lp.b_ub[:n] >= 0).all() and (lp.g > 0).all()):
         return None
     k = np.flatnonzero(lp.c < 0)
-    k = k[np.lexsort((lp.slot[k], lp.c[k], lp.owner[k]))]
+    # A stable sort by session, then c, keeps a tie in slot order.
+    k = k[np.lexsort((lp.c[k], lp.owner[k]))]
     owner, upper = lp.owner[k], lp.upper[k]
     # Power the session's earlier columns in this order take when full: its
     # rank among them times its one upper bound (no other session's sum).
-    at = np.arange(len(k))
-    rank = at - np.maximum.accumulate(np.where(np.diff(owner, prepend=-1) != 0, at, 0))
+    rank = np.arange(len(k)) - np.searchsorted(owner, owner)
     x = np.zeros(len(lp.c))
-    x[k] = np.clip(lp.b_ub[owner] / g[k] - rank * upper, 0.0, upper)
+    x[k] = np.clip(lp.b_ub[owner] / lp.g[k] - rank * upper, 0.0, upper)
     if (np.bincount(lp.slot, weights=x, minlength=T) <= lp.b_ub[n:]).all():
         return x
     return None

@@ -15,7 +15,11 @@ matrix that `scipy_matrix` rebuilds from the library's CSC arrays, and the
 SoC reference expands a power matrix one session at a time; the library's
 direct HiGHS call and its vectorised expansion must match them bit for
 bit. The CSV references write schedule.csv and shift.csv one session and
-one slot at a time; the CLI's files must match them byte for byte.
+one slot at a time, and decisions.csv one decision at a time; the CLI's
+files must match them byte for byte. The relative sessions of a re-plan
+are built one `replace` at a time, and the screen with a three-key sort;
+the online controller's arrays and `scheduler._screen` must match them bit
+for bit.
 """
 
 import csv
@@ -367,6 +371,41 @@ def loop_soc_and_gaps(sessions, power):
     return soc, gaps
 
 
+def relative_sessions(sessions, active, soc, k, h):
+    """The sessions `active` at slot k as a re-plan at k sees them, one
+    `replace` each: arrived at slot 0 with SoC soc[i], clipped to soc_max,
+    gone by slot h, and with the target clipped to between that SoC and
+    soc_max."""
+    rel = []
+    for i in active:
+        s = sessions[i]
+        x = min(float(soc[i]), s.soc_max)
+        rel.append(replace(s, t_arrival=0, t_depart=min(s.t_depart - k, h),
+                           soc_arrival=x,
+                           soc_target=min(max(s.soc_target, x), s.soc_max)))
+    return rel
+
+
+def three_key_screen(lp):
+    """`scheduler._screen` as a three-key sort on (owner, c, slot) and a
+    rank from the session's first column in that order: the LP's x when
+    the greedy fill keeps every slot within the cap, else None."""
+    n, T = lp.shape
+    g = lp.a_ub.data[::2]
+    if not ((lp.b_ub[:n] >= 0).all() and (g > 0).all()):
+        return None
+    k = np.flatnonzero(lp.c < 0)
+    k = k[np.lexsort((lp.slot[k], lp.c[k], lp.owner[k]))]
+    owner, upper = lp.owner[k], lp.upper[k]
+    at = np.arange(len(k))
+    rank = at - np.maximum.accumulate(np.where(np.diff(owner, prepend=-1) != 0, at, 0))
+    x = np.zeros(len(lp.c))
+    x[k] = np.clip(lp.b_ub[owner] / g[k] - rank * upper, 0.0, upper)
+    if (np.bincount(lp.slot, weights=x, minlength=T) <= lp.b_ub[n:]).all():
+        return x
+    return None
+
+
 def always_resolve_online(sessions, forecaster, true_carbon, config,
                           total_slots):
     """Rolling-horizon control that rebuilds and re-solves the LP at every
@@ -390,13 +429,7 @@ def always_resolve_online(sessions, forecaster, true_carbon, config,
             continue
         h = min(T, total_slots - k)
         window = np.asarray(forecaster.window(k, h), dtype=float)
-        rel = []
-        for i in active:
-            s = sessions[i]
-            x = min(float(soc[i]), s.soc_max)
-            rel.append(replace(s, t_arrival=0, t_depart=min(s.t_depart - k, h),
-                               soc_arrival=x,
-                               soc_target=min(max(s.soc_target, x), s.soc_max)))
+        rel = relative_sessions(sessions, active, soc, k, h)
         step = solve(build_lp(rel, np.concatenate([window, np.zeros(T - h)]), config))
         solves += 1
         for j, i in enumerate(active):
@@ -519,6 +552,22 @@ def loop_schedule_csv(plans, results) -> str:
             for t in range(s.t_arrival, s.t_depart):
                 rows.writerow((s.id, off + t, repr(float(res.power[i, t])),
                                repr(float(res.soc[i, t + 1]))))
+    return out.getvalue()
+
+
+def loop_decisions_csv(plans, logs, intensity) -> str:
+    """decisions.csv of an online run from its day plans and each day's
+    decisions (slot, session, power, forecast intensity), one row per
+    decision, written by `csv.writer` with "\\n" line ends."""
+    out = io.StringIO()
+    rows = csv.writer(out, lineterminator="\n")
+    rows.writerow(("slot", "session_id", "power_kw", "forecast_c", "true_c"))
+    for day, decisions in logs.items():
+        off, horizon, rel = plans[day]
+        cvals = intensity.values[off:off + horizon]
+        for k, i, u, c in decisions:
+            rows.writerow((off + k, rel[i].id, repr(float(u)), repr(float(c)),
+                           repr(float(cvals[k]))))
     return out.getvalue()
 
 

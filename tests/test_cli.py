@@ -25,7 +25,8 @@ from carbonsched.errors import CarbonSchedError, ZeroTotalGeneration
 from carbonsched.scheduler import build_lp
 
 from conftest import DAY_SLOTS, duck_curve, make_grid, make_session
-from oracles import loop_schedule_csv, loop_shift_csv, objective_slack
+from oracles import (loop_decisions_csv, loop_schedule_csv, loop_shift_csv,
+                     objective_slack)
 from output_digest import (COLLINEAR_MIX, GAS_IMPORTS, GAS_SOLAR, HUGE_FACTORS,
                            HUGE_INTENSITY_MIX, ONE_DAY_MIX, ONE_SESSION, OVERFLOW_FACTORS,
                            OVERFLOW_MIX, TOTAL_OVERFLOW_MIX, ZERO_TOTAL_MIX)
@@ -1155,6 +1156,8 @@ def test_csv_files_match_loop_writers(tmp_path, monkeypatch, policy, sessions, a
         res = real(block_policy, block, lam, parsed, intensity, *rest)
         runs[block_policy][block[0]] = block[2], res
         plans[block[0]], runs["intensity"] = block, intensity
+        if len(rest) == 2:    # the policy's call logs its decisions
+            runs["decisions"][block[0]] = rest[1]
         return res
 
     monkeypatch.setattr(cli, "_schedule", spy)
@@ -1171,6 +1174,10 @@ def test_csv_files_match_loop_writers(tmp_path, monkeypatch, policy, sessions, a
     assert (out / "shift.csv").read_bytes() == loop_shift_csv(
         plans, runs[policy], runs["edf"], intensity,
         cli._grid_of(intensity).slot_hours).encode()
+    if policy == "carbon-online":
+        assert any(runs["decisions"].values())
+        assert (out / "decisions.csv").read_bytes() \
+            == loop_decisions_csv(plans, runs["decisions"], intensity).encode()
 
 
 @pytest.mark.parametrize("argv", [

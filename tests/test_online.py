@@ -16,7 +16,7 @@ from carbonsched.scheduler import (StationConfig, build_lp, carbon_schedule,
                                    max_constraint_violation)
 
 from conftest import duck_curve, flexible_sessions, make_grid, make_session
-from oracles import always_resolve_online, terminal_gaps
+from oracles import always_resolve_online, relative_sessions, terminal_gaps
 from test_scheduler import infeasible
 
 
@@ -373,6 +373,96 @@ class TestPlanReuse:
         assert max_constraint_violation(res, sessions, config) <= 1e-8
         logged = sum(p * carbon[k] * config.slot_hours for k, _, p, _ in decisions)
         assert logged == pytest.approx(res.emissions_kg, abs=1e-9)
+
+
+def _lp_arrays(lp):
+    a = lp.a_ub
+    return {"c": lp.c, "g": lp.g, "b_ub": lp.b_ub, "upper": lp.upper, "owner": lp.owner,
+            "slot": lp.slot, "data": a.data, "indices": a.indices, "indptr": a.indptr}
+
+
+def _assert_replan_lp_as_replaced(sessions, active, soc, k, h, price, config):
+    # the re-plan's LP from arrays is, bit for bit, `build_lp` over the
+    # sessions re-based to k one `replace` at a time
+    got = build_lp(online._SessionTable.of(sessions).relative(k, h, active, soc),
+                   price, config)
+    ref = build_lp(relative_sessions(sessions, active, soc, k, h), price, config)
+    assert got.shape == ref.shape and got.a_ub.shape == ref.a_ub.shape
+    got_arrays = _lp_arrays(got)
+    for name, a in _lp_arrays(ref).items():
+        b = got_arrays[name]
+        assert (b.dtype, b.shape, b.tobytes()) == (a.dtype, a.shape, a.tobytes()), name
+
+
+signed_zeros = st.sampled_from([0.0, -0.0])
+
+
+@pytest.fixture
+def csc_builds(monkeypatch):
+    """A list that gets one entry per constraint matrix an LP builds."""
+    built = []
+    csc = scheduler.CscMatrix
+    monkeypatch.setattr(scheduler, "CscMatrix", lambda **kw: built.append(kw) or csc(**kw))
+    return built
+
+
+class TestReplanFromArrays:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_lp_equals_build_lp_over_replaced_sessions(self, data):
+        k = data.draw(st.integers(0, 40))
+        h = data.draw(st.integers(1, 24))
+        T = h + data.draw(st.integers(0, 6))
+        unit = st.one_of(signed_zeros, st.floats(0.0, 1.0))
+        sessions, soc = [], []
+        for i in range(data.draw(st.integers(1, 6))):
+            soc_max = data.draw(unit)
+            target = data.draw(unit) * soc_max
+            sessions.append(make_session(
+                f"s{i}", data.draw(st.integers(0, k)),
+                k + 1 + data.draw(st.integers(0, 2 * h)),    # may leave past k + h
+                data.draw(unit) * target, target, soc_max=soc_max,
+                capacity_kwh=data.draw(st.floats(0.5, 100.0)),
+                power_max_kw=data.draw(st.floats(0.5, 50.0)),
+                delta=data.draw(st.floats(0.01, 1.0))))
+            # a SoC below, at or past the target and soc_max, or a signed zero
+            soc.append(data.draw(st.one_of(signed_zeros, st.just(soc_max), st.just(target),
+                                           st.floats(0.0, 1.5))))
+        active = sorted(data.draw(st.sets(st.integers(0, len(sessions) - 1), min_size=1)))
+        price = np.concatenate([data.draw(st.lists(st.floats(0.0, 1.0), min_size=h,
+                                                   max_size=h)), np.zeros(T - h)])
+        config = _config(T=T, cap=data.draw(st.floats(0.5, 100.0)),
+                         lam=data.draw(st.floats(0.0, 20.0)))
+        _assert_replan_lp_as_replaced(sessions, active, soc, k, h, price, config)
+
+    def test_clipped_soc_target_and_departure(self):
+        sessions = [make_session("over", 0, 30, 0.2, 0.6, soc_max=0.8),
+                    make_session("past", 2, 9, 0.1, 0.3),
+                    make_session("late", 1, 50, 0.3, 0.9),
+                    make_session("zero", 0, 6, -0.0, -0.0, soc_max=-0.0)]
+        soc = [np.nextafter(0.8, 1.0), 0.45, 0.5, 0.0]
+        price = np.concatenate([np.linspace(0.3, 0.1, 8), np.zeros(4)])
+        _assert_replan_lp_as_replaced(sessions, [0, 1, 2, 3], soc, 5, 8, price,
+                                      _config(T=12, cap=3.0, lam=2.0))
+        arrays = online._SessionTable.of(sessions).relative(5, 8, [0, 1, 2, 3], soc)
+        np.testing.assert_array_equal(arrays.hi, [8, 4, 8, 1])
+        assert arrays.request.tolist() == [0.0, 0.0, 0.4, 0.0]
+
+    def test_screened_run_builds_no_matrix(self, day, csc_builds, highs_runs, solve_count):
+        grid, ci = day
+        run_online(flexible_sessions(grid, 6, seed=44), DriftingForecaster(ci.values),
+                   ci.values, _config(), 288)
+        assert solve_count
+        assert highs_runs == []
+        assert csc_builds == []
+
+    def test_binding_cap_builds_one_matrix_per_highs_run(self, day, csc_builds, highs_runs,
+                                                         solve_count):
+        grid, ci = day
+        run_online(flexible_sessions(grid, 6, seed=44), DriftingForecaster(ci.values),
+                   ci.values, _config(cap=4.0), 288)
+        assert highs_runs and len(highs_runs) < len(solve_count)
+        assert len(csc_builds) == len(highs_runs)
 
 
 class TestModelForecaster:

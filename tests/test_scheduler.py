@@ -17,7 +17,7 @@ from conftest import duck_curve, flexible_sessions, make_grid, make_session
 from oracles import (brute_force_objective, cheapest_first_then_capped,
                      epigraph_optimum, flow_optimum, linprog_solve, loop_soc_and_gaps,
                      naive_dense_lp, objective_slack, random_instance,
-                     resolution_bound, scipy_matrix, terminal_gaps)
+                     resolution_bound, scipy_matrix, terminal_gaps, three_key_screen)
 from test_acceptance import criterion_2_instances
 
 
@@ -265,6 +265,26 @@ class TestScreen:
                 solve(lp), cheapest_first_then_capped(sessions, price, config).power,
                 rtol=0, atol=atol)
         assert answered >= 100
+
+    def test_matches_the_three_key_screen_on_tied_costs(self):
+        # Columns come session by session, slots ascending, so sorting by
+        # (owner, c) keeps tied costs in slot order: x is the three-key
+        # sort's, bit for bit, and so is each zero's sign.
+        rng = np.random.default_rng(29)
+        answered = declined = 0
+        for _ in range(300):
+            horizon = int(rng.choice([6, 24, 48]))
+            sessions, _, config = random_instance(rng, 6, horizon,
+                                                  lam=float(rng.choice([0.5, 2.0, 8.0])))
+            lp = build_lp(sessions, rng.choice([0.0, 0.1, 0.2], size=horizon), config)
+            x, ref = scheduler._screen(lp), three_key_screen(lp)
+            if ref is None:
+                assert x is None
+                declined += 1
+            else:
+                assert x.tobytes() == ref.tobytes()
+                answered += 1
+        assert answered >= 100 and declined >= 20
 
     @pytest.mark.parametrize("cap", [7.0, 5.0])
     def test_finiteness_checked_once(self, monkeypatch, cap):
