@@ -1,20 +1,26 @@
 """Heuristic baseline schedulers: equal sharing and earliest deadline first.
 
-Both are allocation rules over `scheduler.run_slots`, the one slot loop
-that also drives the online controller. Each slot a rule splits the
-station cap among the pending sessions, granting no session more than
-its per-EV limit or the power that reaches its target SoC in that slot,
-so neither rule violates a limit or overshoots a target.
+Each slot a rule splits the station cap among the pending sessions,
+granting no session more than its per-EV limit or the power that reaches
+its target SoC in that slot, so neither rule violates a limit or
+overshoots a target. Equal sharing is an allocation rule over
+`scheduler.run_slots`, the slot loop that also drives the online
+controller, and returns a ScheduleResult. Earliest deadline first has a
+slot loop of its own, which keeps the active sessions in deadline order
+and returns only the power matrix, as `scheduler.solve` does; the CLI's
+`shift.csv` reference reads its station power and builds no SoC.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Sequence
 
 import numpy as np
 
+from .errors import SessionOutsideHorizon
 from .ingest import ChargingSession
-from .scheduler import ScheduleResult, StationConfig, run_slots
+from .scheduler import PENDING_EPS, ScheduleResult, StationConfig, run_slots
 
 _EPS = 1e-12
 
@@ -56,18 +62,54 @@ def equal_sharing(sessions: Sequence[ChargingSession], config: StationConfig,
 
 def earliest_deadline_first(sessions: Sequence[ChargingSession],
                             config: StationConfig,
-                            carbon: np.ndarray) -> ScheduleResult:
-    """Each slot, grant pending sessions their per-slot cap in deadline
-    order (ties: arrival, then id) until the station budget is exhausted."""
-    key = [(s.t_depart, s.t_arrival, s.id) for s in sessions]
+                            carbon: np.ndarray) -> np.ndarray:
+    """Power matrix of EDF over the horizon of `carbon`: each slot, grant
+    pending sessions their per-slot cap in deadline order (ties: arrival,
+    then id) until the station budget is exhausted.
 
-    def decide(t, active, pending, soc):
-        order = sorted(pending, key=key.__getitem__)
-        budget, alloc = config.power_cap_kw, []
-        for i in order:
+    The active sessions are kept by rank in that order: a session enters
+    at max(t_arrival, 0) and, as its deadline puts it first, leaves from
+    the front at t_depart. Grants and SoC steps round as in `run_slots`.
+    Raises SessionOutsideHorizon for the first session, in index order,
+    with no slot in the horizon.
+    """
+    T = len(carbon)
+    for s in sessions:
+        if max(s.t_arrival, 0) >= min(s.t_depart, T):
+            raise SessionOutsideHorizon(s.id)
+    order = sorted(range(len(sessions)), key=lambda i: (
+        sessions[i].t_depart, sessions[i].t_arrival, sessions[i].id))
+    ranked = [sessions[i] for i in order]
+    depart = [s.t_depart for s in ranked]
+    limits = [(s.power_max_kw, s.soc_target, s.capacity_kwh, s.delta,
+               s.soc_target - PENDING_EPS) for s in ranked]
+    soc = [s.soc_arrival for s in ranked]
+    enter: dict[int, list[int]] = {}
+    for r, s in enumerate(ranked):
+        enter.setdefault(max(s.t_arrival, 0), []).append(r)
+    rows, cols, grants = [], [], []
+    active: list[int] = []
+    for t in range(T):
+        while active and depart[active[0]] <= t:
+            del active[0]
+        for r in enter.get(t, ()):
+            insort(active, r)
+        budget = config.power_cap_kw
+        for r in active:
+            power_max, target, capacity, delta, done = limits[r]
+            x = soc[r]
+            if x >= done:
+                continue
             if budget <= _EPS:
                 break
-            alloc.append(min(_cap(sessions[i], soc[i]), budget))
-            budget -= alloc[-1]
-        return order, alloc
-    return run_slots(sessions, config, carbon, decide)
+            # _cap's min(power_max, max(target - x, 0.0) * capacity / delta)
+            # and then min(cap, budget), in one call: target - x > 0 as x < done
+            u = min(power_max, (target - x) * capacity / delta, budget)
+            soc[r] = x + u * delta / capacity
+            budget -= u
+            rows.append(r)
+            cols.append(t)
+            grants.append(u)
+    power = np.zeros((len(sessions), T))
+    power[np.array(order, dtype=np.intp)[rows], cols] = grants
+    return power

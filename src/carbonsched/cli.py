@@ -175,7 +175,8 @@ def _schedule(policy, block, lam, args, intensity, forecaster=None, log=None):
     if policy == "es":
         return baselines.equal_sharing(rel, config, cvals)
     if policy == "edf":
-        return baselines.earliest_deadline_first(rel, config, cvals)
+        return scheduler.result_from_power(
+            rel, baselines.earliest_deadline_first(rel, config, cvals), config, cvals)
     if policy == "tou":
         tariff = np.array([TOU_PEAK if ts.hour >= 16 else TOU_OFFPEAK
                            for ts in intensity.timestamps[off:off + horizon]])
@@ -266,12 +267,13 @@ def cmd_simulate(args) -> int:
         fc = model and online.ModelForecaster(model, intensity, load, sim_start=off)
         decisions = []
         result = _schedule(args.policy, plans[day], lam, args, intensity, fc, decisions)
-        # The reference's power does not depend on its factor.
-        edf = result if args.policy == "edf" else _schedule("edf", plans[day], args.lam,
-                                                             args, intensity)
         days[day] = _outcome(rel, result)
         ids = [_csv_cell(s.id) for s in rel]
         cvals = intensity.values[off:off + horizon]
+        # The reference's power does not depend on its factor.
+        edf = result.power if args.policy == "edf" else baselines.earliest_deadline_first(
+            rel, scheduler.StationConfig(args.power_cap_kw, grid.slot_hours, args.lam,
+                                         horizon), cvals)
         if decisions:    # as columns: slot, session, power and forecast intensity
             k, i, u, c = map(np.array, zip(*decisions))
             log.append("".join(f"{t},{ids[j]},{a},{b},{x}\n" for t, j, a, b, x in zip(
@@ -280,7 +282,8 @@ def cmd_simulate(args) -> int:
         rows.append("".join(f"{ids[i]},{off + t},{u},{x}\n" for i, t, u, x in zip(
             owner.tolist(), slot.tolist(), _reprs(result.power[owner, slot]),
             _reprs(result.soc[owner, slot + 1]))))
-        pol, ref = (cvals * res.station_power * grid.slot_hours for res in (result, edf))
+        pol, ref = (cvals * power.sum(axis=0) * grid.slot_hours
+                    for power in (result.power, edf))
         shift.append("".join(
             f"{off + t},{timestamps[off + t].isoformat()},{p!r},{r!r}\n"
             for t, (p, r) in enumerate(zip(pol.tolist(), ref.tolist()))))

@@ -147,6 +147,10 @@ class ChargingSession:
                                              self.delta)):
             raise InvalidSoC(self.id, "capacity, power_max and delta must be "
                                       "positive and finite")
+        step = self.power_max_kw * self.delta / self.capacity_kwh
+        if self.soc_target > self.soc_arrival and self.soc_target + step == self.soc_target:
+            raise InvalidSoC(self.id, f"a slot at power_max moves the SoC by {step!r}, "
+                                      f"which rounds away at target={self.soc_target}")
 
 
 def _check_finite(values: np.ndarray, columns) -> None:

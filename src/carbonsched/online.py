@@ -1,7 +1,7 @@
 """Rolling-horizon real-time scheduling.
 
 The controller is a plan-following rule over `scheduler.run_slots`, the
-slot loop the baselines share. At each pending slot it sees only the
+slot loop equal sharing shares. At each pending slot it sees only the
 sessions that have already arrived and a forecast of carbon intensity
 over the lookahead window, cut at the run's end and at the latest
 departure of those sessions, and it hands the stepper one slot of a

@@ -3,7 +3,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from carbonsched import scheduler
+from carbonsched import baselines, scheduler
 from carbonsched.carbon import CarbonIntensitySeries
 from carbonsched.ingest import ChargingSession
 from carbonsched.timegrid import TimeGrid
@@ -49,6 +49,13 @@ def make_session(sid="s0", t_arrival=0, t_depart=288, soc_arrival=0.2,
                            soc_arrival=soc_arrival, soc_target=soc_target,
                            capacity_kwh=capacity_kwh, soc_max=soc_max,
                            power_max_kw=power_max_kw, delta=delta)
+
+
+def edf_schedule(sessions, config, carbon) -> scheduler.ScheduleResult:
+    """The ScheduleResult of `baselines.earliest_deadline_first`'s power."""
+    return scheduler.result_from_power(
+        sessions, baselines.earliest_deadline_first(sessions, config, carbon),
+        config, carbon)
 
 
 def flexible_sessions(grid: TimeGrid, count: int, seed: int,

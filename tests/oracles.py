@@ -8,18 +8,19 @@ session and caps SoC at soc_max; with prices >= 0 its optimum is the
 library's objective. The online reference reuses the library's LP but
 re-solves at every pending slot, so it checks when the online controller
 may skip a solve. The baseline references are self-contained slot loops
-for equal sharing and earliest deadline first, which the library's
-allocation rules over `scheduler.run_slots` must match bit for bit. The LP
-reference solves through scipy's public `linprog`, on the scipy.sparse
-matrix that `scipy_matrix` rebuilds from the library's CSC arrays, and the
-SoC reference expands a power matrix one session at a time; the library's
-direct HiGHS call and its vectorised expansion must match them bit for
-bit. The CSV references write schedule.csv and shift.csv one session and
-one slot at a time, and decisions.csv one decision at a time; the CLI's
+for equal sharing and earliest deadline first, which the library's equal
+sharing over `scheduler.run_slots` and its own EDF loop must match bit
+for bit. The LP reference solves through scipy's public `linprog`, on the
+scipy.sparse matrix that `scipy_matrix` rebuilds from the library's CSC
+arrays, and the SoC reference expands a power matrix one session at a
+time; the library's direct HiGHS call and its vectorised expansion must
+match them bit for bit. The CSV references write schedule.csv and
+shift.csv one session and one slot at a time, shift.csv with its own EDF
+reference per day, and decisions.csv one decision at a time; the CLI's
 files must match them byte for byte. The relative sessions of a re-plan
 are built one `replace` at a time, and the screen with a three-key sort;
-the online controller's arrays and `scheduler._screen` must match them bit
-for bit.
+the online controller's arrays and `scheduler._screen` must match them
+bit for bit.
 """
 
 import csv
@@ -571,14 +572,17 @@ def loop_decisions_csv(plans, logs, intensity) -> str:
     return out.getvalue()
 
 
-def loop_shift_csv(plans, results, edf_results, intensity, slot_hours) -> str:
+def loop_shift_csv(plans, results, intensity, slot_hours, power_cap_kw) -> str:
     """shift.csv of a run: per slot of each day, the policy's and the EDF
-    reference's emissions in kg."""
+    reference's emissions in kg. The reference is each day's
+    `loop_earliest_deadline_first` under the station cap `power_cap_kw`."""
     out = ["slot,timestamp,policy_kg,baseline_edf_kg\n"]
-    for day, (off, horizon, _) in plans.items():
+    for day, (off, horizon, rel) in plans.items():
         cvals = intensity.values[off:off + horizon]
+        edf = loop_earliest_deadline_first(
+            rel, StationConfig(power_cap_kw, slot_hours, 0.0, horizon), cvals)
         pol = cvals * results[day][1].station_power * slot_hours
-        ref = cvals * edf_results[day][1].station_power * slot_hours
+        ref = cvals * edf.station_power * slot_hours
         for t in range(horizon):
             out.append(f"{off + t},{intensity.timestamps[off + t].isoformat()},"
                        f"{float(pol[t])!r},{float(ref[t])!r}\n")

@@ -151,6 +151,12 @@ HUGE_CELL_SESSIONS = ("id,arrival_ts,depart_ts,soc_arrival,soc_target\n"
 # One session that EDF fills: its SoC ends a few ulps past its target.
 ONE_SESSION = ("id,arrival_ts,depart_ts,soc_arrival,soc_target\n"
                "a,2021-01-01T06:00:00+00:00,2021-01-01T20:00:00+00:00,0.2,0.6\n")
+# Two sessions with one window under a cap below their summed limits: the
+# id breaks EDF's tie on (t_depart, t_arrival), so "tie-a" takes its full
+# 7.5 kW and "tie-b" the 2.5 kW left.
+TIED_SESSIONS = ("id,arrival_ts,depart_ts,soc_arrival,soc_target,capacity_kwh\n"
+                 "tie-b,2021-01-01T08:00:00+00:00,2021-01-01T12:00:00+00:00,0.2,0.9,20\n"
+                 "tie-a,2021-01-01T08:00:00+00:00,2021-01-01T12:00:00+00:00,0.3,0.9,20\n")
 
 INPUTS = {
     "sessions.csv": OVERNIGHT_SESSIONS, "model_sessions.csv": MODEL_SESSIONS,
@@ -163,6 +169,7 @@ INPUTS = {
     "huge_intensity_mix.csv": HUGE_INTENSITY_MIX, "huge_factors.csv": HUGE_FACTORS,
     "quoted_mix.csv": QUOTED_MIX, "repeated_factors.csv": REPEATED_FACTORS,
     "note_load.csv": NOTE_LOAD, "huge_cell_sessions.csv": HUGE_CELL_SESSIONS,
+    "tied_sessions.csv": TIED_SESSIONS,
 }
 
 RUNS = [
@@ -243,6 +250,9 @@ RUNS = [
                                          "--seed", "1")),
     ("edf-one-session-served", ("simulate", "--policy", "edf", "--synth-days", "1",
                                 "--sessions", "{tmp}/one_session.csv")),
+    ("edf-tied-deadlines", ("simulate", "--policy", "edf", "--synth-days", "1",
+                            "--sessions", "{tmp}/tied_sessions.csv",
+                            "--power-cap-kw", "10")),
     ("forecast-near-collinear", ("forecast", "--mix", "{tmp}/collinear_mix.csv",
                                  "--factors", "{tmp}/gas_solar.csv")),
 ]

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from carbonsched.baselines import earliest_deadline_first, equal_sharing
+from carbonsched.baselines import equal_sharing
 from carbonsched.carbon import compute_intensity
 from carbonsched.cli import main as cli_main
 from carbonsched.forecast import build_features, fit
@@ -20,7 +20,7 @@ from carbonsched.online import PerfectForecaster, run_online
 from carbonsched.scheduler import (StationConfig, carbon_schedule,
                                    max_constraint_violation)
 
-from conftest import duck_curve, flexible_sessions, make_grid, make_session
+from conftest import duck_curve, edf_schedule, flexible_sessions, make_grid, make_session
 from oracles import (brute_force_objective, random_instance, resolution_bound,
                      terminal_gaps)
 from test_forecast import PLANTED, _load_series, planted_series
@@ -137,7 +137,7 @@ def test_criterion_4_energy_neutral_savings():
     config = _config(T=grid.n_slots, lam=0.4)
     sessions = flexible_sessions(grid, 36, seed=404)
     lp = carbon_schedule(sessions, ci.values, config)
-    edf = earliest_deadline_first(sessions, config, ci.values)
+    edf = edf_schedule(sessions, config, ci.values)
 
     edq_lp = make_report("lp", {0: (sessions, lp.soc[:, -1],
                                     lp.emissions_kg)})["edq_station"]
@@ -201,7 +201,7 @@ def test_criterion_6_fair_share_equals_deadline_when_uncongested():
         config = _config(cap=n * 7.5 + 1.0)
         carbon = rng.uniform(0.1, 0.4, size=288)
         es = equal_sharing(sessions, config, carbon)
-        edf = earliest_deadline_first(sessions, config, carbon)
+        edf = edf_schedule(sessions, config, carbon)
         assert abs(es.delivered_kwh(sessions) - edf.delivered_kwh(sessions)) \
             <= 1e-9 * max(es.delivered_kwh(sessions), 1.0)
         assert abs(es.emissions_kg - edf.emissions_kg) \

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from carbonsched.baselines import (_water_fill, earliest_deadline_first,
                                    equal_sharing)
-from carbonsched.scheduler import StationConfig, max_constraint_violation
+from carbonsched.errors import SessionOutsideHorizon
+from carbonsched.scheduler import PENDING_EPS, StationConfig, max_constraint_violation
 
-from conftest import make_session
+from conftest import edf_schedule, make_session
 from oracles import (loop_earliest_deadline_first, loop_equal_sharing,
                      random_instance)
 
@@ -51,27 +54,28 @@ class TestEarliestDeadlineFirst:
         config = _config()
         edf = earliest_deadline_first([s], config, np.zeros(288))
         es = equal_sharing([s], config, np.zeros(288))
-        np.testing.assert_allclose(edf.power, es.power)
+        np.testing.assert_allclose(edf, es.power)
 
     def test_strict_priority(self):
         sessions = [
             make_session("late", 0, 12 * 12, 0.2, 0.9, capacity_kwh=50.0),
             make_session("early", 0, 10 * 12, 0.2, 0.9, capacity_kwh=50.0),
         ]
-        res = earliest_deadline_first(sessions, _config(cap=7.5), np.zeros(288))
+        power = earliest_deadline_first(sessions, _config(cap=7.5), np.zeros(288))
         # earlier deadline takes the entire budget while it still needs energy
-        assert res.power[1, 0] == pytest.approx(7.5)
-        assert res.power[0, 0] == pytest.approx(0.0)
+        assert power[1, 0] == pytest.approx(7.5)
+        assert power[0, 0] == pytest.approx(0.0)
 
     def test_deterministic_tiebreak_by_id(self):
         sessions = [make_session(sid, 0, 48, 0.2, 0.9, capacity_kwh=50.0)
                     for sid in ("b", "a")]
-        res = earliest_deadline_first(sessions, _config(cap=7.5), np.zeros(288))
-        assert res.power[1, 0] == pytest.approx(7.5)  # "a" wins the tie
+        power = earliest_deadline_first(sessions, _config(cap=7.5), np.zeros(288))
+        assert power[1, 0] == pytest.approx(7.5)  # "a" wins the tie
 
 
 class TestSharedProperties:
-    @pytest.mark.parametrize("policy", [equal_sharing, earliest_deadline_first])
+    @pytest.mark.parametrize("policy", [equal_sharing, edf_schedule],
+                             ids=["equal_sharing", "earliest_deadline_first"])
     def test_constraints_hold_exactly(self, policy):
         rng = np.random.default_rng(99)
         for _ in range(50):
@@ -79,7 +83,8 @@ class TestSharedProperties:
             res = policy(sessions, config, np.zeros(config.horizon_slots))
             assert max_constraint_violation(res, sessions, config) <= 1e-9
 
-    @pytest.mark.parametrize("policy", [equal_sharing, earliest_deadline_first])
+    @pytest.mark.parametrize("policy", [equal_sharing, edf_schedule],
+                             ids=["equal_sharing", "earliest_deadline_first"])
     def test_no_target_overshoot(self, policy):
         rng = np.random.default_rng(5)
         for _ in range(30):
@@ -95,7 +100,7 @@ class TestSharedProperties:
                          power_max_kw=4.0),
         ]
         config = _config(T=48, cap=9.0)
-        for policy in (equal_sharing, earliest_deadline_first):
+        for policy in (equal_sharing, edf_schedule):
             res = policy(sessions, config, np.zeros(config.horizon_slots))
             for t in range(48):
                 demands = []
@@ -122,7 +127,7 @@ class TestSharedProperties:
         config = _config(cap=24 * 7.5 + 1.0)
         carbon = rng.uniform(0.1, 0.4, size=288)
         es = equal_sharing(sessions, config, carbon)
-        edf = earliest_deadline_first(sessions, config, carbon)
+        edf = edf_schedule(sessions, config, carbon)
         assert es.delivered_kwh(sessions) \
             == pytest.approx(edf.delivered_kwh(sessions), rel=1e-12)
         assert es.emissions_kg == pytest.approx(edf.emissions_kg, rel=1e-12)
@@ -130,7 +135,8 @@ class TestSharedProperties:
 
 @pytest.mark.parametrize("policy,reference", [
     (equal_sharing, loop_equal_sharing),
-    (earliest_deadline_first, loop_earliest_deadline_first),
+    pytest.param(edf_schedule, loop_earliest_deadline_first,
+                 id="earliest_deadline_first-loop_earliest_deadline_first"),
 ])
 def test_bitwise_equal_to_slot_loop_reference(policy, reference):
     # 600 random instances; a third have a station cap below every EV's
@@ -145,6 +151,63 @@ def test_bitwise_equal_to_slot_loop_reference(policy, reference):
     for k, (sessions, price, config) in enumerate(instances):
         got = policy(sessions, config, price)
         want = reference(sessions, config, price)
-        assert np.array_equal(got.power, want.power), k
-        assert np.array_equal(got.soc, want.soc), k
+        assert got.power.tobytes() == want.power.tobytes(), k
+        assert got.soc.tobytes() == want.soc.tobytes(), k
         assert got.objective == want.objective, k
+
+
+@st.composite
+def edf_instances(draw):
+    """A few sessions on a short horizon, listed in no particular order:
+    windows from before slot 0 to past the end, some with no slot in the
+    horizon, from a small set of slots so that (t_depart, t_arrival)
+    pairs tie; ids a permutation of the indices, so the id order is not
+    the list order; small batteries, some within PENDING_EPS of their
+    target; and a station cap from far below one session's limit to
+    above all of them."""
+    T = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 6))
+    ids = draw(st.permutations(range(n)))
+    sessions = []
+    for i in range(n):
+        arrival = draw(st.integers(-2, T + 1))
+        target = draw(st.floats(0.3, 0.9))
+        gap = draw(st.one_of(st.sampled_from([0.0, PENDING_EPS / 2, 2 * PENDING_EPS]),
+                             st.floats(0.0, 0.3)))
+        sessions.append(make_session(
+            f"s{ids[i]}", arrival, draw(st.integers(arrival + 1, T + 3)),
+            soc_arrival=target - gap, soc_target=target,
+            capacity_kwh=draw(st.floats(0.5, 20.0)),
+            power_max_kw=draw(st.floats(0.5, 8.0))))
+    return sessions, draw(st.floats(0.05, 50.0)), T
+
+
+@settings(max_examples=400, deadline=None)
+@given(edf_instances())
+# out of arrival order, with "a" and "b" tied on (t_depart, t_arrival)
+# under a cap below their summed limits, and one window before slot 0
+@example(([make_session("c", 2, 6, 0.2, 0.9, capacity_kwh=2.0, power_max_kw=3.0),
+           make_session("b", 0, 5, 0.2, 0.9, capacity_kwh=2.0, power_max_kw=3.0),
+           make_session("a", 0, 5, 0.2, 0.9, capacity_kwh=2.0, power_max_kw=3.0),
+           make_session("z", -3, 9, 0.1, 0.5, capacity_kwh=4.0, power_max_kw=2.5)],
+          4.0, 6))
+# one session 5e-10 below its target, which EDF counts as finished
+@example(([make_session("near", 0, 3, 0.6 - PENDING_EPS / 2, 0.6),
+           make_session("far", 0, 3, 0.2, 0.6)], 10.0, 3))
+# "late" and then "later" have no slot in the horizon: "late" is named
+@example(([make_session("in", 0, 3, 0.2, 0.6),
+           make_session("late", 4, 6, 0.2, 0.6),
+           make_session("later", 5, 6, 0.2, 0.6)], 10.0, 4))
+def test_edf_is_bytewise_the_slot_loop_reference(instance):
+    sessions, cap, T = instance
+    config, carbon = _config(T=T, cap=cap), np.linspace(0.1, 0.4, T)
+    outside = [s.id for s in sessions if max(s.t_arrival, 0) >= min(s.t_depart, T)]
+    if outside:
+        with pytest.raises(SessionOutsideHorizon) as info:
+            earliest_deadline_first(sessions, config, carbon)
+        assert info.value.session_id == outside[0]
+        return
+    got = edf_schedule(sessions, config, carbon)
+    want = loop_earliest_deadline_first(sessions, config, carbon)
+    assert got.power.tobytes() == want.power.tobytes()
+    assert got.soc.tobytes() == want.soc.tobytes()

@@ -665,6 +665,21 @@ def test_numeric_flag_out_of_range_names_the_flag(tmp_path, capsys, argv, messag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("policy", ["edf", "es"])
+@pytest.mark.parametrize("capacity", ["1e17", "1e300"])
+def test_battery_too_large_to_charge_is_refused(tmp_path, capsys, policy, capacity):
+    # one full-power slot's SoC step rounds away at the target: the run
+    # used to report emissions with no energy delivered
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--policy", policy, "--synth-days", "1",
+                   "--synth-capacity-kwh", capacity, "--out-dir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: session 'synth-0000' violates SoC invariants: "
+                          "a slot at power_max moves the SoC by ")
+    assert "rounds away at target=" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [("simulate", "--policy", "edf"),
                                      ("lambda-sweep", "--lambdas", "0.3")])
 def test_out_dir_under_a_file_names_the_flag(tmp_path, capsys, command):
@@ -1156,6 +1171,7 @@ def test_csv_files_match_loop_writers(tmp_path, monkeypatch, policy, sessions, a
         res = real(block_policy, block, lam, parsed, intensity, *rest)
         runs[block_policy][block[0]] = block[2], res
         plans[block[0]], runs["intensity"] = block, intensity
+        runs["power_cap_kw"] = parsed.power_cap_kw
         if len(rest) == 2:    # the policy's call logs its decisions
             runs["decisions"][block[0]] = rest[1]
         return res
@@ -1172,8 +1188,8 @@ def test_csv_files_match_loop_writers(tmp_path, monkeypatch, policy, sessions, a
     assert (out / "schedule.csv").read_bytes() \
         == loop_schedule_csv(plans, runs[policy]).encode()
     assert (out / "shift.csv").read_bytes() == loop_shift_csv(
-        plans, runs[policy], runs["edf"], intensity,
-        cli._grid_of(intensity).slot_hours).encode()
+        plans, runs[policy], intensity, cli._grid_of(intensity).slot_hours,
+        runs["power_cap_kw"]).encode()
     if policy == "carbon-online":
         assert any(runs["decisions"].values())
         assert (out / "decisions.csv").read_bytes() \

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from carbonsched import errors, ingest
 from carbonsched.timegrid import TimeGrid
 
-from conftest import make_grid
+from conftest import make_grid, make_session
 
 UTC = timezone.utc
 
@@ -203,6 +203,19 @@ class TestParseSessions:
             ingest.parse_sessions(_sessions_csv(
                 ["a,2021-04-01T08:00:00+00:00,2021-04-01T12:00:00+00:00,"
                  "0.7,0.6,50,1.0,7.5,0.9"]), day_grid)
+
+    @pytest.mark.parametrize("capacity", [1e17, 1e300])
+    def test_step_that_rounds_away_at_the_target(self, capacity):
+        # a full-power slot's SoC step, 7.5 * delta / capacity, is below
+        # half an ulp of 0.6, so no schedule could deliver energy
+        with pytest.raises(errors.InvalidSoC, match="'a' .* rounds away at target=0.6"):
+            make_session("a", 0, 12, 0.2, 0.6, capacity_kwh=capacity)
+
+    def test_step_that_rounds_away_with_nothing_to_deliver(self):
+        # at its target the session asks for no energy, so it is kept
+        s = make_session("a", 0, 12, 0.6, 0.6, capacity_kwh=1e300)
+        assert s.capacity_kwh == 1e300
+        assert make_session("b", 0, 12, 0.2, 0.6, capacity_kwh=1e15).capacity_kwh == 1e15
 
     @pytest.mark.parametrize("column", ["capacity_kwh", "soc_max", "power_max_kw",
                                         "efficiency"])

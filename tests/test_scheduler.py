@@ -6,14 +6,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from carbonsched import errors, scheduler
-from carbonsched.baselines import earliest_deadline_first, equal_sharing
+from carbonsched.baselines import equal_sharing
 from carbonsched.ingest import ChargingSession
 from carbonsched.online import PerfectForecaster, run_online
 from carbonsched.scheduler import (StationConfig, build_lp, carbon_schedule,
                                    max_constraint_violation, result_from_power,
                                    select_lambda, solve)
 
-from conftest import duck_curve, flexible_sessions, make_grid, make_session
+from conftest import duck_curve, edf_schedule, flexible_sessions, make_grid, make_session
 from oracles import (brute_force_objective, cheapest_first_then_capped,
                      epigraph_optimum, flow_optimum, linprog_solve, loop_soc_and_gaps,
                      naive_dense_lp, objective_slack, random_instance,
@@ -336,7 +336,7 @@ class TestSolverFreeJudges:
         tariff = np.where(np.arange(T) < 2 * T // 3, 0.25, 0.55)
         others = {
             "es": equal_sharing(sessions, config, carbon),
-            "edf": earliest_deadline_first(sessions, config, carbon),
+            "edf": edf_schedule(sessions, config, carbon),
             "online": run_online(sessions, PerfectForecaster(carbon), carbon, config, T),
             "tou": result_from_power(sessions, solve(build_lp(sessions, tariff, config)),
                                      config, carbon),

@@ -1,9 +1,10 @@
-"""Edge cases of the slot loop, `scheduler.run_slots`, bit for bit against
-the self-contained loop references in oracles.py.
+"""Edge cases of the slot loops, `scheduler.run_slots` and EDF's own in
+`baselines`, byte for byte against the self-contained loop references in
+oracles.py, so a -0.0 where the reference has 0.0 fails too.
 
 Every case lists its sessions out of arrival order, so a loop that kept
-its active set in arrival order, not index order, would split the station
-cap in another order and round differently. The online controller is
+its active set in arrival order, not index order or deadline order,
+would split the station cap in another order and round differently. The online controller is
 checked under a forecast that changes at every call, so it re-solves at
 every pending slot, exactly as the always-re-solve reference does.
 """
@@ -16,7 +17,7 @@ from carbonsched.errors import SessionOutsideHorizon
 from carbonsched.online import PerfectForecaster, run_online
 from carbonsched.scheduler import StationConfig, carbon_schedule
 
-from conftest import make_session
+from conftest import edf_schedule, make_session
 from oracles import (always_resolve_online, loop_earliest_deadline_first,
                      loop_equal_sharing)
 from test_online import DriftingForecaster
@@ -58,15 +59,15 @@ def _carbon():
 
 
 def _assert_bitwise(got, want):
-    np.testing.assert_array_equal(got.power, want.power)
-    np.testing.assert_array_equal(got.soc, want.soc)
+    assert got.power.tobytes() == want.power.tobytes()
+    assert got.soc.tobytes() == want.soc.tobytes()
     assert got.objective == want.objective
 
 
 @pytest.mark.parametrize("cap", [1.1, 3.7, 50.0])
 @pytest.mark.parametrize("policy,reference", [
     (equal_sharing, loop_equal_sharing),
-    (earliest_deadline_first, loop_earliest_deadline_first),
+    (edf_schedule, loop_earliest_deadline_first),
 ], ids=["es", "edf"])
 @pytest.mark.parametrize("case", CASES)
 def test_baseline_matches_loop_reference(case, policy, reference, cap):
