@@ -5,7 +5,7 @@ Subcommands:
   lambda-sweep  emissions / energy-loss trade-off across balanced factors
   forecast      fit the day-ahead intensity model and report held-out error
 
-Exit codes: 0 success, 1 input error, 2 numerical (solver) failure.
+Exit codes: 0 success, 1 input error or out of memory, 2 numerical (solver) failure.
 When --mix/--factors or --sessions are omitted, synthetic data matching
 the built-in generators is used so every subcommand runs standalone.
 """
@@ -211,9 +211,9 @@ def _csv_cell(text: str) -> str:
 def _reprs(values: np.ndarray) -> list[str]:
     """`repr` of each float of `values`, made once per distinct bit
     pattern, so that -0.0 and 0.0 keep their own."""
-    text = {}
-    return [text[b] if b in text else text.setdefault(b, repr(v))
-            for b, v in zip(values.view(np.int64).tolist(), values.tolist())]
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    return list(map([repr(v) for v in bits.view(np.float64).tolist()].__getitem__,
+                    index.tolist()))
 
 
 def _number(flag: str, kind: type, low: float, strict: bool = False):
@@ -259,31 +259,38 @@ def cmd_simulate(args) -> int:
             model, _, _ = forecast.fit(features, seed=args.seed)
 
     adaptive = args.policy == "carbon-adaptive"
-    days, log = {}, ["slot,session_id,power_kw,forecast_c,true_c\n"]
-    rows = ["session_id,slot,power_kw,soc\n"]
-    shift = ["slot,timestamp,policy_kg,baseline_edf_kg\n"]
-    for day, (off, horizon, rel) in plans.items():
+    days, kept = {}, []
+    for day, (off, horizon, rel) in plans.items():    # schedules only
         lam = scheduler.select_lambda(len(rel)) if adaptive else args.lam
         fc = model and online.ModelForecaster(model, intensity, load, sim_start=off)
         decisions = []
         result = _schedule(args.policy, plans[day], lam, args, intensity, fc, decisions)
         days[day] = _outcome(rel, result)
-        ids = [_csv_cell(s.id) for s in rel]
         cvals = intensity.values[off:off + horizon]
         # The reference's power does not depend on its factor.
         edf = result.power if args.policy == "edf" else baselines.earliest_deadline_first(
             rel, scheduler.StationConfig(args.power_cap_kw, grid.slot_hours, args.lam,
                                          horizon), cvals)
-        if decisions:    # as columns: slot, session, power and forecast intensity
-            k, i, u, c = map(np.array, zip(*decisions))
+        owner, slot = scheduler.session_slots(rel, horizon)
+        # One float array per file: a rendered block frees pieces text reuses.
+        kept.insert(0, (off, cvals, [_csv_cell(s.id) for s in rel],
+                        np.array([*zip(*decisions)]).reshape(4, -1),
+                        np.array([owner, slot, result.power[owner, slot],
+                                  result.soc[owner, slot + 1]]),
+                        np.array([cvals * power.sum(axis=0) * grid.slot_hours
+                                  for power in (result.power, edf)])))
+    log = ["slot,session_id,power_kw,forecast_c,true_c\n"]
+    rows = ["session_id,slot,power_kw,soc\n"]
+    shift = ["slot,timestamp,policy_kg,baseline_edf_kg\n"]
+    while kept:    # in day order, each block's columns freed once rendered
+        off, cvals, ids, decisions, schedule, (pol, ref) = kept.pop()
+        if decisions.size:
+            (k, i), (u, c) = decisions[:2].astype(int), decisions[2:]
             log.append("".join(f"{t},{ids[j]},{a},{b},{x}\n" for t, j, a, b, x in zip(
                 (off + k).tolist(), i.tolist(), _reprs(u), _reprs(c), _reprs(cvals[k]))))
-        owner, slot = scheduler.session_slots(rel, horizon)
+        (owner, slot), (power, soc) = schedule[:2].astype(int), schedule[2:]
         rows.append("".join(f"{ids[i]},{off + t},{u},{x}\n" for i, t, u, x in zip(
-            owner.tolist(), slot.tolist(), _reprs(result.power[owner, slot]),
-            _reprs(result.soc[owner, slot + 1]))))
-        pol, ref = (cvals * power.sum(axis=0) * grid.slot_hours
-                    for power in (result.power, edf))
+            owner.tolist(), slot.tolist(), _reprs(power), _reprs(soc))))
         shift.append("".join(
             f"{off + t},{timestamps[off + t].isoformat()},{p!r},{r!r}\n"
             for t, (p, r) in enumerate(zip(pol.tolist(), ref.tolist()))))
@@ -413,6 +420,9 @@ def main(argv=None) -> int:
         return 2
     except (CarbonSchedError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:    # numpy's names the size it asked for
+        print(f"error: out of memory {exc}".rstrip(), file=sys.stderr)
         return 1
 
 

@@ -56,6 +56,9 @@ OVERNIGHT_SESSIONS = (
 OVERNIGHT_INPUT = ("--synth-days", "3", "--sessions", "{tmp}/sessions.csv",
                    "--power-cap-kw", "7.5")
 OVERNIGHT = (*OVERNIGHT_INPUT, "--lambda", "100")
+# The same sessions under ids that CSV must quote: a comma and a quote.
+QUOTED_SESSIONS = OVERNIGHT_SESSIONS.replace("night-a,", '"car,1",').replace(
+    "night-b,", '"say ""hi""",')
 
 # Two days of generation in MW, read through --mix and --factors: solar
 # peaks at 13:00 and the imports turn to exports from 10:00 to 15:00.
@@ -160,6 +163,7 @@ TIED_SESSIONS = ("id,arrival_ts,depart_ts,soc_arrival,soc_target,capacity_kwh\n"
 
 INPUTS = {
     "sessions.csv": OVERNIGHT_SESSIONS, "model_sessions.csv": MODEL_SESSIONS,
+    "quoted_sessions.csv": QUOTED_SESSIONS,
     "mix.csv": MIX, "factors.csv": FACTORS, "mix15.csv": MIX_15,
     "sessions15.csv": SESSIONS_15, "zero_total_mix.csv": ZERO_TOTAL_MIX,
     "one_day_mix.csv": ONE_DAY_MIX, "gas_imports.csv": GAS_IMPORTS,
@@ -187,6 +191,11 @@ RUNS = [
         "--power-cap-kw", "20", "--seed", "1")) for n in ("25", "40")),
     *((f"overnight-{p}", ("simulate", "--policy", p, *OVERNIGHT))
       for p in POLICIES),
+    # Ids that decisions.csv and schedule.csv quote.
+    ("overnight-quoted-ids-carbon-online",
+     ("simulate", "--policy", "carbon-online", "--synth-days", "3",
+      "--sessions", "{tmp}/quoted_sessions.csv", "--power-cap-kw", "7.5",
+      "--lambda", "100")),
     ("mix-files-carbon-offline",
      ("simulate", "--policy", "carbon-offline", *FILES)),
     ("mix-files-carbon-offline-exclude-negative",

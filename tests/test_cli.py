@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carbonsched import cli, forecast, ingest, online, scheduler
@@ -562,6 +562,45 @@ def test_solver_failure_exits_2(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert "error: LP solver failed: Infeasible" in err
     assert "Traceback" not in err
+
+
+def test_out_of_memory_exits_1_without_a_traceback(tmp_path, capsys, monkeypatch):
+    # the MemoryError is raised by a stand-in, not by allocating memory
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_schedule", exhausted)
+    out = tmp_path / "out"
+    code = run_cli("simulate", "--policy", "carbon-offline", "--synth-days", "1",
+                   "--synth-sessions-per-day", "3", "--out-dir", str(out))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: out of memory")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+# Signed zeros, the least subnormal and a larger one, the least normal, the
+# largest finite magnitudes and values whose repr needs 17 digits.
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.5e-310, 2.2250738585072014e-308,
+                1.7e308, -1.7e308, 1.7976931348623157e308, 0.1, 1 / 3, -2.5)
+
+
+@st.composite
+def _float_columns(draw):
+    """A float64 column drawn from a few values, so most of them repeat."""
+    pool = draw(st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats()),
+                         min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=300))
+    return np.array([pool[j] for j in picks], dtype=np.float64)
+
+
+@settings(max_examples=200, deadline=None)
+@example(values=np.zeros(0))
+@example(values=np.array(_EDGE_FLOATS * 40))
+@given(values=_float_columns())
+def test_reprs_is_the_repr_of_each_float(values):
+    assert cli._reprs(values) == [repr(x) for x in values.tolist()]
 
 
 def test_quoted_session_ids_keep_four_cells(tmp_path):
