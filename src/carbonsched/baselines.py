@@ -3,24 +3,22 @@
 Each slot a rule splits the station cap among the pending sessions,
 granting no session more than its per-EV limit or the power that reaches
 its target SoC in that slot, so neither rule violates a limit or
-overshoots a target. Equal sharing is an allocation rule over
-`scheduler.run_slots`, the slot loop that also drives the online
-controller, and returns a ScheduleResult. Earliest deadline first has a
-slot loop of its own, which keeps the active sessions in deadline order
-and returns only the power matrix, as `scheduler.solve` does; the CLI's
-`shift.csv` reference reads its station power and builds no SoC.
+overshoots a target. Both walk `scheduler.active_sets`, as the online
+controller does. Equal sharing walks the sessions in index order and
+returns a ScheduleResult. Earliest deadline first walks them in deadline
+order and returns only the power matrix, as `scheduler.solve` does; the
+CLI's `shift.csv` reference reads its station power and builds no SoC.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from typing import Sequence
 
 import numpy as np
 
-from .errors import SessionOutsideHorizon
 from .ingest import ChargingSession
-from .scheduler import PENDING_EPS, ScheduleResult, StationConfig, run_slots
+from .scheduler import (PENDING_EPS, ScheduleResult, StationConfig, _windows,
+                        active_sets, result_from_power)
 
 _EPS = 1e-12
 
@@ -54,10 +52,16 @@ def equal_sharing(sessions: Sequence[ChargingSession], config: StationConfig,
                   carbon: np.ndarray) -> ScheduleResult:
     """Each slot, divide the station cap equally among pending sessions by
     water-filling over their per-slot caps."""
-    def decide(t, active, pending, soc):
-        return pending, _water_fill(config.power_cap_kw,
-                                    [_cap(sessions[i], soc[i]) for i in pending])
-    return run_slots(sessions, config, carbon, decide)
+    power = np.zeros((len(sessions), len(carbon)))
+    soc = [s.soc_arrival for s in sessions]
+    done = [s.soc_target - PENDING_EPS for s in sessions]
+    for t, active in active_sets(sessions, len(carbon)):
+        pending = [i for i in active if soc[i] < done[i]]
+        caps = [_cap(sessions[i], soc[i]) for i in pending]
+        for i, u in zip(pending, _water_fill(config.power_cap_kw, caps)):
+            power[i, t] = u
+            soc[i] += u * sessions[i].delta / sessions[i].capacity_kwh
+    return result_from_power(sessions, power, config, carbon)
 
 
 def earliest_deadline_first(sessions: Sequence[ChargingSession],
@@ -67,33 +71,21 @@ def earliest_deadline_first(sessions: Sequence[ChargingSession],
     pending sessions their per-slot cap in deadline order (ties: arrival,
     then id) until the station budget is exhausted.
 
-    The active sessions are kept by rank in that order: a session enters
-    at max(t_arrival, 0) and, as its deadline puts it first, leaves from
-    the front at t_depart. Grants and SoC steps round as in `run_slots`.
-    Raises SessionOutsideHorizon for the first session, in index order,
-    with no slot in the horizon.
+    The walk runs over the sessions ranked in that order, so each slot's
+    active list is in deadline order. Grants and SoC steps round as in
+    `equal_sharing`. Raises SessionOutsideHorizon for the first session,
+    in index order, with no slot in the horizon.
     """
     T = len(carbon)
-    for s in sessions:
-        if max(s.t_arrival, 0) >= min(s.t_depart, T):
-            raise SessionOutsideHorizon(s.id)
+    _windows(sessions, T)   # names the first such session in index order
     order = sorted(range(len(sessions)), key=lambda i: (
         sessions[i].t_depart, sessions[i].t_arrival, sessions[i].id))
     ranked = [sessions[i] for i in order]
-    depart = [s.t_depart for s in ranked]
     limits = [(s.power_max_kw, s.soc_target, s.capacity_kwh, s.delta,
                s.soc_target - PENDING_EPS) for s in ranked]
     soc = [s.soc_arrival for s in ranked]
-    enter: dict[int, list[int]] = {}
-    for r, s in enumerate(ranked):
-        enter.setdefault(max(s.t_arrival, 0), []).append(r)
     rows, cols, grants = [], [], []
-    active: list[int] = []
-    for t in range(T):
-        while active and depart[active[0]] <= t:
-            del active[0]
-        for r in enter.get(t, ()):
-            insort(active, r)
+    for t, active in active_sets(ranked, T):
         budget = config.power_cap_kw
         for r in active:
             power_max, target, capacity, delta, done = limits[r]

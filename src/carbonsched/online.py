@@ -1,11 +1,11 @@
 """Rolling-horizon real-time scheduling.
 
-The controller is a plan-following rule over `scheduler.run_slots`, the
-slot loop equal sharing shares. At each pending slot it sees only the
-sessions that have already arrived and a forecast of carbon intensity
-over the lookahead window, cut at the run's end and at the latest
-departure of those sessions, and it hands the stepper one slot of a
-charging plan to apply. The plan is re-solved when a session has arrived
+The controller walks `scheduler.active_sets`, as the baselines do. At
+each slot with a pending session it sees only the sessions that have
+already arrived and a forecast of carbon intensity over the lookahead
+window, cut at the run's end and at the latest departure of those
+sessions, and it applies one slot of a charging plan to every session
+present. The plan is re-solved when a session has arrived
 or the forecast has changed since the last solve; otherwise the rest of
 the last plan is still optimal (principle of optimality) and the
 controller follows it. Realized emissions are always accounted against
@@ -23,8 +23,8 @@ from .carbon import CarbonIntensitySeries
 from .errors import ForecastUnavailable, NumericalFailure
 from .forecast import ForecastModel, _base_columns, check_same_grid, rollout
 from .ingest import ChargingSession, LoadForecastSeries
-from .scheduler import (ScheduleResult, SessionArrays, StationConfig, build_lp,
-                        run_slots, solve)
+from .scheduler import (PENDING_EPS, ScheduleResult, SessionArrays, StationConfig,
+                        active_sets, build_lp, result_from_power, solve)
 
 
 class Forecaster(Protocol):
@@ -159,7 +159,7 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
 
     Each re-solve at slot k looks config.horizon_slots ahead, cut at
     total_slots, and at the latest departure of the sessions active at k
-    but no nearer than k + 2 (see `decide`). It plans a session that
+    but no nearer than k + 2 (see below). It plans a session that
     departs later as if it left at the window's end. The LP keeps its zero
     pad to config.horizon_slots, and no column reads a slot past that
     departure, so the cut changes none of its costs. Each session's
@@ -178,10 +178,13 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
         raise ValueError("need true carbon for every simulated slot")
     T = config.horizon_slots
     table = _SessionTable.of(sessions)
+    power = np.zeros((len(sessions), total_slots))
+    soc = [s.soc_arrival for s in sessions]
+    done = [s.soc_target - PENDING_EPS for s in sessions]
     plan: _Plan | None = None
-
-    def decide(k, active, pending, soc):
-        nonlocal plan
+    for k, active in active_sets(sessions, total_slots):
+        if not any(soc[i] < done[i] for i in active):
+            continue
         # No column reads a slot past the latest active departure. The floor
         # of 2 keeps every window a bitwise prefix of the longest one at k:
         # numpy's one-row product `cols @ beta` in `forecast.rollout` rounds
@@ -206,6 +209,7 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
             step = planned[:, 0]
         if decisions is not None:
             decisions.extend((k, i, u, window[0]) for i, u in zip(active, step))
-        return active, step
-
-    return run_slots(sessions, config, true_carbon[:total_slots], decide)
+        for i, u in zip(active, step):
+            power[i, k] = u
+            soc[i] += u * sessions[i].delta / sessions[i].capacity_kwh
+    return result_from_power(sessions, power, config, true_carbon[:total_slots])

@@ -9,7 +9,7 @@ library's objective. The online reference reuses the library's LP but
 re-solves at every pending slot, so it checks when the online controller
 may skip a solve. The baseline references are self-contained slot loops
 for equal sharing and earliest deadline first, which the library's equal
-sharing over `scheduler.run_slots` and its own EDF loop must match bit
+sharing and EDF, each a walk of `scheduler.active_sets`, must match bit
 for bit. The LP reference solves through scipy's public `linprog`, on the
 scipy.sparse matrix that `scipy_matrix` rebuilds from the library's CSC
 arrays, and the SoC reference expands a power matrix one session at a

@@ -45,6 +45,13 @@ SYNTH = ("--synth-days", "2", "--synth-sessions-per-day", "8",
          "--synth-capacity-kwh", "5", "--power-cap-kw", "20",
          "--seed", "1")
 
+# 24 sessions a day with 3 kWh batteries under a 6 kW cap, below the
+# sessions' summed limits: the cap binds, and at some of its slots
+# water-filling hands the share of a nearly full battery to the others.
+BINDING_CAP = ("--synth-days", "2", "--synth-sessions-per-day", "24",
+               "--synth-capacity-kwh", "3", "--power-cap-kw", "6",
+               "--lambda", "100", "--seed", "1")
+
 # Three days with sessions that cross midnight into the next day, against a
 # cap one session can fill on its own.
 OVERNIGHT_SESSIONS = (
@@ -191,6 +198,9 @@ RUNS = [
         "--power-cap-kw", "20", "--seed", "1")) for n in ("25", "40")),
     *((f"overnight-{p}", ("simulate", "--policy", p, *OVERNIGHT))
       for p in POLICIES),
+    # Each of these runs' max_slot_kw line reads the cap, 6.
+    *((f"binding-cap-{p}", ("simulate", "--policy", p, *BINDING_CAP))
+      for p in ("es", "edf", "carbon-online")),
     # Ids that decisions.csv and schedule.csv quote.
     ("overnight-quoted-ids-carbon-online",
      ("simulate", "--policy", "carbon-online", "--synth-days", "3",

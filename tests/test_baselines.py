@@ -182,32 +182,54 @@ def edf_instances(draw):
     return sessions, draw(st.floats(0.05, 50.0)), T
 
 
-@settings(max_examples=400, deadline=None)
-@given(edf_instances())
-# out of arrival order, with "a" and "b" tied on (t_depart, t_arrival)
-# under a cap below their summed limits, and one window before slot 0
-@example(([make_session("c", 2, 6, 0.2, 0.9, capacity_kwh=2.0, power_max_kw=3.0),
-           make_session("b", 0, 5, 0.2, 0.9, capacity_kwh=2.0, power_max_kw=3.0),
-           make_session("a", 0, 5, 0.2, 0.9, capacity_kwh=2.0, power_max_kw=3.0),
-           make_session("z", -3, 9, 0.1, 0.5, capacity_kwh=4.0, power_max_kw=2.5)],
-          4.0, 6))
-# one session 5e-10 below its target, which EDF counts as finished
-@example(([make_session("near", 0, 3, 0.6 - PENDING_EPS / 2, 0.6),
-           make_session("far", 0, 3, 0.2, 0.6)], 10.0, 3))
-# "late" and then "later" have no slot in the horizon: "late" is named
-@example(([make_session("in", 0, 3, 0.2, 0.6),
-           make_session("late", 4, 6, 0.2, 0.6),
-           make_session("later", 5, 6, 0.2, 0.6)], 10.0, 4))
-def test_edf_is_bytewise_the_slot_loop_reference(instance):
+def _slot_loop_examples(test):
+    """The explicit examples of the slot-loop properties below."""
+    for instance in (
+        # out of arrival order, with "a" and "b" tied on (t_depart, t_arrival)
+        # under a cap below their summed limits, and one window before slot 0
+        ([make_session("c", 2, 6, 0.2, 0.9, capacity_kwh=2.0, power_max_kw=3.0),
+          make_session("b", 0, 5, 0.2, 0.9, capacity_kwh=2.0, power_max_kw=3.0),
+          make_session("a", 0, 5, 0.2, 0.9, capacity_kwh=2.0, power_max_kw=3.0),
+          make_session("z", -3, 9, 0.1, 0.5, capacity_kwh=4.0, power_max_kw=2.5)],
+         4.0, 6),
+        # one session 5e-10 below its target, which the loops count as finished
+        ([make_session("near", 0, 3, 0.6 - PENDING_EPS / 2, 0.6),
+          make_session("far", 0, 3, 0.2, 0.6)], 10.0, 3),
+        # "late" and then "later" have no slot in the horizon: "late" is named
+        ([make_session("in", 0, 3, 0.2, 0.6),
+          make_session("late", 4, 6, 0.2, 0.6),
+          make_session("later", 5, 6, 0.2, 0.6)], 10.0, 4),
+    ):
+        test = example(instance)(test)
+    return test
+
+
+def _assert_bytewise_or_refused(policy, reference, instance):
+    """`policy` writes the bytes of `reference`, or, when some session has
+    no slot in the horizon, refuses the first such one in index order."""
     sessions, cap, T = instance
     config, carbon = _config(T=T, cap=cap), np.linspace(0.1, 0.4, T)
     outside = [s.id for s in sessions if max(s.t_arrival, 0) >= min(s.t_depart, T)]
     if outside:
         with pytest.raises(SessionOutsideHorizon) as info:
-            earliest_deadline_first(sessions, config, carbon)
+            policy(sessions, config, carbon)
         assert info.value.session_id == outside[0]
         return
-    got = edf_schedule(sessions, config, carbon)
-    want = loop_earliest_deadline_first(sessions, config, carbon)
+    got = policy(sessions, config, carbon)
+    want = reference(sessions, config, carbon)
     assert got.power.tobytes() == want.power.tobytes()
     assert got.soc.tobytes() == want.soc.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(edf_instances())
+@_slot_loop_examples
+def test_edf_is_bytewise_the_slot_loop_reference(instance):
+    _assert_bytewise_or_refused(edf_schedule, loop_earliest_deadline_first, instance)
+
+
+@settings(max_examples=400, deadline=None)
+@given(edf_instances())
+@_slot_loop_examples
+def test_equal_sharing_is_bytewise_the_slot_loop_reference(instance):
+    _assert_bytewise_or_refused(equal_sharing, loop_equal_sharing, instance)

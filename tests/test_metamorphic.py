@@ -3,6 +3,8 @@ that must not move some of their outputs, compared byte for byte, for every
 policy on small seeded inputs.
 
 - Shuffling the data rows of sessions.csv leaves every output file as it was.
+- So does writing sessions.csv another way that CSV allows: CRLF line ends,
+  a leading byte order mark, an unknown extra column, or every cell quoted.
 - Dropping one block's sessions leaves every other block's rows of
   schedule.csv, decisions.csv and shift.csv as they were.
 """
@@ -57,11 +59,33 @@ def _csv_row(session: tuple) -> str:
     return f"{cell},{_stamp(a)},{_stamp(d)},{rest}\n"
 
 
-def _run(policy: str, sessions: list[tuple]) -> dict[str, bytes]:
-    """Every output file of `simulate --policy policy` on `sessions`."""
+def _spellings(sessions: list[tuple]) -> dict[str, str]:
+    """sessions.csv for `sessions`, written in each of the other ways."""
+    header = HEADER.rstrip("\n").split(",")
+    rows = [next(csv.reader([_csv_row(s)])) for s in sessions]
+
+    def text(table, end="\n", quote=False):
+        def cell(c):
+            return '"' + c.replace('"', '""') + '"' if quote or "," in c else c
+        return "".join(",".join(map(cell, row)) + end for row in table)
+
+    plain = [header, *rows]
+    return {"crlf": text(plain, end="\r\n"),
+            "bom": "\ufeff" + text(plain),
+            # second, so that every later column moves
+            "extra-column": text([[r[0], note, *r[1:]] for r, note in zip(
+                plain, ["note", *(f"seen {k}, then" for k in range(len(rows)))])]),
+            "quoted": text(plain, quote=True)}
+
+
+def _run(policy: str, sessions: list[tuple] | str) -> dict[str, bytes]:
+    """Every output file of `simulate --policy policy` on `sessions`, or
+    on that text of sessions.csv."""
+    if not isinstance(sessions, str):
+        sessions = HEADER + "".join(map(_csv_row, sessions))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "sessions.csv"
-        path.write_text(HEADER + "".join(map(_csv_row, sessions)))
+        path.write_bytes(sessions.encode())
         assert main(["simulate", "--policy", policy, "--synth-days", str(N_DAYS),
                      "--seed", "3", "--sessions", str(path), "--power-cap-kw", "10",
                      "--lambda", "100", "--out-dir", str(Path(tmp) / "out")]) == 0
@@ -82,6 +106,16 @@ def test_shuffled_sessions_write_the_same_files(policy, seed, order):
     shuffled = sessions[:]
     order.shuffle(shuffled)
     assert _run(policy, shuffled) == _run(policy, sessions)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_sessions_csv_written_another_way_writes_the_same_files(policy, seed):
+    sessions = [s for block in _blocks(seed) for s in block]
+    want = _run(policy, sessions)
+    for name, text in _spellings(sessions).items():
+        assert _run(policy, text) == want, name
 
 
 @pytest.mark.parametrize("policy", POLICIES)

@@ -145,13 +145,13 @@ class TestRunOnline:
         # every re-solve hands back its power matrix; only the whole run
         # is expanded into a ScheduleResult
         grid, ci = day
-        real, records = scheduler.result_from_power, []
+        real, records = online.result_from_power, []
 
         def counting(*args):
             records.append(None)
             return real(*args)
 
-        monkeypatch.setattr(scheduler, "result_from_power", counting)
+        monkeypatch.setattr(online, "result_from_power", counting)
         fc = DriftingForecaster(ci.values)
         run_online(flexible_sessions(grid, 4, seed=31), fc, ci.values, _config(), 288)
         assert fc.calls > 1

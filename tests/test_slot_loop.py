@@ -1,6 +1,7 @@
-"""Edge cases of the slot loops, `scheduler.run_slots` and EDF's own in
-`baselines`, byte for byte against the self-contained loop references in
-oracles.py, so a -0.0 where the reference has 0.0 fails too.
+"""Edge cases of the slot loops, equal sharing, EDF and the online
+controller, each a walk of `scheduler.active_sets`, byte for byte against
+the self-contained loop references in oracles.py, so a -0.0 where the
+reference has 0.0 fails too.
 
 Every case lists its sessions out of arrival order, so a loop that kept
 its active set in arrival order, not index order or deadline order,
@@ -99,8 +100,12 @@ def test_online_matches_always_resolve(case, cap):
 ], ids=["es", "edf", "online", "offline"])
 def test_session_outside_the_horizon_is_refused(schedule):
     # Every policy refuses a session with no slot in its horizon, rather
-    # than returning it unserved.
-    sessions = [_s("in", 2, 8, 1.0), _s("out", T + 2, T + 8, 1.0)]
-    with pytest.raises(SessionOutsideHorizon) as info:
-        schedule(sessions, _config(3.7), _carbon())
-    assert info.value.session_id == "out"
+    # than returning it unserved, and names the first such session in index
+    # order, also when the deadline order puts another one first.
+    for sessions, named in (
+            ([_s("in", 2, 8, 1.0), _s("out", T + 2, T + 8, 1.0)], "out"),
+            ([_s("in", 2, 8, 1.0), _s("out-late", T + 2, T + 9, 1.0),
+              _s("out-early", T + 1, T + 3, 1.0)], "out-late")):
+        with pytest.raises(SessionOutsideHorizon) as info:
+            schedule(sessions, _config(3.7), _carbon())
+        assert info.value.session_id == named
