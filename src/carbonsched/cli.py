@@ -139,7 +139,7 @@ def _day_plans(sessions, grid: TimeGrid) -> dict[int, tuple[int, int, list]]:
     return plans
 
 
-def _tou_price(tariff: np.ndarray, sessions, lam: float,
+def _tou_price(tariff: np.ndarray, g: np.ndarray, lam: float,
                slot_hours: float) -> np.ndarray:
     """`tariff` plus a term that rises by slot, so that among slots of
     equal tariff the LP charges the earlier first.
@@ -156,7 +156,6 @@ def _tou_price(tariff: np.ndarray, sessions, lam: float,
     a day holds for m above 6.9e-6 $/kWh.
     """
     levels = np.unique(tariff)
-    g = np.array([s.delta / s.capacity_kwh for s in sessions])
     gaps = np.abs(np.concatenate([np.diff(levels),
                                   (levels[:, None] - lam * g / slot_hours).ravel()]))
     m = gaps[gaps > 0].min(initial=1.0)    # no non-zero gap: any m will do
@@ -180,8 +179,9 @@ def _schedule(policy, block, lam, args, intensity, forecaster=None, log=None):
     if policy == "tou":
         tariff = np.array([TOU_PEAK if ts.hour >= 16 else TOU_OFFPEAK
                            for ts in intensity.timestamps[off:off + horizon]])
+        table = scheduler.SessionArrays.of(rel, horizon)
         power = scheduler.solve(scheduler.build_lp(
-            rel, _tou_price(tariff, rel, lam, grid.slot_hours), config))
+            table, _tou_price(tariff, table.g, lam, grid.slot_hours), config))
         return scheduler.result_from_power(rel, power, config, cvals)
     if policy in ("carbon-offline", "carbon-adaptive"):
         return scheduler.carbon_schedule(rel, cvals, config)

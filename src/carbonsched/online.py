@@ -8,14 +8,16 @@ sessions, and it applies one slot of a charging plan to every session
 present. The plan is re-solved when a session has arrived
 or the forecast has changed since the last solve; otherwise the rest of
 the last plan is still optimal (principle of optimality) and the
-controller follows it. Realized emissions are always accounted against
-the true intensity; forecasts drive decisions only.
+controller follows it. Each re-plan's LP is built from the run's one
+`SessionArrays` table, its active rows re-based to the slot with array
+operations. Realized emissions are always accounted against the true
+intensity; forecasts drive decisions only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -86,40 +88,22 @@ class ModelForecaster:
                        self._base[k:k + horizon], self.carbon.slot_minutes)
 
 
-class _SessionTable(NamedTuple):
-    """What a re-plan reads of each session, entry i for session i: its
-    departure slot, target SoC, soc_max, g = delta / capacity_kwh and
-    power limit in kW."""
-
-    depart: np.ndarray
-    target: np.ndarray
-    soc_max: np.ndarray
-    g: np.ndarray
-    power_max: np.ndarray
-
-    @classmethod
-    def of(cls, sessions: Sequence[ChargingSession]) -> _SessionTable:
-        return cls(np.array([s.t_depart for s in sessions], dtype=int),
-                   np.array([s.soc_target for s in sessions], dtype=float),
-                   np.array([s.soc_max for s in sessions], dtype=float),
-                   np.array([s.delta / s.capacity_kwh for s in sessions], dtype=float),
-                   np.array([s.power_max_kw for s in sessions], dtype=float))
-
-    def relative(self, k: int, h: int, active: list[int],
-                 soc: Sequence[float]) -> SessionArrays:
-        """The `SessionArrays` of the sessions `active` at slot k, each as
-        if it arrived at k with SoC soc[i] and left by k + h. Against float
-        drift the SoC is clipped to soc_max, and the target to between the
-        SoC and soc_max, so that no request is negative."""
-        a = np.array(active, dtype=int)
-        soc_max = self.soc_max[a]
-        # numpy's minimum and maximum return their second operand on a tie,
-        # Python's min and max their first: the operands are swapped so that
-        # 0.0 and -0.0 tie as min(soc, soc_max) and max(target, soc) have it.
-        x = np.minimum(soc_max, [soc[i] for i in active])
-        return SessionArrays(np.zeros(len(a), dtype=int), np.minimum(self.depart[a] - k, h),
-                             self.g[a], np.minimum(soc_max, np.maximum(x, self.target[a])) - x,
-                             self.power_max[a])
+def _relative(table: SessionArrays, k: int, h: int, active: list[int],
+              soc: Sequence[float]) -> SessionArrays:
+    """The `SessionArrays` of the sessions `active` at slot k, read from the
+    run's `table`, each as if it arrived at k with SoC soc[i] and left by
+    k + h. Against float drift the SoC is clipped to soc_max, and the
+    target to between the SoC and soc_max, so that no request is negative.
+    With h <= the table's horizon - k, min(hi - k, h) is min(t_depart - k, h)."""
+    a = np.array(active, dtype=int)
+    soc_max = table.soc_max[a]
+    # numpy's minimum and maximum return their second operand on a tie,
+    # Python's min and max their first: the operands are swapped so that
+    # 0.0 and -0.0 tie as min(soc, soc_max) and max(target, soc) have it.
+    x = np.minimum(soc_max, [soc[i] for i in active])
+    return SessionArrays(np.zeros(len(a), dtype=int), np.minimum(table.hi[a] - k, h), x,
+                         np.minimum(soc_max, np.maximum(x, table.target[a])), soc_max,
+                         table.g[a], table.power_max[a])
 
 
 @dataclass(frozen=True)
@@ -162,10 +146,10 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
     but no nearer than k + 2 (see below). It plans a session that
     departs later as if it left at the window's end. The LP keeps its zero
     pad to config.horizon_slots, and no column reads a slot past that
-    departure, so the cut changes none of its costs. Each session's
-    departure, target, soc_max, g and power limit are read into arrays
-    once per run, and a re-solve hands `build_lp` the active sessions'
-    `SessionArrays`, clipped with array operations.
+    departure, so the cut changes none of its costs. The sessions are
+    read into one `SessionArrays` table once per run, with the windows
+    that `active_sets` walks, and a re-solve hands `build_lp` the active
+    sessions' rows of it re-based to k (`_relative`).
     The returned schedule spans the full simulation and its emissions use
     `true_carbon`. If `decisions` is given, each decision is appended to it
     as (slot, session index, power_kw, forecast intensity of the slot). A
@@ -177,7 +161,7 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
     if total_slots < 1 or len(true_carbon) < total_slots:
         raise ValueError("need true carbon for every simulated slot")
     T = config.horizon_slots
-    table = _SessionTable.of(sessions)
+    table = SessionArrays.of(sessions, total_slots)
     power = np.zeros((len(sessions), total_slots))
     soc = [s.soc_arrival for s in sessions]
     done = [s.soc_target - PENDING_EPS for s in sessions]
@@ -201,7 +185,7 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
             # them the vertex HiGHS picks when a re-plan ties (ROADMAP item 11).
             price = np.concatenate([window, np.zeros(T - h)])
             try:
-                planned = solve(build_lp(table.relative(k, h, active, soc), price, config))
+                planned = solve(build_lp(_relative(table, k, h, active, soc), price, config))
             except NumericalFailure as exc:
                 exc.slot, exc.where = k, f"slot {k}"
                 raise

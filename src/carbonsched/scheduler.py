@@ -17,8 +17,9 @@ when the cap would bind, or a request is negative, HiGHS solves the LP.
 On tied costs the two can return different optimal vertices.
 
 `session_slots` maps LP columns to (session, slot) pairs for the LP, its
-solution and the CLI's schedule.csv. `build_lp` takes the sessions or
-their `SessionArrays`, which the online controller hands it for each
+solution and the CLI's schedule.csv. `build_lp` reads the sessions through
+`SessionArrays.of`, the one reader of a session list into the LP's
+columns, or takes a table that the online controller derives for each
 re-plan. An `LpInstance` keeps each column's SoC-row entry `g`; its
 `a_ub`, the CSC matrix HiGHS is given, is built when first read, so an
 LP the screen answers never builds it. The slot-loop policies, equal
@@ -176,15 +177,28 @@ class LpInstance:
 
 
 class SessionArrays(NamedTuple):
-    """Sessions as the arrays `build_lp` reads, entry i for session i: its
-    window of slots [lo, hi), its g = delta / capacity_kwh, its request
-    soc_target - soc_arrival and its power limit in kW."""
+    """A session list as the columns `build_lp` reads, entry i for session
+    i: its window of slots [lo, hi), its SoC and target SoC, soc_max,
+    g = delta / capacity_kwh and power limit in kW."""
 
     lo: np.ndarray
     hi: np.ndarray
+    soc: np.ndarray
+    target: np.ndarray
+    soc_max: np.ndarray
     g: np.ndarray
-    request: np.ndarray
     power_max: np.ndarray
+
+    @classmethod
+    def of(cls, sessions: Sequence[ChargingSession], horizon: int) -> SessionArrays:
+        """The table of `sessions`, windows clipped to the horizon and SoC
+        at arrival. Raises SessionOutsideHorizon through `_windows`."""
+        return cls(*_windows(sessions, horizon),
+                   np.array([s.soc_arrival for s in sessions], dtype=float),
+                   np.array([s.soc_target for s in sessions], dtype=float),
+                   np.array([s.soc_max for s in sessions], dtype=float),
+                   np.array([s.delta / s.capacity_kwh for s in sessions], dtype=float),
+                   np.array([s.power_max_kw for s in sessions], dtype=float))
 
 
 def _windows(sessions: Sequence[ChargingSession],
@@ -223,24 +237,19 @@ def build_lp(sessions: Sequence[ChargingSession] | SessionArrays, price: np.ndar
     `SessionArrays`, over the slots of `price`."""
     price = np.asarray(price, dtype=float)
     T = len(price)
-    if not isinstance(sessions, SessionArrays):
-        sessions = SessionArrays(
-            *_windows(sessions, T),
-            np.array([s.delta / s.capacity_kwh for s in sessions], dtype=float),
-            np.array([s.soc_target - s.soc_arrival for s in sessions], dtype=float),
-            np.array([s.power_max_kw for s in sessions], dtype=float))
-    owner, slot = _columns(sessions.lo, sessions.hi)
-    g = sessions.g[owner]
+    table = sessions if isinstance(sessions, SessionArrays) else SessionArrays.of(sessions, T)
+    owner, slot = _columns(table.lo, table.hi)
+    g = table.g[owner]
 
-    # Each unit of SoC delivered cuts the shortfall lam * (request - g sum(u)).
+    # Each unit of SoC delivered cuts the shortfall lam * (target - soc - g sum(u)).
     c = price[slot] * config.slot_hours - config.lam * g
 
-    # Rows: the SoC cap g * sum(u) <= soc_target - soc_arrival, one per
-    # session (u >= 0, so it bounds every partial sum too); the station
-    # cap, one row per slot (kept even when no session is active).
-    b = np.concatenate([sessions.request, np.full(T, float(config.power_cap_kw))])
-    return LpInstance(c=c, g=g, b_ub=b, upper=sessions.power_max[owner],
-                      owner=owner, slot=slot, shape=(len(sessions.g), T))
+    # Rows: the SoC cap g * sum(u) <= target - soc, one per session (u >= 0,
+    # so it bounds every partial sum too); the station cap, one row per
+    # slot (kept even when no session is active).
+    b = np.concatenate([table.target - table.soc, np.full(T, float(config.power_cap_kw))])
+    return LpInstance(c=c, g=g, b_ub=b, upper=table.power_max[owner],
+                      owner=owner, slot=slot, shape=(len(table.g), T))
 
 
 def _require_finite(lp: LpInstance) -> None:

@@ -198,9 +198,10 @@ RUNS = [
         "--power-cap-kw", "20", "--seed", "1")) for n in ("25", "40")),
     *((f"overnight-{p}", ("simulate", "--policy", p, *OVERNIGHT))
       for p in POLICIES),
-    # Each of these runs' max_slot_kw line reads the cap, 6.
+    # Each of these runs' max_slot_kw line reads the cap, 6, and the LPs
+    # of the last two are solved by HiGHS, as the screen finds the cap binds.
     *((f"binding-cap-{p}", ("simulate", "--policy", p, *BINDING_CAP))
-      for p in ("es", "edf", "carbon-online")),
+      for p in ("es", "edf", "carbon-online", "tou", "carbon-offline")),
     # Ids that decisions.csv and schedule.csv quote.
     ("overnight-quoted-ids-carbon-online",
      ("simulate", "--policy", "carbon-online", "--synth-days", "3",

@@ -1057,7 +1057,8 @@ class TestTouTieBreak:
                                                              highs_runs):
         sessions = [make_session("a", 2, 20, 0.2, 0.6), make_session("b", 0, 12, 0.3, 0.5)]
         T, h, lam = 24, 5 / 60, 8.0
-        lp = build_lp(sessions, cli._tou_price(np.full(T, 0.3), sessions, lam, h),
+        g = np.array([s.delta / s.capacity_kwh for s in sessions])
+        lp = build_lp(sessions, cli._tou_price(np.full(T, 0.3), g, lam, h),
                       scheduler.StationConfig(20.0, h, lam, T))
         expected = np.zeros((2, T))
         for i, s in enumerate(sessions):
@@ -1082,7 +1083,8 @@ class TestTouTieBreak:
         h, T = 5 / 60, DAY_SLOTS
         tariff = np.where(np.arange(T) < 16 * 12, cli.TOU_OFFPEAK, cli.TOU_PEAK)
         sessions = [make_session(f"s{i}", capacity_kwh=c) for i, c in enumerate(capacities)]
-        price = cli._tou_price(tariff, sessions, lam, h)
+        price = cli._tou_price(tariff, np.array([s.delta / s.capacity_kwh
+                                                 for s in sessions]), lam, h)
         earlier = np.arange(T)[:, None] < np.arange(T)[None, :]
         for s in sessions:
             g = s.delta / s.capacity_kwh

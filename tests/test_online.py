@@ -12,8 +12,8 @@ from carbonsched.errors import (ForecastUnavailable, GridMismatch,
                                 NumericalFailure)
 from carbonsched.ingest import LoadForecastSeries
 from carbonsched.online import ModelForecaster, PerfectForecaster, run_online
-from carbonsched.scheduler import (StationConfig, build_lp, carbon_schedule,
-                                   max_constraint_violation)
+from carbonsched.scheduler import (SessionArrays, StationConfig, build_lp,
+                                   carbon_schedule, max_constraint_violation)
 
 from conftest import duck_curve, flexible_sessions, make_grid, make_session
 from oracles import always_resolve_online, relative_sessions, terminal_gaps
@@ -381,10 +381,10 @@ def _lp_arrays(lp):
             "slot": lp.slot, "data": a.data, "indices": a.indices, "indptr": a.indptr}
 
 
-def _assert_replan_lp_as_replaced(sessions, active, soc, k, h, price, config):
-    # the re-plan's LP from arrays is, bit for bit, `build_lp` over the
-    # sessions re-based to k one `replace` at a time
-    got = build_lp(online._SessionTable.of(sessions).relative(k, h, active, soc),
+def _assert_replan_lp_as_replaced(sessions, active, soc, k, h, price, config, total):
+    # the re-plan's LP from the run's table over `total` slots is, bit for
+    # bit, `build_lp` over the sessions re-based to k one `replace` at a time
+    got = build_lp(online._relative(SessionArrays.of(sessions, total), k, h, active, soc),
                    price, config)
     ref = build_lp(relative_sessions(sessions, active, soc, k, h), price, config)
     assert got.shape == ref.shape and got.a_ub.shape == ref.a_ub.shape
@@ -433,7 +433,9 @@ class TestReplanFromArrays:
                                                    max_size=h)), np.zeros(T - h)])
         config = _config(T=T, cap=data.draw(st.floats(0.5, 100.0)),
                          lam=data.draw(st.floats(0.0, 20.0)))
-        _assert_replan_lp_as_replaced(sessions, active, soc, k, h, price, config)
+        # the run's horizon: any from k + h on, so a session may leave after it
+        total = k + h + data.draw(st.integers(0, 3 * h))
+        _assert_replan_lp_as_replaced(sessions, active, soc, k, h, price, config, total)
 
     def test_clipped_soc_target_and_departure(self):
         sessions = [make_session("over", 0, 30, 0.2, 0.6, soc_max=0.8),
@@ -443,10 +445,10 @@ class TestReplanFromArrays:
         soc = [np.nextafter(0.8, 1.0), 0.45, 0.5, 0.0]
         price = np.concatenate([np.linspace(0.3, 0.1, 8), np.zeros(4)])
         _assert_replan_lp_as_replaced(sessions, [0, 1, 2, 3], soc, 5, 8, price,
-                                      _config(T=12, cap=3.0, lam=2.0))
-        arrays = online._SessionTable.of(sessions).relative(5, 8, [0, 1, 2, 3], soc)
+                                      _config(T=12, cap=3.0, lam=2.0), 60)
+        arrays = online._relative(SessionArrays.of(sessions, 60), 5, 8, [0, 1, 2, 3], soc)
         np.testing.assert_array_equal(arrays.hi, [8, 4, 8, 1])
-        assert arrays.request.tolist() == [0.0, 0.0, 0.4, 0.0]
+        assert (arrays.target - arrays.soc).tolist() == [0.0, 0.0, 0.4, 0.0]
 
     def test_screened_run_builds_no_matrix(self, day, csc_builds, highs_runs, solve_count):
         grid, ci = day
