@@ -1,17 +1,17 @@
 """Rolling-horizon real-time scheduling.
 
-The controller walks `scheduler.active_sets`, as the baselines do. At
+The controller reads the sessions once, into a `SessionArrays` table, and
+walks `scheduler.active_sets` over its windows, as the baselines do. At
 each slot with a pending session it sees only the sessions that have
 already arrived and a forecast of carbon intensity over the lookahead
 window, cut at the run's end and at the latest departure of those
 sessions, and it applies one slot of a charging plan to every session
-present. The plan is re-solved when a session has arrived
-or the forecast has changed since the last solve; otherwise the rest of
-the last plan is still optimal (principle of optimality) and the
-controller follows it. Each re-plan's LP is built from the run's one
-`SessionArrays` table, its active rows re-based to the slot with array
-operations. Realized emissions are always accounted against the true
-intensity; forecasts drive decisions only.
+present. The plan is re-solved when a session has arrived or the
+forecast has changed since the last solve; otherwise the rest of the last
+plan is still optimal (principle of optimality) and the controller
+follows it. Each re-plan's LP is built from the table's active rows,
+re-based to the slot. Realized emissions are always accounted against
+the true intensity; forecasts drive decisions only.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def _relative(table: SessionArrays, k: int, h: int, active: list[int],
     x = np.minimum(soc_max, [soc[i] for i in active])
     return SessionArrays(np.zeros(len(a), dtype=int), np.minimum(table.hi[a] - k, h), x,
                          np.minimum(soc_max, np.maximum(x, table.target[a])), soc_max,
-                         table.g[a], table.power_max[a])
+                         table.g[a], table.power_max[a], table.delta[a], table.capacity[a])
 
 
 @dataclass(frozen=True)
@@ -116,19 +116,18 @@ class _Plan:
     window: np.ndarray
     power: np.ndarray
 
-    def column(self, k: int, active: list[int],
-               sessions: Sequence[ChargingSession], soc: Sequence[float],
+    def column(self, k: int, active: list[int], hi: Sequence[int],
+               target: Sequence[float], soc: Sequence[float],
                window: np.ndarray) -> np.ndarray | None:
         """Planned powers of `active` at slot k, or None when a re-solve
         at k could give a different answer: a session arrived since k0, a
-        departure clipped to the window's end would be clipped later, a
-        target would be re-clipped, or the forecast no longer matches the
-        plan's shifted tail."""
+        window end hi[i] clipped to the window's end would be clipped
+        later, a target target[i] would be re-clipped, or the forecast no
+        longer matches the plan's shifted tail."""
         end = self.k0 + len(self.window)
         for i in active:
-            s = sessions[i]
-            if i not in self.rows or end < min(s.t_depart, k + len(window)) \
-                    or soc[i] > s.soc_target:
+            if i not in self.rows or end < min(hi[i], k + len(window)) \
+                    or soc[i] > target[i]:
                 return None
         d = k - self.k0
         if not np.array_equal(window[:end - k], self.window[d:]):
@@ -147,9 +146,10 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
     departs later as if it left at the window's end. The LP keeps its zero
     pad to config.horizon_slots, and no column reads a slot past that
     departure, so the cut changes none of its costs. The sessions are
-    read into one `SessionArrays` table once per run, with the windows
-    that `active_sets` walks, and a re-solve hands `build_lp` the active
-    sessions' rows of it re-based to k (`_relative`).
+    read into one `SessionArrays` table once per run, windows clipped to
+    total_slots; a clipped end cuts the window and tests a plan as the
+    departure would, since each use is bounded by total_slots. A re-solve
+    hands `build_lp` the active rows re-based to k (`_relative`).
     The returned schedule spans the full simulation and its emissions use
     `true_carbon`. If `decisions` is given, each decision is appended to it
     as (slot, session index, power_kw, forecast intensity of the slot). A
@@ -163,22 +163,23 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
     T = config.horizon_slots
     table = SessionArrays.of(sessions, total_slots)
     power = np.zeros((len(sessions), total_slots))
-    soc = [s.soc_arrival for s in sessions]
-    done = [s.soc_target - PENDING_EPS for s in sessions]
+    soc, hi, target, delta, capacity = (c.tolist() for c in (
+        table.soc, table.hi, table.target, table.delta, table.capacity))
+    done = [x - PENDING_EPS for x in target]
     plan: _Plan | None = None
-    for k, active in active_sets(sessions, total_slots):
+    for k, active in active_sets(table.lo, table.hi):
         if not any(soc[i] < done[i] for i in active):
             continue
         # No column reads a slot past the latest active departure. The floor
         # of 2 keeps every window a bitwise prefix of the longest one at k:
         # numpy's one-row product `cols @ beta` in `forecast.rollout` rounds
         # differently from the same row inside a longer product.
-        last = max(sessions[i].t_depart for i in active)
+        last = max(hi[i] for i in active)
         h = min(T, total_slots - k, max(last - k, 2))
         window = np.asarray(forecaster.window(k, h), dtype=float)
         if window.shape != (h,):
             raise ForecastUnavailable(k)
-        step = (plan.column(k, active, sessions, soc, window)
+        step = (plan.column(k, active, hi, target, soc, window)
                 if plan is not None else None)
         if step is None:
             # No column reaches the zero pad. It keeps T station rows, and with
@@ -195,5 +196,5 @@ def run_online(sessions: Sequence[ChargingSession], forecaster: Forecaster,
             decisions.extend((k, i, u, window[0]) for i, u in zip(active, step))
         for i, u in zip(active, step):
             power[i, k] = u
-            soc[i] += u * sessions[i].delta / sessions[i].capacity_kwh
+            soc[i] += u * delta[i] / capacity[i]
     return result_from_power(sessions, power, config, true_carbon[:total_slots])

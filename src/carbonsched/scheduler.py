@@ -17,14 +17,13 @@ when the cap would bind, or a request is negative, HiGHS solves the LP.
 On tied costs the two can return different optimal vertices.
 
 `session_slots` maps LP columns to (session, slot) pairs for the LP, its
-solution and the CLI's schedule.csv. `build_lp` reads the sessions through
-`SessionArrays.of`, the one reader of a session list into the LP's
-columns, or takes a table that the online controller derives for each
-re-plan. An `LpInstance` keeps each column's SoC-row entry `g`; its
-`a_ub`, the CSC matrix HiGHS is given, is built when first read, so an
-LP the screen answers never builds it. The slot-loop policies, equal
-sharing, EDF and the online controller, each walk `active_sets`, the
-sessions present at each slot. Every ScheduleResult comes from
+solution and the CLI's schedule.csv. `SessionArrays.of` is the one reader
+of a session list into columns, for `build_lp`, `result_from_power` and
+the slot-loop policies, equal sharing, EDF and the online controller,
+each of which walks `active_sets` over its table's windows. An
+`LpInstance` keeps each column's SoC-row entry `g`; its `a_ub`, the CSC
+matrix HiGHS is given, is built when first read, so an LP the screen
+answers never builds it. Every ScheduleResult comes from
 `result_from_power`, so every policy's objective is the formula above
 with its emissions counted against the accounting signal.
 """
@@ -36,7 +35,7 @@ import os
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -54,23 +53,18 @@ def _load_highs():
     start-up. The extension is therefore loaded from its file, under its
     own name, without importing scipy. CPython keeps an extension module
     per file and name, so a later `import scipy.optimize` gets this same
-    module object. If the file does not load, the usual import is used.
+    module object. If no such file is found, the usual import is used.
     """
     name = "scipy.optimize._highspy._core"
     package = os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin),
                            "optimize", "_highspy")
-    for suffix in EXTENSION_SUFFIXES:
-        path = os.path.join(package, "_core" + suffix)
-        spec = importlib.util.spec_from_file_location(
-            name, path, loader=ExtensionFileLoader(name, path))
-        try:
-            module = importlib.util.module_from_spec(spec)
-        except ImportError:  # no such file, or not loadable
-            continue
-        spec.loader.exec_module(module)
-        return module
-    from scipy.optimize._highspy import _core
-    return _core
+    spec = FileFinder(package, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        from scipy.optimize._highspy import _core
+        return _core
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 highs = _load_highs()
@@ -177,9 +171,9 @@ class LpInstance:
 
 
 class SessionArrays(NamedTuple):
-    """A session list as the columns `build_lp` reads, entry i for session
-    i: its window of slots [lo, hi), its SoC and target SoC, soc_max,
-    g = delta / capacity_kwh and power limit in kW."""
+    """A session list as the columns the policies read, entry i for session
+    i: its window of slots [lo, hi), its SoC and target SoC, soc_max, g =
+    delta / capacity, power limit in kW, SoC step factor and capacity."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -188,17 +182,20 @@ class SessionArrays(NamedTuple):
     soc_max: np.ndarray
     g: np.ndarray
     power_max: np.ndarray
+    delta: np.ndarray
+    capacity: np.ndarray
 
     @classmethod
     def of(cls, sessions: Sequence[ChargingSession], horizon: int) -> SessionArrays:
         """The table of `sessions`, windows clipped to the horizon and SoC
         at arrival. Raises SessionOutsideHorizon through `_windows`."""
-        return cls(*_windows(sessions, horizon),
-                   np.array([s.soc_arrival for s in sessions], dtype=float),
+        lo, hi = _windows(sessions, horizon)
+        delta = np.array([s.delta for s in sessions], dtype=float)
+        capacity = np.array([s.capacity_kwh for s in sessions], dtype=float)
+        return cls(lo, hi, np.array([s.soc_arrival for s in sessions], dtype=float),
                    np.array([s.soc_target for s in sessions], dtype=float),
-                   np.array([s.soc_max for s in sessions], dtype=float),
-                   np.array([s.delta / s.capacity_kwh for s in sessions], dtype=float),
-                   np.array([s.power_max_kw for s in sessions], dtype=float))
+                   np.array([s.soc_max for s in sessions], dtype=float), delta / capacity,
+                   np.array([s.power_max_kw for s in sessions], dtype=float), delta, capacity)
 
 
 def _windows(sessions: Sequence[ChargingSession],
@@ -338,13 +335,11 @@ def result_from_power(sessions: Sequence[ChargingSession], power: np.ndarray,
     """The ScheduleResult of a power matrix: SoC trajectories, emissions
     against `carbon`, and the objective, those emissions plus lam times
     the summed absolute terminal SoC gap."""
-    def per_session(name):
-        return np.array([getattr(s, name) for s in sessions], dtype=float)[:, None]
-
-    arrival = per_session("soc_arrival")
+    table = SessionArrays.of(sessions, power.shape[1])
+    arrival = table.soc[:, None]
     soc = np.hstack([arrival, arrival + np.cumsum(power, axis=1)
-                     * per_session("delta") / per_session("capacity_kwh")])
-    gaps = np.abs(soc[:, -1] - per_session("soc_target")[:, 0])
+                     * table.delta[:, None] / table.capacity[:, None]])
+    gaps = np.abs(soc[:, -1] - table.target)
     emissions = float(np.sum(carbon * power.sum(axis=0)) * config.slot_hours)
     return ScheduleResult(power=power, soc=soc,
                           objective=emissions + config.lam * float(gaps.sum()),
@@ -354,23 +349,21 @@ def result_from_power(sessions: Sequence[ChargingSession], power: np.ndarray,
 PENDING_EPS = 1e-9  # a session this close below its target is finished
 
 
-def active_sets(sessions: Sequence[ChargingSession],
-                horizon: int) -> Iterator[tuple[int, list[int]]]:
-    """Walk the horizon: (t, active) for each slot t at which some session
-    is in its window, `active` listing those sessions' indices ascending.
+def active_sets(lo: np.ndarray, hi: np.ndarray) -> Iterator[tuple[int, list[int]]]:
+    """Walk the windows [lo[i], hi[i]) of a `SessionArrays`, each
+    non-empty: (t, active) for each slot t inside some window, `active`
+    listing the indices i of those windows ascending.
 
-    The list changes only at event slots: at its departure a session
-    leaves it, and at its arrival, max(t_arrival, 0), it joins it by
-    `insort`. The caller reads it and neither keeps nor changes it.
-    Raises SessionOutsideHorizon, through `_windows`, as the walk starts.
+    The list changes only at event slots: at hi[i] index i leaves it, and
+    at lo[i] it joins it by `insort`. The caller reads it and neither
+    keeps nor changes it.
     """
-    lo, hi = _windows(sessions, horizon)
     events: dict[int, tuple[list[int], list[int]]] = {}  # slot: (leaving, arriving)
     for i, (a, d) in enumerate(zip(lo.tolist(), hi.tolist())):
         events.setdefault(a, ([], []))[1].append(i)
         events.setdefault(d, ([], []))[0].append(i)
     active: list[int] = []
-    for t in range(horizon):
+    for t in range(max(events, default=0)):
         if t in events:
             leaving, arriving = events[t]
             for i in leaving:

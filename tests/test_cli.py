@@ -315,6 +315,8 @@ _TWO_HOUR_MIX = "timestamp,gas\n" + "".join(
 _TOO_COARSE = ("rows are 7200 s apart; the slot length must be under 2 h "
                "for a 1 h moving average")
 _ONE_ROW_MIX = "timestamp,gas\n2021-01-01T00:00:00+00:00,100\n"
+_NOT_POSITIVE = ("session 'a' violates SoC invariants: capacity, power_max and delta "
+                 "must be positive and finite")
 _MIX = ("timestamp,gas\n2021-01-01T00:00:00+00:00,100\n"
         "2021-01-01T00:05:00+00:00,100\n")
 # One day on the synthetic grid, so only the nan cell is wrong.
@@ -461,6 +463,13 @@ def test_boundary_input_exits_1(tmp_path, capsys, files, args):
     pytest.param("s.csv", {"s.csv": _SESSIONS_HEADER + _session_row(power="nan")},
                  ("--sessions", "s.csv"),
                  "non-finite value in row 1, column 'power_max_kw'", id="power-max-nan"),
+    pytest.param("s.csv", {"s.csv": _SESSIONS_HEADER + _session_row(capacity="0")},
+                 ("--sessions", "s.csv"), _NOT_POSITIVE, id="capacity-zero"),
+    pytest.param("s.csv", {"s.csv": _SESSIONS_HEADER + _session_row(power="-1")},
+                 ("--sessions", "s.csv"), _NOT_POSITIVE, id="power-max-negative"),
+    pytest.param("s.csv", {"s.csv": _SESSIONS_HEADER.replace("\n", ",efficiency\n")
+                           + _session_row().replace("\n", ",0\n")},
+                 ("--sessions", "s.csv"), _NOT_POSITIVE, id="efficiency-zero"),
     pytest.param("factors.csv", {"mix.csv": _MIX,
                                  "factors.csv": _FACTORS.replace("0.4", "1e400")},
                  ("--mix", "mix.csv", "--factors", "factors.csv"),
@@ -1264,6 +1273,18 @@ def test_no_block_keeps_a_schedule_two_blocks_back(tmp_path, monkeypatch, argv):
     assert run_cli(*argv, "--synth-days", "4", "--synth-sessions-per-day", "8",
                    "--synth-capacity-kwh", "5", "--out-dir", str(tmp_path / "out")) == 0
     assert len(steps) >= 3 and stale == []
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_hourly_mix_with_synthetic_sessions(tmp_path, policy):
+    # On an hourly grid a short synthetic stay snaps to no slot of its own
+    # and is given the slot after its arrival; every policy schedules it.
+    with open(tmp_path / "mix.csv", "w", newline="") as mf, \
+            open(tmp_path / "factors.csv", "w", newline="") as ff:
+        ingest.write_grid_mix(ingest.synth_grid_mix(2, seed=4, slot_minutes=60), mf, ff)
+    assert run_cli("simulate", "--policy", policy, "--mix", str(tmp_path / "mix.csv"),
+                   "--factors", str(tmp_path / "factors.csv"),
+                   "--synth-sessions-per-day", "20", "--out-dir", str(tmp_path / "out")) == 0
 
 
 @pytest.mark.parametrize("policy", POLICIES)

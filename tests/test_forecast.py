@@ -284,6 +284,19 @@ class TestRollout:
         assert got.shape == (288,)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
+    def test_prediction_below_zero_is_clamped_before_it_is_fed_back(self, two_month):
+        # The load term swings the prediction across zero over the day: each
+        # step below zero is forecast as 0.0, and 0.0, not the negative value,
+        # enters the moving averages that the later positive steps read.
+        _, load, ci = two_month
+        beta = np.array([-2.0, 0.0, 0.0, 0.0, 0.0, 1e-4, 0.2, 0.1, 0.3])
+        model = forecast.ForecastModel(beta, np.zeros(8), np.ones(8))
+        got = forecast.rollout(model, ci.values[:600], forecast._base_columns(
+            ci.timestamps, load.load_mw, 600, 888), 5)
+        assert np.any(got == 0.0) and np.any(got > 0.0)
+        np.testing.assert_allclose(got, _hand_rollout(beta, ci, load, 600, 288),
+                                   rtol=1e-12, atol=1e-12)
+
     def test_reads_only_trailing_day(self, two_month):
         _, load, ci = two_month
         model = forecast.ForecastModel(DRIFTING.copy(), np.zeros(8), np.ones(8))

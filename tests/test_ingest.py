@@ -54,6 +54,14 @@ class TestParseGridMix:
                 _factors_csv([("solar", 0.0), ("gas", 0.4)]))
         assert exc.value.row == 3
 
+    @pytest.mark.parametrize("second", ["00:05:00", "00:00:00"])
+    def test_second_stamp_not_after_the_first_rejected(self, second):
+        with pytest.raises(errors.NonMonotonicTimestamps, match="at row 2$"):
+            ingest.parse_grid_mix(
+                _mix_csv(["2021-01-01T00:05:00+00:00,1,1",
+                          f"2021-01-01T{second}+00:00,1,1"]),
+                _factors_csv([("solar", 0.0), ("gas", 0.4)]))
+
     def test_malformed_number(self):
         with pytest.raises(errors.MalformedNumber) as exc:
             ingest.parse_grid_mix(
@@ -217,17 +225,30 @@ class TestParseSessions:
         assert s.capacity_kwh == 1e300
         assert make_session("b", 0, 12, 0.2, 0.6, capacity_kwh=1e15).capacity_kwh == 1e15
 
-    @pytest.mark.parametrize("column", ["capacity_kwh", "soc_max", "power_max_kw",
-                                        "efficiency"])
-    def test_non_finite_optional_cell_names_row_and_column(self, day_grid, column):
+    @staticmethod
+    def _one_row_with(column, cell):
+        """`_sessions_csv` of one valid row with `column`'s cell set to `cell`."""
         header = ("id,arrival_ts,depart_ts,soc_arrival,soc_target,"
                   "capacity_kwh,soc_max,power_max_kw,efficiency")
         cells = ("a,2021-04-01T08:00:00+00:00,2021-04-01T12:00:00+00:00,"
                  "0.2,0.6,50,1.0,7.5,0.9").split(",")
-        cells[header.split(",").index(column)] = "inf"
+        cells[header.split(",").index(column)] = cell
+        return _sessions_csv([",".join(cells)])
+
+    @pytest.mark.parametrize("column", ["capacity_kwh", "soc_max", "power_max_kw",
+                                        "efficiency"])
+    def test_non_finite_optional_cell_names_row_and_column(self, day_grid, column):
         with pytest.raises(errors.NonFiniteValue,
                            match=f"^non-finite value in row 1, column '{column}'$"):
-            ingest.parse_sessions(_sessions_csv([",".join(cells)]), day_grid)
+            ingest.parse_sessions(self._one_row_with(column, "inf"), day_grid)
+
+    @pytest.mark.parametrize("column,cell", [("capacity_kwh", "0"), ("power_max_kw", "-1"),
+                                             ("efficiency", "0")])
+    def test_battery_cell_that_is_not_positive_names_the_session(self, day_grid, column,
+                                                                 cell):
+        with pytest.raises(errors.InvalidSoC, match="^session 'a' violates SoC invariants: "
+                           "capacity, power_max and delta must be positive and finite$"):
+            ingest.parse_sessions(self._one_row_with(column, cell), day_grid)
 
     def test_defaults_for_optional_columns(self, day_grid):
         sess = ingest.parse_sessions(_sessions_csv(
@@ -554,6 +575,10 @@ _TWO_ROWS = {"mix": "timestamp,solar,gas\n2021-01-01T00:00:00,1,2{}2021-01-01T00
 @example(("mix", _TWO_ROWS["mix"].format("\n").replace("solar,gas", "solar,solar")))
 @example(("mix", _TWO_ROWS["mix"].format("\n").replace("solar,gas", '"solar",gas')))
 @example(("mix", _TWO_ROWS["mix"].format("\n").replace("solar,gas", '"solar,gas"')))
+@example(("mix", "timestamp,solar,gas\n"))    # a header and no data row
+@example(("mix", "timestamp,solar,gas"))
+@example(("load", "timestamp,load_mw\n"))
+@example(("load", "timestamp,load_mw"))
 def test_whole_file_path_matches_the_row_path(case):
     # The same series, bit for bit, or the same error, whichever path reads it.
     kind, text = case
@@ -562,6 +587,14 @@ def test_whole_file_path_matches_the_row_path(case):
     with mock.patch.object(ingest, "_numeric_table", lambda text: None):
         rows = _outcome(parse, text)
     assert fast == rows
+
+
+@pytest.mark.parametrize("end", ["\n", ""])
+@pytest.mark.parametrize("parser", ["mix", "load"])
+def test_header_only_series_has_too_few_rows(parser, end):
+    header = _PARSERS[parser][0].split("\n")[0]
+    with pytest.raises(errors.TooFewRows, match="got 0$"):
+        _PARSERS[parser][1](io.StringIO(header + end))
 
 
 def test_benchmark_shaped_inputs_skip_the_row_path(tmp_path, monkeypatch):
@@ -606,6 +639,15 @@ class TestSynthSessions:
         a = ingest.synth_sessions(50, day_grid, seed=5)
         b = ingest.synth_sessions(50, day_grid, seed=5)
         assert a == b
+
+    def test_hourly_grid_gives_every_session_a_slot(self):
+        # A stay of half an hour can hold no whole hour: such a session gets
+        # the one slot after its arrival, where ChargingSession would refuse
+        # its empty window.
+        grid = TimeGrid(datetime(2021, 1, 1, tzinfo=UTC), 60, 72)
+        sessions = ingest.synth_sessions(200, grid, seed=6)
+        assert all(s.t_arrival < s.t_depart <= grid.n_slots for s in sessions)
+        assert any(s.t_depart == s.t_arrival + 1 for s in sessions)
 
     def test_all_pass_validation(self, day_grid):
         # construction enforces invariants; re-assert the key ones anyway

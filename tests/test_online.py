@@ -346,9 +346,10 @@ class TestPlanReuse:
         window = np.linspace(0.3, 0.1, 10)
         plan = online._Plan(0, {0: 0}, window, np.full((1, 10), 2.0))
         tail = np.concatenate([window[1:], [0.3]])
-        assert plan.column(1, [0], [s], np.array([0.6]), tail) == [2.0]
+        hi, target = [s.t_depart], [s.soc_target]
+        assert plan.column(1, [0], hi, target, np.array([0.6]), tail) == [2.0]
         above = np.array([np.nextafter(0.6, 1.0)])
-        assert plan.column(1, [0], [s], above, tail) is None
+        assert plan.column(1, [0], hi, target, above, tail) is None
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())

@@ -10,11 +10,14 @@ checked under a forecast that changes at every call, so it re-solves at
 every pending slot, exactly as the always-re-solve reference does.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from carbonsched.baselines import earliest_deadline_first, equal_sharing
 from carbonsched.errors import SessionOutsideHorizon
+from carbonsched.ingest import ChargingSession
 from carbonsched.online import PerfectForecaster, run_online
 from carbonsched.scheduler import StationConfig, carbon_schedule
 
@@ -109,3 +112,41 @@ def test_session_outside_the_horizon_is_refused(schedule):
         with pytest.raises(SessionOutsideHorizon) as info:
             schedule(sessions, _config(3.7), _carbon())
         assert info.value.session_id == named
+
+
+_FIELDS = frozenset(f.name for f in fields(ChargingSession))
+
+
+class _CountedSession(ChargingSession):
+    """A session that counts, on its class, every read of one of its fields."""
+
+    reads = 0
+
+    def __getattribute__(self, name):
+        if name in _FIELDS:
+            _CountedSession.reads += 1
+        return super().__getattribute__(name)
+
+
+@pytest.mark.parametrize("schedule", [
+    equal_sharing,
+    earliest_deadline_first,
+    lambda sessions, config, carbon: run_online(
+        sessions, PerfectForecaster(carbon), carbon, config, len(carbon)),
+    lambda sessions, config, carbon: carbon_schedule(sessions, carbon, config),
+], ids=["es", "edf", "online", "offline"])
+def test_session_fields_are_read_the_same_number_of_times_at_any_horizon(schedule):
+    # Each policy reads the sessions into a table once, so a walk over four
+    # times the slots reads no field more often. The sessions stay pending
+    # and present to the horizon's end, so a read per slot would show.
+    config = StationConfig(power_cap_kw=3.0, slot_hours=5 / 60, lam=100.0,
+                           horizon_slots=12)
+    reads = []
+    for horizon in (24, 96):
+        sessions = [_CountedSession(f"c{i}", 3 - i, 1000, 0.2, 0.7, capacity_kwh=100.0,
+                                    power_max_kw=1.0) for i in range(4)]
+        carbon = np.linspace(0.4, 0.2, horizon)
+        _CountedSession.reads = 0
+        schedule(sessions, config, carbon)
+        reads.append(_CountedSession.reads)
+    assert reads[0] == reads[1], reads
